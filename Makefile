@@ -3,9 +3,9 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-nojit test-speed test-faults test-service lint \
+.PHONY: test test-nojit test-faults test-service lint \
 	bench-kernels bench-pipeline bench-answers bench-figures \
-	bench-service
+	bench-service bench-selftest
 
 # Tier-1: the gate every PR must keep green. Includes the fault and
 # service suites (they collect by default; `test-faults` and
@@ -19,17 +19,6 @@ test:
 # contract makes backend choice unobservable in outputs).
 test-nojit:
 	REPRO_NO_JIT=1 $(PY) -m pytest -x -q
-
-# Optional-speed tier (CI only — needs network for pip): install the
-# numba extra, run the kernel suite pinned to the numba backend, then
-# re-record bench-kernels so the numba-tier rows land in
-# BENCH_kernels.json next to the cc tier (the kernel benchmarks
-# parametrize over available_backends(), and record.py merges rows by
-# name rather than overwriting the file).
-test-speed:
-	pip install -e '.[speed]'
-	REPRO_JIT=numba $(PY) -m pytest tests/test_kernels.py -q
-	$(MAKE) bench-kernels
 
 # Static checks: no string-literal protocol dispatch outside the
 # registry (also collected by the default pytest run).
@@ -64,8 +53,8 @@ bench-pipeline:
 	@rm -f .bench_raw.json
 
 # Answering-engine throughput: eager materialization, summed-area
-# lookups, and the batched 1000-query mixed-λ workload vs the per-query
-# loop (which must be ≥10x slower). Writes BENCH_answers.json.
+# lookups, and the batched 1000-query mixed-λ workload vs one `answer`
+# call per query (which must be ≥10x slower). Writes BENCH_answers.json.
 bench-answers:
 	$(PY) -m pytest benchmarks/test_answer_throughput.py -m benchmarks -q \
 	    --benchmark-json=.bench_raw.json
@@ -86,3 +75,10 @@ bench-service:
 # The full figure-regeneration benchmark suite (slow).
 bench-figures:
 	$(PY) -m pytest benchmarks -m benchmarks -q
+
+# Self-tests of the repository benchmark (perfbench/, ~30 s): metric
+# sets, every correctness gate failing on a broken input, and the
+# tracer. Fails fast when a rename breaks an entry point the traced
+# benchmark wraps (e.g. repro.core.server.build_answer_plan).
+bench-selftest:
+	python3 perfbench/selftest.py

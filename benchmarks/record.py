@@ -13,8 +13,7 @@ An existing ``OUT_JSON`` is *merged into*, not overwritten: only the
 ``machine`` / ``datetime`` / ``benchmarks`` keys are replaced (and new
 benchmark rows update old ones by name), so sections written directly by
 the benchmark tests themselves — e.g. the ``workload_plan`` rows in
-``BENCH_answers.json`` or the numba-tier kernel rows recorded next to the
-``cc`` tier — survive the recording step.
+``BENCH_answers.json`` — survive the recording step.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Tracks the three layers the engine optimizes: materializing a pair's
 response matrix (Algorithm 3 IPF), summed-area rectangle lookups, and the
-batched workload path against the per-query loop on a 6-attribute,
-1000-query mixed-λ workload. ``make bench-answers`` records the results
+batched workload path against one ``answer`` call per query on a
+6-attribute, 1000-query mixed-λ workload. ``make bench-answers`` records the results
 in ``BENCH_answers.json``; the ≥10x batched-vs-loop throughput floor is
 asserted directly, as is the workload-aware-vs-blind planning comparison
 on a skewed 1000-query workload (recorded under the ``workload_plan``
@@ -89,11 +89,11 @@ def test_workload_batched(benchmark, fitted, workload):
 
 
 def test_workload_loop(benchmark, fitted, workload):
-    """The per-query loop the batched path replaces (the old default)."""
+    """One ``answer`` call per query: what the batched path replaces."""
     fitted.materialize()
-    benchmark.pedantic(
-        lambda: fitted.aggregator.answer_workload_loop(workload),
-        rounds=1, iterations=1)
+    agg = fitted.aggregator
+    benchmark.pedantic(lambda: [agg.answer(q) for q in workload],
+                       rounds=1, iterations=1)
 
 
 def _merge_workload_record(record: dict) -> None:
@@ -145,10 +145,10 @@ def test_batched_speedup_at_least_10x(fitted, workload):
     batched_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    loop = agg.answer_workload_loop(workload)
+    loop = [agg.answer(q) for q in workload]
     loop_s = time.perf_counter() - start
 
-    np.testing.assert_allclose(batched, loop, atol=1e-9)
+    np.testing.assert_array_equal(batched, loop)
     speedup = loop_s / batched_s
     print(f"\nbatched={batched_s:.4f}s loop={loop_s:.4f}s "
           f"speedup={speedup:.1f}x")

@@ -87,18 +87,17 @@ class Felip:
         """Estimated answers for a workload (batched by λ and pair set)."""
         return self._aggregator.answer_workload(queries)
 
-    def plan_answers(self, queries: Iterable[Query], cost_model=None):
+    def plan_answers(self, queries: Iterable[Query]):
         """Compile a workload into an inspectable AnswerPlan (pure).
 
         See :meth:`repro.core.Aggregator.plan_answers`; execute the
         result with :meth:`execute_answer_plan`.
         """
-        return self._aggregator.plan_answers(queries, cost_model)
+        return self._aggregator.plan_answers(queries)
 
-    def execute_answer_plan(self, plan, queries: Iterable[Query]
-                            ) -> np.ndarray:
-        """Execute a compiled AnswerPlan against its workload."""
-        return self._aggregator.execute_answer_plan(plan, queries)
+    def execute_answer_plan(self, plan) -> np.ndarray:
+        """Answer a compiled AnswerPlan, in its workload's order."""
+        return self._aggregator.execute_answer_plan(plan)
 
     def recorded_workload(self):
         """Harvest a WorkloadSpec from recorded queries.

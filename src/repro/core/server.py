@@ -48,8 +48,8 @@ from repro.fo import kernels as fo_kernels
 from repro.fo.adaptive import make_oracle
 from repro.optimizer import (
     AnswerPlan,
-    CostModel,
     MaterializationPlan,
+    WorkloadAccumulator,
     WorkloadSpec,
     build_answer_plan,
     plan_materialization,
@@ -94,8 +94,8 @@ class Aggregator:
         self.fault_injector = None
         self._detector_flags: List[DetectorFlag] = []
         self._group_sizes: List[int] = []
-        #: queries answered since the last fit (config.record_workload)
-        self._recorded_queries: List[Query] = []
+        #: workload answered since the last fit (config.record_workload)
+        self._recorded = WorkloadAccumulator(schema)
 
     # -- collection -----------------------------------------------------------
 
@@ -105,7 +105,7 @@ class Aggregator:
             raise QueryError("dataset schema does not match aggregator's")
         rng = ensure_rng(rng)
         self.n = dataset.n
-        self._recorded_queries = []
+        self._recorded = WorkloadAccumulator(self.schema)
         with self.timings.time("plan"):
             self.plans = plan_grids(self.schema, self.config, dataset.n)
         with self.timings.time("warm"):
@@ -494,110 +494,39 @@ class Aggregator:
 
     def answer(self, query: Query) -> float:
         """Estimated fractional answer of a λ-D query."""
-        self._require_fitted()
-        query.validate_for(self.schema)
-        self._record_workload_queries([query])
-        predicates = self._sorted_predicates(query)
-        if len(predicates) == 1:
-            return self._answer_single(predicates[0])
-        if len(predicates) == 2:
-            ta = self.schema.index_of(predicates[0].attribute)
-            tb = self.schema.index_of(predicates[1].attribute)
-            value = self._pair_values(ta, tb, [predicates[0]],
-                                      [predicates[1]])[0]
-            return self._clamp(value)
-        return self._answer_lambda(predicates)
+        return float(self.answer_workload([query])[0])
 
-    def plan_answers(self, queries: Iterable[Query],
-                     cost_model: Optional[CostModel] = None) -> AnswerPlan:
+    def plan_answers(self, queries: Iterable[Query]) -> AnswerPlan:
         """Compile a workload into an inspectable :class:`AnswerPlan`.
 
         Pure — a function of (schema, queries, config) only (see
-        :func:`repro.optimizer.build_answer_plan`); building a plan runs
-        no queries and may be called before :meth:`fit`. Execute it with
-        :meth:`execute_answer_plan`.
+        :func:`repro.optimizer.build_answer_plan`); building a plan
+        validates the queries but runs none of them, and may be called
+        before :meth:`fit`. Execute it with :meth:`execute_answer_plan`.
         """
-        return build_answer_plan(self.schema, queries, self.config,
-                                 cost_model=cost_model)
+        return build_answer_plan(self.schema, queries, self.config)
 
-    def execute_answer_plan(self, plan: AnswerPlan,
-                            queries: Iterable[Query]) -> np.ndarray:
-        """Execute a compiled :class:`AnswerPlan` against ``queries``.
+    def execute_answer_plan(self, plan: AnswerPlan) -> np.ndarray:
+        """Answer a compiled :class:`AnswerPlan`, in workload order.
 
-        ``queries`` must be the same workload (same order) the plan was
-        built from. Each node dispatches through the strategy table
-        below; every strategy of a node computes identical numerics
-        (summed-area fast paths fall back per query when a table is not
-        resident), so results are bit-identical to
-        :meth:`answer_workload_loop` regardless of the cost model that
-        shaped the plan. Time is recorded under the ``answer`` stage.
+        Each node goes by λ to its primitive: 1-D sums
+        (:meth:`_answer_singles`), 2-D rectangle sums
+        (:meth:`_pair_values`) or the batched Algorithm 4 IPF
+        (:meth:`_answer_lambda_batch`). The plan already validated and
+        schema-ordered every query's predicates. Answers are clipped to
+        [0, 1]; time is recorded under the ``answer`` stage.
         """
         self._require_fitted()
-        queries = list(queries)
-        if plan.num_queries != len(queries):
-            raise QueryError(
-                f"plan was built for {plan.num_queries} queries, got "
-                f"{len(queries)}")
-        for query in queries:
-            query.validate_for(self.schema)
-        self._record_workload_queries(queries)
-        out = np.zeros(len(queries))
-        if not queries:
+        if self.config.record_workload:
+            for node in plan.nodes:
+                for predicates in node.predicates:
+                    self._recorded.add(predicates)
+        out = np.zeros(plan.num_queries)
+        if not plan.nodes:
             return out
         with self.timings.time("answer"):
             for node in plan.nodes:
-                batch = [self._sorted_predicates(queries[pos])
-                         for pos in node.positions]
-                try:
-                    executor = self._NODE_EXECUTORS[node.strategy]
-                except KeyError:
-                    raise QueryError(
-                        f"unknown plan strategy {node.strategy!r}"
-                        ) from None
-                values = executor(self, node.key, batch)
-                out[list(node.positions)] = np.clip(values, 0.0, 1.0)
-        return out
-
-    def answer_workload(self, queries: Iterable[Query]) -> np.ndarray:
-        """Batched workload answering (grouped by λ and attribute set).
-
-        Compiles the workload with :meth:`plan_answers` and executes the
-        plan: 1-D batches as one stacked weight/indicator matmul, 2-D
-        batches as summed-area lookups (or one indicator matmul per
-        group), λ ≥ 3 batches through the batched Algorithm 4 IPF.
-        Results are bit-identical to calling :meth:`answer` per query
-        (see :meth:`answer_workload_loop`) and to the retained
-        :meth:`answer_workload_legacy` grouping; time is recorded under
-        the ``answer`` stage.
-        """
-        self._require_fitted()
-        queries = list(queries)
-        plan = self.plan_answers(queries)
-        return self.execute_answer_plan(plan, queries)
-
-    def answer_workload_legacy(self, queries: Iterable[Query]) -> np.ndarray:
-        """The pre-optimizer workload path (grouping + inline dispatch).
-
-        Retained verbatim as the reference the plan→execute equivalence
-        tests compare against: :meth:`answer_workload` must stay
-        bit-identical to this under the default cost model.
-        """
-        self._require_fitted()
-        queries = list(queries)
-        for query in queries:
-            query.validate_for(self.schema)
-        out = np.zeros(len(queries))
-        if not queries:
-            return out
-        with self.timings.time("answer"):
-            groups: Dict[Tuple[int, ...], List[int]] = {}
-            for pos, query in enumerate(queries):
-                key = tuple(sorted(self.schema.index_of(p.attribute)
-                                   for p in query))
-                groups.setdefault(key, []).append(pos)
-            for key, positions in groups.items():
-                batch = [self._sorted_predicates(queries[pos])
-                         for pos in positions]
+                key, batch = node.key, node.predicates
                 if len(key) == 1:
                     values = self._answer_singles(
                         key[0], [preds[0] for preds in batch])
@@ -607,18 +536,23 @@ class Aggregator:
                         [preds[1] for preds in batch])
                 else:
                     values = self._answer_lambda_batch(key, batch)
-                out[positions] = np.clip(values, 0.0, 1.0)
+                out[list(node.positions)] = np.clip(values, 0.0, 1.0)
         return out
 
-    def answer_workload_loop(self, queries: Iterable[Query]) -> np.ndarray:
-        """Per-query reference path (what :meth:`answer_workload` batches)."""
-        return np.array([self.answer(q) for q in queries])
+    def answer_workload(self, queries: Iterable[Query]) -> np.ndarray:
+        """Batched workload answering (grouped by λ and attribute set).
+
+        ``execute_answer_plan(plan_answers(queries))``: 1-D groups as one
+        stacked weight/indicator matmul, 2-D groups as summed-area
+        lookups or one indicator matmul, λ ≥ 3 groups through the
+        batched Algorithm 4 IPF. Every primitive reduces in a
+        batch-size-invariant order, so a query's answer does not depend
+        on the rest of the workload (:meth:`answer` is a batch of one).
+        """
+        self._require_fitted()
+        return self.execute_answer_plan(self.plan_answers(queries))
 
     # -- workload recording ------------------------------------------------------
-
-    def _record_workload_queries(self, queries: List[Query]) -> None:
-        if self.config.record_workload:
-            self._recorded_queries.extend(queries)
 
     def recorded_workload(self) -> WorkloadSpec:
         """Harvest a :class:`WorkloadSpec` from the recorded queries.
@@ -626,43 +560,18 @@ class Aggregator:
         Requires ``config.record_workload=True`` and at least one
         answered query since the last :meth:`fit` — the record half of
         the declare-or-record loop (run blind, harvest, refit with
-        ``config.workload`` set).
+        ``config.workload`` set). Recording keeps running counts, not
+        the queries, so its memory is bounded by the workload's shape.
         """
         if not self.config.record_workload:
             raise QueryError(
                 "workload recording is off; construct the config with "
                 "record_workload=True")
-        return WorkloadSpec.from_queries(self._recorded_queries,
-                                         self.schema)
-
-    def _sorted_predicates(self, query: Query) -> List[Predicate]:
-        """Predicates in schema-index order (conjunction order is free).
-
-        Canonicalizing the order makes answers independent of how the
-        query was written and lets the batched paths share pair tables
-        with the per-query path.
-        """
-        return sorted(query,
-                      key=lambda p: self.schema.index_of(p.attribute))
+        return self._recorded.spec()
 
     def _indicator(self, predicate: Predicate) -> np.ndarray:
         domain = self.schema[predicate.attribute].domain_size
         return predicate.indicator(domain)
-
-    @staticmethod
-    def _clamp(value: float) -> float:
-        """Frequencies live in [0, 1]; clamp estimator overshoot."""
-        return min(max(float(value), 0.0), 1.0)
-
-    def _answer_single(self, predicate: Predicate) -> float:
-        """One 1-D answer, routed through the batched primitive.
-
-        Sharing :meth:`_answer_singles` (batch of one) keeps the loop and
-        workload paths on the same einsum kernel, so their answers are
-        bit-identical — not merely close.
-        """
-        t = self.schema.index_of(predicate.attribute)
-        return self._clamp(self._answer_singles(t, [predicate])[0])
 
     def _answer_singles(self, t: int,
                         predicates: List[Predicate]) -> np.ndarray:
@@ -729,8 +638,8 @@ class Aggregator:
 
         Returns ``(Q, 2, 2)`` tables indexed ``[query, sign_i, sign_j]``,
         via O(1) summed-area lookups for materialized ``BETWEEN`` pairs and
-        stacked indicator matmuls otherwise — identical numerics either
-        path is chosen per query, so loop and batch answers agree.
+        stacked indicator matmuls otherwise — the path is chosen per
+        query, so an answer never depends on the rest of its batch.
         """
         tables = np.empty((len(preds_i), 2, 2))
         sat = self._sats.get((ti, tj))
@@ -752,19 +661,6 @@ class Aggregator:
             stack_j = np.stack([self._indicator(preds_j[q]) for q in picks])
             tables[picks] = pair_answers_tables(matrix, stack_i, stack_j)
         return tables
-
-    def _answer_lambda(self, predicates: List[Predicate]) -> float:
-        """One λ ≥ 3 query, routed through the batched primitive.
-
-        ``predicates`` arrive sorted by schema index, so the attribute
-        set is already a canonical key. Sharing
-        :meth:`_answer_lambda_batch` (batch of one) keeps the loop and
-        workload paths on the same batched Algorithm 4 IPF — whose
-        active-set freezing makes it batch-size invariant — so their
-        answers are bit-identical.
-        """
-        key = tuple(self.schema.index_of(p.attribute) for p in predicates)
-        return self._clamp(self._answer_lambda_batch(key, [predicates])[0])
 
     def _answer_lambda_batch(self, key: Tuple[int, ...],
                              batch: List[List[Predicate]]) -> np.ndarray:
@@ -792,32 +688,3 @@ class Aggregator:
                 f"({self.config.lambda_max_iters})",
                 ConvergenceWarning, stacklevel=3)
         return values
-
-    # -- plan-node executors -----------------------------------------------------
-
-    def _exec_singles(self, key: Tuple[int, ...],
-                      batch: List[List[Predicate]]) -> np.ndarray:
-        return self._answer_singles(key[0], [preds[0] for preds in batch])
-
-    def _exec_pair(self, key: Tuple[int, ...],
-                   batch: List[List[Predicate]]) -> np.ndarray:
-        return self._pair_values(key[0], key[1],
-                                 [preds[0] for preds in batch],
-                                 [preds[1] for preds in batch])
-
-    def _exec_lambda(self, key: Tuple[int, ...],
-                     batch: List[List[Predicate]]) -> np.ndarray:
-        return self._answer_lambda_batch(key, batch)
-
-    #: AnswerPlan strategy → executor. Strategies that differ only in
-    #: which resident structure they expect (grid vs marginal, SAT vs
-    #: matmul) share an executor: the primitive resolves availability per
-    #: query at run time with identical numerics either way, so a plan
-    #: built against stale materialization state still answers correctly.
-    _NODE_EXECUTORS = {
-        "grid-1d": _exec_singles,
-        "marginal-matmul": _exec_singles,
-        "sat-lookup": _exec_pair,
-        "pair-matmul": _exec_pair,
-        "batched-ipf": _exec_lambda,
-    }

@@ -53,6 +53,16 @@ class WireError(ReproError):
     """
 
 
+class PayloadError(WireError):
+    """An intact wire frame whose content is not a valid report.
+
+    Both CRCs matched, so the frame's boundaries can be trusted and a
+    stream decoder can step past it; only its content — tables, wire
+    code, or the report its fields build — is bad. Sessions reject such a
+    frame in sequence instead of dropping the connection.
+    """
+
+
 class ClientError(ReproError):
     """The wire client could not deliver its buffered frames.
 

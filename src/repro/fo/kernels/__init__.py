@@ -8,8 +8,6 @@ defined once in :mod:`repro.fo.kernels.numpy_impl` and optionally
 ========  =====================================================
 backend   provided by
 ========  =====================================================
-numba     :mod:`numba_impl` — ``@njit(cache=True)``; needs the
-          ``speed`` packaging extra
 cc        :mod:`c_impl` — C source compiled at first use with the
           host toolchain (``cc``/``gcc``/``clang``), cached as a
           shared library, loaded via ctypes
@@ -17,7 +15,7 @@ numpy     :mod:`numpy_impl` — always present, always last
 ========  =====================================================
 
 Selection is *per kernel*, lazy, and failure-proof: backends are tried
-in preference order (numba → cc → numpy) and any backend that fails to
+in preference order (cc → numpy) and any backend that fails to
 import, compile, or load is recorded in :func:`backend_report` and
 skipped — the numpy implementation can never fail to be selected, so the
 library never *requires* a compiler.
@@ -56,13 +54,13 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.fo.hashing import DEFAULT_TILE_BYTES
-from repro.fo.kernels import c_impl, numba_impl, numpy_impl
+from repro.fo.kernels import c_impl, numpy_impl
 
 #: canonical kernel set — numpy implements all of them by construction
 KERNEL_NAMES: Tuple[str, ...] = tuple(numpy_impl.KERNELS)
 
 #: resolution order; numpy is the mandatory terminal fallback
-BACKEND_PREFERENCE: Tuple[str, ...] = ("numba", "cc", "numpy")
+BACKEND_PREFERENCE: Tuple[str, ...] = ("cc", "numpy")
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
@@ -102,8 +100,6 @@ def _load_backend(backend: str) -> Dict[str, Callable]:
         table = dict(numpy_impl.KERNELS)
     elif backend == "cc":
         table = c_impl.kernels()
-    elif backend == "numba":
-        table = numba_impl.kernels()
     else:
         raise RuntimeError(f"unknown kernel backend {backend!r}")
     _backend_kernels[backend] = table

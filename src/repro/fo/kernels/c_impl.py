@@ -1,12 +1,11 @@
 """Compiled C backend: runtime-compiled kernels loaded through ctypes.
 
-This backend exists because the bench hosts have a C toolchain but not
-numba: the kernel source below is compiled once per machine (``cc -O3
--fPIC -shared``) into a content-addressed shared library under a cache
-directory, then loaded with :mod:`ctypes`. Compilation is concurrency-safe
-(build to a private temp file, ``os.replace`` into place) and amortized —
-every later process, including pool workers, just dlopens the cached
-``.so``.
+The kernel source below is compiled once per machine (``cc -O3 -fPIC
+-shared``) with the host C toolchain into a content-addressed shared
+library under a cache directory, then loaded with :mod:`ctypes`.
+Compilation is concurrency-safe (build to a private temp file,
+``os.replace`` into place) and amortized — every later process,
+including pool workers, just dlopens the cached ``.so``.
 
 Bit-identity with :mod:`repro.fo.kernels.numpy_impl` is a hard contract:
 

@@ -1,8 +1,8 @@
 """Numpy reference implementations of the compiled kernels.
 
 This module is the **semantic definition** of every kernel in
-:mod:`repro.fo.kernels`: the compiled backends (numba, cc) must agree with
-these functions *bit for bit* on every input — integer kernels trivially,
+:mod:`repro.fo.kernels`: the compiled C backend must agree with these
+functions *bit for bit* on every input — integer kernels trivially,
 floating-point kernels because both sides perform the same elementary
 operations in the same order (sequential row accumulation, no FMA
 contraction, no reassociation). The dispatch layer guarantees one of

@@ -1,4 +1,4 @@
-"""Workload-aware planning and the cost-based query optimizer.
+"""Workload-aware planning and the answer-plan compiler.
 
 FELIP's original planner is workload-blind: grid sizes optimize a generic
 α1/α2 error at the aggregator's global selectivity prior, ``materialize``
@@ -9,27 +9,25 @@ workloads. This package closes the loop at two levels:
 * **plan time** — :class:`WorkloadSpec` captures per-attribute query
   frequencies, the λ distribution and per-attribute selectivity
   histograms (declared explicitly or harvested from a recorded
-  workload). The planner feeds its selectivity moments into the
-  workload-weighted sizing objectives (``repro.grids.sizing``) and
+  workload through a bounded :class:`WorkloadAccumulator`). The planner
+  feeds its selectivity moments into the workload-weighted sizing
+  objectives (``repro.grids.sizing``), :func:`expected_workload_error`
+  scores a collection plan under a spec, and
   :func:`plan_materialization` chooses which attribute pairs to
   materialize (fewer than ``C(k, 2)`` on large schemas) under a memory
   budget, ranked by workload benefit per byte.
 * **answer time** — :func:`build_answer_plan` compiles a workload into an
-  explicit :class:`AnswerPlan`: one node per (λ, attribute-set) query
-  group with a strategy (summed-area lookup, stacked matmul, batched
-  λ-IPF) chosen by the :class:`CostModel`'s estimated cost. Plans are
-  pure values — inspectable and unit-testable without running a single
-  query; ``Aggregator.execute_answer_plan`` does the running.
+  explicit :class:`AnswerPlan`: one node per attribute set, carrying the
+  validated, schema-ordered predicates of its queries. The plan is the
+  grouping; ``Aggregator.execute_answer_plan`` sends each node by λ to
+  its primitive. Plans are pure values — inspectable and unit-testable
+  without running a single query.
 
 Nothing here imports ``repro.core``: the optimizer is a leaf layer the
 core calls into, so plans stay testable in isolation.
 """
 
-from repro.optimizer.cost import (
-    CostModel,
-    DefaultCostModel,
-    expected_workload_error,
-)
+from repro.optimizer.cost import expected_workload_error
 from repro.optimizer.materialize import (
     MaterializationPlan,
     plan_materialization,
@@ -41,14 +39,14 @@ from repro.optimizer.plan import (
 )
 from repro.optimizer.workload import (
     AttributeProfile,
+    WorkloadAccumulator,
     WorkloadSpec,
 )
 
 __all__ = [
     "AttributeProfile",
+    "WorkloadAccumulator",
     "WorkloadSpec",
-    "CostModel",
-    "DefaultCostModel",
     "expected_workload_error",
     "MaterializationPlan",
     "plan_materialization",

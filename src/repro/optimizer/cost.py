@@ -1,30 +1,18 @@
-"""The optimizer's cost models.
+"""The optimizer's plan-time error cost.
 
-Two kinds of cost live here:
-
-* **plan-time error cost** — :func:`expected_workload_error` scores a
-  *collection plan* (any sequence of planned grids) under a
-  :class:`~repro.optimizer.WorkloadSpec`: each grid's predicted squared
-  error is re-evaluated at the workload's selectivity moments and
-  weighted by how often the workload touches that grid. Because the
-  score is computed from the same (schema, workload) inputs for every
-  candidate plan, workload-aware and workload-blind plans compare on an
-  equal footing — this is the objective the planner minimizes and the
-  number the benchmarks report.
-* **answer-time compute cost** — :class:`CostModel` estimates the work
-  of executing one (λ, attribute-set) query group through each available
-  strategy (summed-area lookup / stacked indicator matmul / batched
-  λ-IPF), in abstract "cell touch" units. :func:`build_answer_plan` asks
-  the model to rank strategies per group; the winner becomes the plan
-  node's strategy. :class:`DefaultCostModel` is calibrated so that with
-  no workload declared it reproduces the legacy engine's dispatch
-  exactly — the refactored plan→execute path then stays bit-identical to
-  the retained legacy path.
+:func:`expected_workload_error` scores a *collection plan* (any sequence
+of planned grids) under a :class:`~repro.optimizer.WorkloadSpec`: each
+grid's predicted squared error is re-evaluated at the workload's
+selectivity moments and weighted by how often the workload touches that
+grid. Because the score is computed from the same (schema, workload)
+inputs for every candidate plan, workload-aware and workload-blind plans
+compare on an equal footing — this is the objective the planner
+minimizes and the number the benchmarks report.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.grids.sizing import (
@@ -36,10 +24,6 @@ from repro.grids.sizing import (
     error_2d_numerical_expected,
 )
 from repro.optimizer.workload import WorkloadSpec
-
-#: strategies an answer-plan node can carry
-STRATEGIES = ("grid-1d", "marginal-matmul", "sat-lookup", "pair-matmul",
-              "batched-ipf")
 
 
 def _moments_for(spec: Optional[WorkloadSpec], name: str,
@@ -128,90 +112,3 @@ def expected_workload_error(plans: Iterable, schema,
         # unweighted mean so the score stays comparable.
         return total_error / len(plans) if total_error else float("inf")
     return total_error / total_weight
-
-
-class CostModel:
-    """Estimated answer-time compute cost per strategy, in cell touches.
-
-    Subclass and override the ``cost_*`` hooks to re-rank strategies;
-    :meth:`rank` returns ``(strategy, cost)`` pairs cheapest-first and is
-    what :func:`~repro.optimizer.build_answer_plan` consults per node.
-    """
-
-    #: relative cost of one O(1) summed-area gather vs one cell touch
-    sat_lookup_cost = 4.0
-    #: IPF sweeps assumed per λ ≥ 3 query group
-    ipf_sweeps = 16.0
-
-    def cost_grid_1d(self, num_queries: int, num_cells: int) -> float:
-        """Stacked weight-matmul against a 1-D grid estimate."""
-        return float(num_queries) * float(num_cells)
-
-    def cost_marginal_matmul(self, num_queries: int, domain: int) -> float:
-        """Stacked indicator matmul against a derived marginal."""
-        return float(num_queries) * float(domain)
-
-    def cost_sat_lookup(self, num_queries: int, num_range: int,
-                        cells: int) -> float:
-        """Range queries through the pair's SAT, the rest by matmul."""
-        return (num_range * self.sat_lookup_cost
-                + (num_queries - num_range) * float(cells))
-
-    def cost_pair_matmul(self, num_queries: int, cells: int) -> float:
-        """Stacked indicator matmul against the pair's response matrix."""
-        return float(num_queries) * float(cells)
-
-    def cost_batched_ipf(self, num_queries: int, dimension: int,
-                         pair_cells: Sequence[int]) -> float:
-        """Pair sign tables + the batched (Q, 2^λ) Algorithm 4 IPF."""
-        tables = float(num_queries) * float(sum(pair_cells))
-        ipf = (float(num_queries) * self.ipf_sweeps
-               * (2.0 ** dimension) * len(pair_cells))
-        return tables + ipf
-
-    def rank(self, *, dimension: int, num_queries: int, num_range: int,
-             cells: Sequence[int], sat_available: bool,
-             grid_1d_available: bool) -> Tuple[Tuple[str, float], ...]:
-        """Rank the strategies available to one query group.
-
-        ``cells`` holds per-involved-structure cell counts: the 1-D
-        grid/marginal domain for λ = 1, the pair matrix size for λ = 2,
-        and every induced pair's matrix size for λ ≥ 3.
-        """
-        if dimension == 1:
-            if grid_1d_available:
-                options = [("grid-1d",
-                            self.cost_grid_1d(num_queries, cells[0]))]
-            else:
-                options = [("marginal-matmul",
-                            self.cost_marginal_matmul(num_queries,
-                                                      cells[0]))]
-        elif dimension == 2:
-            options = [("pair-matmul",
-                        self.cost_pair_matmul(num_queries, cells[0]))]
-            if sat_available and num_range > 0:
-                options.append(("sat-lookup",
-                                self.cost_sat_lookup(num_queries,
-                                                     num_range, cells[0])))
-        else:
-            options = [("batched-ipf",
-                        self.cost_batched_ipf(num_queries, dimension,
-                                              cells))]
-        return tuple(sorted(options, key=lambda pair: pair[1]))
-
-
-class DefaultCostModel(CostModel):
-    """The calibration that reproduces the legacy engine's dispatch.
-
-    Summed-area lookups are modeled as strictly cheaper than any matmul
-    whenever at least one query in the group is a pure range pair —
-    exactly the condition under which the legacy ``_pair_values`` used
-    the SAT. Execution semantics make the remaining (non-range) queries
-    in a ``sat-lookup`` node fall back to the matmul per query, so the
-    two strategies are numerically identical and the choice is pure
-    routing.
-    """
-
-    # Gather cost 0 ⇒ hybrid cost (nq − nrange)·cells < nq·cells strictly
-    # whenever nrange > 0, for every matrix size — the legacy dispatch.
-    sat_lookup_cost = 0.0

@@ -1,29 +1,23 @@
 """Compiling a workload into an explicit, executable answer plan.
 
-:func:`build_answer_plan` is the answer-time half of the optimizer: it
-groups a workload's queries by (λ, attribute set) — exactly the grouping
-``Aggregator.answer_workload`` uses — and attaches to each group the
-execution strategy the :class:`~repro.optimizer.CostModel` ranks
-cheapest, together with the rejected alternatives and their costs. The
-result is a pure value: building a plan runs no queries, touches no
-fitted state, and depends only on ``(schema, queries, config)`` — the
-property tests assert exactly that. ``Aggregator.execute_answer_plan``
-interprets the plan against fitted estimates.
-
-Strategy labels are *routing hints*, not semantics: every strategy of a
-node computes the same numbers (the executor's summed-area and matmul
-paths are numerically identical), so a plan can never change an answer —
-only how fast it is produced.
+:func:`build_answer_plan` is the answer-time half of the optimizer and
+the only place a workload is grouped: it validates each query once,
+sorts its predicates by schema index once, and groups queries by
+attribute-index tuple in first-encounter order. The result is a pure
+value: building a plan runs no queries, touches no fitted state, and
+depends only on ``(schema, queries, config)`` — the property tests
+assert exactly that. ``Aggregator.execute_answer_plan`` interprets the
+plan against fitted estimates, sending each node by λ to one of three
+primitives (1-D grid or marginal sum, 2-D rectangle sum, λ ≥ 3 pairwise
+IPF); the primitives themselves pick summed-area lookups vs matmuls and
+1-D grids vs marginals per query at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.errors import QueryError
-from repro.estimation.lambda_query import canonical_pairs
-from repro.optimizer.cost import CostModel, DefaultCostModel
 from repro.optimizer.materialize import (
     MaterializationPlan,
     plan_materialization,
@@ -42,21 +36,15 @@ class AnswerNode:
         The matching attribute names (inspectability).
     positions:
         Positions of the group's queries in the input workload order.
-    strategy:
-        Chosen execution strategy — one of
-        :data:`repro.optimizer.cost.STRATEGIES`.
-    estimated_cost:
-        The cost model's estimate for the chosen strategy (cell touches).
-    alternatives:
-        Every considered ``(strategy, cost)`` pair, cheapest first.
+    predicates:
+        Per query (aligned with ``positions``), its predicates in
+        schema-index order — ``predicates[q][a]`` constrains ``key[a]``.
     """
 
     key: Tuple[int, ...]
     attributes: Tuple[str, ...]
     positions: Tuple[int, ...]
-    strategy: str
-    estimated_cost: float
-    alternatives: Tuple[Tuple[str, float], ...]
+    predicates: Tuple[tuple, ...]
 
     @property
     def dimension(self) -> int:
@@ -73,9 +61,6 @@ class AnswerNode:
             "attributes": list(self.attributes),
             "lambda": self.dimension,
             "num_queries": self.num_queries,
-            "strategy": self.strategy,
-            "estimated_cost": self.estimated_cost,
-            "alternatives": [[s, c] for s, c in self.alternatives],
         }
 
 
@@ -83,116 +68,55 @@ class AnswerNode:
 class AnswerPlan:
     """An inspectable compilation of one workload.
 
-    ``nodes`` appear in first-encounter order of their groups (matching
-    the legacy ``answer_workload`` iteration order); ``materialization``
-    is the pair-materialization decision the node strategies assumed.
+    ``nodes`` appear in first-encounter order of their groups;
+    ``materialization`` is the pair-materialization decision for the
+    plan's (schema, config).
     """
 
     nodes: Tuple[AnswerNode, ...]
     num_queries: int
     materialization: MaterializationPlan
 
-    @property
-    def total_cost(self) -> float:
-        """Summed estimated cost of every node's chosen strategy."""
-        return sum(node.estimated_cost for node in self.nodes)
-
-    def node_for(self, key: Sequence[int]) -> AnswerNode:
-        """The node answering attribute set ``key`` (sorted indices)."""
-        key = tuple(key)
-        for node in self.nodes:
-            if node.key == key:
-                return node
-        raise QueryError(f"plan has no node for attribute set {key}")
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly rendering (RunResult plan artifacts)."""
         return {
             "num_queries": self.num_queries,
-            "total_cost": self.total_cost,
             "nodes": [node.as_dict() for node in self.nodes],
             "materialization": self.materialization.as_dict(),
         }
 
 
-def _group_queries(schema, queries: Sequence) -> Dict[Tuple[int, ...],
-                                                      List[int]]:
-    """Group query positions by sorted attribute-index tuple.
-
-    Must mirror ``Aggregator.answer_workload`` exactly — groups appear in
-    first-encounter order — so executing a plan visits queries in the
-    same order as the legacy path.
-    """
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for pos, query in enumerate(queries):
-        key = tuple(sorted(schema.index_of(p.attribute) for p in query))
-        groups.setdefault(key, []).append(pos)
-    return groups
-
-
-def build_answer_plan(schema, queries: Iterable, config,
-                      materialization: Optional[MaterializationPlan] = None,
-                      cost_model: Optional[CostModel] = None) -> AnswerPlan:
+def build_answer_plan(schema, queries: Iterable, config) -> AnswerPlan:
     """Compile a workload into an :class:`AnswerPlan`.
 
-    Pure: depends only on ``(schema, queries, config)`` (plus the
-    optional explicit ``materialization``/``cost_model`` overrides), so
-    identical inputs always produce identical plans. ``config`` is any
-    object with ``uses_1d_grids`` and optionally ``workload`` /
-    ``materialize_budget_bytes`` attributes — in practice a
-    :class:`repro.FelipConfig`, but the optimizer stays core-free.
+    Pure: depends only on ``(schema, queries, config)``, so identical
+    inputs always produce identical plans. ``config`` is any object with
+    optional ``workload`` / ``materialize_budget_bytes`` attributes — in
+    practice a :class:`repro.FelipConfig`, but the optimizer stays
+    core-free. Raises :class:`~repro.errors.QueryError` for a query the
+    schema cannot answer.
     """
-    queries = list(queries)
-    for query in queries:
+    groups: Dict[Tuple[int, ...], Tuple[List[int], List[tuple]]] = {}
+    num_queries = 0
+    for pos, query in enumerate(queries):
         query.validate_for(schema)
-    if materialization is None:
-        materialization = plan_materialization(
-            schema,
-            workload=getattr(config, "workload", None),
-            budget_bytes=getattr(config, "materialize_budget_bytes", None))
-    if cost_model is None:
-        cost_model = DefaultCostModel()
-    materialized = set(materialization.pairs)
-    numerical = set(schema.numerical_indices)
-    sizes = schema.domain_sizes
-
-    nodes: List[AnswerNode] = []
-    for key, positions in _group_queries(schema, queries).items():
-        dimension = len(key)
-        if dimension == 1:
-            t = key[0]
-            grid_1d = (len(schema) < 2
-                       or (config.uses_1d_grids and t in numerical))
-            cells = [sizes[t]]
-            sat_available = False
-            num_range = 0
-        elif dimension == 2:
-            grid_1d = False
-            cells = [sizes[key[0]] * sizes[key[1]]]
-            sat_available = (key[0], key[1]) in materialized
-            num_range = sum(
-                1 for pos in positions
-                if all(p.is_range for p in queries[pos]))
-        else:
-            grid_1d = False
-            cells = [sizes[key[a]] * sizes[key[b]]
-                     for a, b in canonical_pairs(dimension)]
-            sat_available = all((key[a], key[b]) in materialized
-                                for a, b in canonical_pairs(dimension))
-            num_range = sum(
-                1 for pos in positions
-                if all(p.is_range for p in queries[pos]))
-        ranked = cost_model.rank(
-            dimension=dimension, num_queries=len(positions),
-            num_range=num_range, cells=cells,
-            sat_available=sat_available, grid_1d_available=grid_1d)
-        strategy, cost = ranked[0]
-        nodes.append(AnswerNode(
-            key=key,
-            attributes=tuple(schema[t].name for t in key),
-            positions=tuple(positions),
-            strategy=strategy,
-            estimated_cost=cost,
-            alternatives=ranked))
-    return AnswerPlan(nodes=tuple(nodes), num_queries=len(queries),
+        # A query constrains each attribute once, so the indices are
+        # distinct and the sort never compares predicates.
+        ranked = sorted((schema.index_of(p.attribute), p) for p in query)
+        key = tuple(t for t, _ in ranked)
+        positions, predicates = groups.setdefault(key, ([], []))
+        positions.append(pos)
+        predicates.append(tuple(p for _, p in ranked))
+        num_queries += 1
+    nodes = tuple(
+        AnswerNode(key=key,
+                   attributes=tuple(schema[t].name for t in key),
+                   positions=tuple(positions),
+                   predicates=tuple(predicates))
+        for key, (positions, predicates) in groups.items())
+    materialization = plan_materialization(
+        schema,
+        workload=getattr(config, "workload", None),
+        budget_bytes=getattr(config, "materialize_budget_bytes", None))
+    return AnswerPlan(nodes=nodes, num_queries=num_queries,
                       materialization=materialization)

@@ -180,47 +180,16 @@ class WorkloadSpec:
     def from_queries(cls, queries: Iterable, schema) -> "WorkloadSpec":
         """Harvest the spec from a recorded workload.
 
-        ``queries`` is any iterable of :class:`repro.queries.Query`;
-        every predicate contributes one selectivity observation to its
-        attribute's histogram, every query one observation to the λ
-        distribution, and every attribute pair of every query one pair
-        lookup. Selectivities are kept exact (one histogram bin per
-        observed value) — recorded workloads rarely have more than a few
-        dozen distinct selectivities per attribute.
+        ``queries`` is any iterable of :class:`repro.queries.Query`; each
+        is validated against ``schema`` and folded through a
+        :class:`WorkloadAccumulator` (see there for what one query
+        contributes).
         """
-        attr_hits: Dict[str, Dict[float, float]] = {}
-        attr_counts: Dict[str, float] = {}
-        lambda_counts: Dict[int, float] = {}
-        pair_counts: Dict[Tuple[str, str], float] = {}
-        total = 0
+        counts = WorkloadAccumulator(schema)
         for query in queries:
             query.validate_for(schema)
-            total += 1
-            names = sorted(p.attribute for p in query)
-            lam = len(names)
-            lambda_counts[lam] = lambda_counts.get(lam, 0.0) + 1.0
-            for predicate in query:
-                name = predicate.attribute
-                domain = schema[name].domain_size
-                sel = round(predicate.selectivity(domain), 12)
-                bins = attr_hits.setdefault(name, {})
-                bins[sel] = bins.get(sel, 0.0) + 1.0
-                attr_counts[name] = attr_counts.get(name, 0.0) + 1.0
-            for i, a in enumerate(names):
-                for b in names[i + 1:]:
-                    pair_counts[(a, b)] = pair_counts.get((a, b), 0.0) + 1.0
-        if total == 0:
-            raise QueryError("cannot harvest a spec from an empty workload")
-        weights = _normalized(attr_counts, "attribute")
-        profiles = {name: _profile(weights[name],
-                                   sorted(attr_hits[name].items()))
-                    for name in sorted(attr_hits)}
-        lambda_weights = {int(k): v for k, v
-                          in _normalized(lambda_counts, "lambda").items()}
-        if pair_counts:
-            pair_counts = _normalized(pair_counts, "pair")
-        return cls(attributes=profiles, lambda_weights=lambda_weights,
-                   pair_weights=dict(pair_counts), total_queries=total)
+            counts.add(query)
+        return counts.spec()
 
     # -- accessors ----------------------------------------------------------
 
@@ -270,3 +239,63 @@ class WorkloadSpec:
                              in sorted(self.pair_weights.items())},
             "total_queries": self.total_queries,
         }
+
+
+class WorkloadAccumulator:
+    """Running counts a :class:`WorkloadSpec` is harvested from.
+
+    Every predicate contributes one selectivity observation to its
+    attribute's histogram, every query one observation to the λ
+    distribution, and every attribute pair of every query one pair
+    lookup. Selectivities are kept exact (one histogram bin per observed
+    value), so memory grows with the workload's *shape* — distinct
+    (attribute, selectivity) bins, λ values and pairs — never with the
+    number of queries folded in; :func:`len` counts those entries.
+    """
+
+    def __init__(self, schema):
+        self.schema = schema
+        self.selectivity_bins: Dict[str, Dict[float, int]] = {}
+        self.lambda_counts: Dict[int, int] = {}
+        self.pair_counts: Dict[Tuple[str, str], int] = {}
+        self.total = 0
+
+    def __len__(self) -> int:
+        return (sum(len(bins) for bins in self.selectivity_bins.values())
+                + len(self.lambda_counts) + len(self.pair_counts))
+
+    def add(self, predicates: Iterable) -> None:
+        """Fold in one query (any iterable of its predicates), which the
+        caller has already validated against the schema."""
+        names = []
+        for predicate in predicates:
+            name = predicate.attribute
+            domain = self.schema[name].domain_size
+            sel = round(predicate.selectivity(domain), 12)
+            bins = self.selectivity_bins.setdefault(name, {})
+            bins[sel] = bins.get(sel, 0) + 1
+            names.append(name)
+        names.sort()
+        lam = len(names)
+        self.lambda_counts[lam] = self.lambda_counts.get(lam, 0) + 1
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                self.pair_counts[(a, b)] = self.pair_counts.get((a, b), 0) + 1
+        self.total += 1
+
+    def spec(self) -> WorkloadSpec:
+        """The normalized :class:`WorkloadSpec` of everything folded in."""
+        if self.total == 0:
+            raise QueryError("cannot harvest a spec from an empty workload")
+        weights = _normalized({name: sum(bins.values()) for name, bins
+                               in self.selectivity_bins.items()},
+                              "attribute")
+        profiles = {name: _profile(weights[name],
+                                   sorted(self.selectivity_bins[name].items()))
+                    for name in sorted(self.selectivity_bins)}
+        pair_weights = (_normalized(self.pair_counts, "pair")
+                        if self.pair_counts else {})
+        return WorkloadSpec(
+            attributes=profiles,
+            lambda_weights=_normalized(self.lambda_counts, "lambda"),
+            pair_weights=pair_weights, total_queries=self.total)

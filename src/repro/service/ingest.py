@@ -68,7 +68,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Tuple, Union)
 
 from repro.core.streaming import StreamingCollector
-from repro.errors import IngestError, WireError
+from repro.errors import IngestError, PayloadError, WireError
 from repro.robustness.faults import NetworkFaultInjector
 from repro.robustness.ingest import report_user_count
 from repro.service.admission import PeerAdmission, PeerLimits
@@ -90,7 +90,7 @@ _STOP = object()
 class _Pending(NamedTuple):
     """One queued frame plus everything needed to account and ack it."""
 
-    frame: WireFrame
+    frame: Union[WireFrame, PayloadError]  # error: a session poison frame
     source: str
     peer: Optional[str]          # admission-control key (remote host)
     client_id: Optional[str]     # session identity; None for legacy
@@ -504,8 +504,12 @@ class IngestionService:
         # frames_submitted — but its actual byte cost is still charged.
         if submitted:
             self.stats.frames_submitted += 1
-        self.stats.malformed_frames += 1
         self.stats.bytes_received += nbytes
+        self._charge_malformed(detail, source, peer)
+
+    def _charge_malformed(self, detail: str, source: str,
+                          peer: Optional[str]) -> None:
+        self.stats.malformed_frames += 1
         self.collector.ingest_stats.record_reject(
             "malformed-frame", 0, self.collector.ingest_policy,
             detail=detail, source=source)
@@ -591,9 +595,22 @@ class IngestionService:
             if entry.ack is not None:
                 entry.ack(entry.seq)
 
-    def _admit(self, frame: WireFrame, source: str,
+    def _admit(self, frame: Union[WireFrame, PayloadError], source: str,
                peer: Optional[str] = None) -> None:
-        """Pin-check one decoded frame, then hand it to the collector."""
+        """Pin-check one decoded frame, then hand it to the collector.
+
+        A session poison frame (the :class:`PayloadError` its decoder
+        stepped past) is charged to the peer as ``malformed-frame``; like
+        any other rejected frame it is then acked in sequence, or fails
+        the collection under ``strict``.
+        """
+        if isinstance(frame, PayloadError):
+            self._charge_malformed(str(frame), source, peer)
+            if self.collector.ingest_policy.mode == "strict":
+                raise IngestError(
+                    f"wire frame from {source} rejected "
+                    f"(malformed-frame): {frame}")
+            return
         mismatch = self._pin_mismatch(frame)
         if mismatch is not None:
             reason, detail = mismatch
@@ -763,9 +780,12 @@ class IngestionService:
         opened by a ``FELIP-SESSION`` hello. Either way the connection
         gets its own decoder and a ``peer=host:port`` source label, so
         quarantine entries name the misbehaving sender. A structurally
-        invalid stream (garbage between frames) cannot be
-        resynchronized, so the connection is dropped after the rejection
-        is recorded — with the undecodable bytes charged, not zero.
+        invalid stream (garbage between frames, a CRC mismatch) cannot
+        be resynchronized, so the connection is dropped after the
+        rejection is recorded — with the undecodable bytes charged, not
+        zero. A session frame that is intact but does not decode to a
+        valid report is instead rejected in sequence and acked, so one
+        poison frame never costs the frames behind it.
 
         ``fault_injector`` (a
         :class:`~repro.robustness.NetworkFaultInjector`) makes the

@@ -61,7 +61,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ReproError, WireError
+from repro.errors import PayloadError, ReproError, WireError
 from repro.fo.registry import get as protocol_spec
 from repro.fo.registry import spec_for_wire_code
 
@@ -218,7 +218,7 @@ class _Reader:
 
     def take(self, count: int) -> memoryview:
         if self.pos + count > self.end:
-            raise WireError("frame header truncated mid-table")
+            raise PayloadError("frame header truncated mid-table")
         view = self.buf[self.pos:self.pos + count]
         self.pos += count
         return view
@@ -231,9 +231,9 @@ class _Reader:
         try:
             text = raw.decode("ascii")
         except UnicodeDecodeError:
-            raise WireError(f"non-ascii field name {raw!r}") from None
+            raise PayloadError(f"non-ascii field name {raw!r}") from None
         if not text.isidentifier():
-            raise WireError(f"invalid field name {text!r}")
+            raise PayloadError(f"invalid field name {text!r}")
         return text
 
 
@@ -266,9 +266,11 @@ def decode_frame(data: Union[bytes, bytearray, memoryview]) -> WireFrame:
     Raises :class:`~repro.errors.WireError` on any structural defect —
     truncation, CRC mismatch (header or payload), unknown wire code,
     out-of-bounds offsets, or a payload that the report constructor
-    rejects. A clean decode guarantees nothing about honesty: the caller
-    must still pass ``report`` through the ingestion sanitizers with the
-    frame's pin.
+    rejects. Defects found after both CRCs match (everything from the
+    wire code on) raise the :class:`~repro.errors.PayloadError`
+    subclass: the frame is intact, only its content is bad. A clean
+    decode guarantees nothing about honesty: the caller must still pass
+    ``report`` through the ingestion sanitizers with the frame's pin.
     """
     view = memoryview(data)
     if isinstance(data, (bytearray, memoryview)) and not view.readonly:
@@ -301,19 +303,19 @@ def decode_frame(data: Union[bytes, bytearray, memoryview]) -> WireFrame:
         raise WireError("payload CRC mismatch (corrupted frame)")
     spec = spec_for_wire_code(wire_code)
     if spec is None:
-        raise WireError(f"unknown protocol wire code {wire_code}")
+        raise PayloadError(f"unknown protocol wire code {wire_code}")
 
     reader = _Reader(view, _PROLOGUE.size, header_len - _CRC.size)
     key_len = reader.u8()
     if key_len > MAX_KEY_ENTRIES:
-        raise WireError(f"grid key length {key_len} exceeds "
-                        f"{MAX_KEY_ENTRIES}")
+        raise PayloadError(f"grid key length {key_len} exceeds "
+                           f"{MAX_KEY_ENTRIES}")
     key = tuple(_I64.unpack(reader.take(8))[0] for _ in range(key_len))
 
     n_arrays = reader.u8()
     if n_arrays > MAX_FIELDS:
-        raise WireError(f"array field count {n_arrays} exceeds "
-                        f"{MAX_FIELDS}")
+        raise PayloadError(f"array field count {n_arrays} exceeds "
+                           f"{MAX_FIELDS}")
     fields = {}
     for _ in range(n_arrays):
         name = reader.name()
@@ -321,28 +323,28 @@ def decode_frame(data: Union[bytes, bytearray, memoryview]) -> WireFrame:
         try:
             dtype = np.dtype(dtype_raw.decode("ascii"))
         except (TypeError, ValueError, UnicodeDecodeError):
-            raise WireError(f"undecodable dtype {dtype_raw!r} for field "
-                            f"{name!r}") from None
+            raise PayloadError(f"undecodable dtype {dtype_raw!r} for "
+                               f"field {name!r}") from None
         if dtype.kind not in _ALLOWED_KINDS or dtype.itemsize > 8:
-            raise WireError(
+            raise PayloadError(
                 f"field {name!r} dtype {dtype} outside the allowed "
                 f"integer/float wire types")
         (offset,) = _U64.unpack(reader.take(8))
         (count,) = _U64.unpack(reader.take(8))
         end = offset + count * dtype.itemsize
         if offset < header_len or end > frame_len:
-            raise WireError(
+            raise PayloadError(
                 f"field {name!r} payload [{offset}, {end}) escapes the "
                 f"frame [{header_len}, {frame_len})")
         if name in fields:
-            raise WireError(f"duplicate field {name!r}")
+            raise PayloadError(f"duplicate field {name!r}")
         fields[name] = np.frombuffer(view, dtype=dtype, count=count,
                                      offset=offset)
 
     n_scalars = reader.u8()
     if n_scalars > MAX_FIELDS:
-        raise WireError(f"scalar field count {n_scalars} exceeds "
-                        f"{MAX_FIELDS}")
+        raise PayloadError(f"scalar field count {n_scalars} exceeds "
+                           f"{MAX_FIELDS}")
     for _ in range(n_scalars):
         name = reader.name()
         tag = bytes(reader.take(1))
@@ -351,16 +353,16 @@ def decode_frame(data: Union[bytes, bytearray, memoryview]) -> WireFrame:
         elif tag == b"f":
             (value,) = _F64.unpack(reader.take(8))
         else:
-            raise WireError(f"unknown scalar tag {tag!r} for field "
-                            f"{name!r}")
+            raise PayloadError(f"unknown scalar tag {tag!r} for field "
+                               f"{name!r}")
         if name in fields:
-            raise WireError(f"duplicate field {name!r}")
+            raise PayloadError(f"duplicate field {name!r}")
         fields[name] = value
 
     try:
         report = spec.report_type(**fields)
     except (ReproError, TypeError, ValueError, OverflowError) as exc:
-        raise WireError(
+        raise PayloadError(
             f"frame payload does not build a valid "
             f"{spec.report_type.__name__}: {exc}") from None
     return WireFrame(protocol=spec.name, epsilon=epsilon,

@@ -40,7 +40,7 @@ import re
 import struct
 from typing import Iterator, Tuple, Union
 
-from repro.errors import WireError
+from repro.errors import PayloadError, WireError
 from repro.wire.codec import WireFrame, decode_frame, frame_length
 
 __all__ = [
@@ -180,6 +180,11 @@ class SequencedDecoder:
     :class:`~repro.errors.WireError` immediately; the buffered bytes
     (:attr:`pending_bytes`) are the undecodable remainder the caller
     should charge to the peer before dropping the connection.
+
+    A *poison* frame — envelope and both CRCs intact, content not a
+    valid report — is consumed instead: its triple carries the
+    :class:`~repro.errors.PayloadError` in the frame's place, so the
+    caller can reject that one sequence number and keep the stream.
     """
 
     def __init__(self, max_frame_bytes: int = 1 << 28):
@@ -187,8 +192,10 @@ class SequencedDecoder:
         self.max_frame_bytes = max_frame_bytes
 
     def feed(self, data: Union[bytes, bytearray]
-             ) -> Iterator[Tuple[int, WireFrame, int]]:
-        """Absorb ``data``; yield every ``(seq, frame, nbytes)`` completed."""
+             ) -> Iterator[Tuple[int, Union[WireFrame, PayloadError], int]]:
+        """Absorb ``data``; yield every ``(seq, frame, nbytes)`` completed
+        (``frame`` is a :class:`~repro.errors.PayloadError` for a poison
+        frame)."""
         self._buffer += data
         while True:
             if len(self._buffer) < ENVELOPE.size:
@@ -212,7 +219,11 @@ class SequencedDecoder:
             # bytes() detaches the frame from the reusable buffer so the
             # decoded report's zero-copy views stay valid after the next
             # feed().
-            frame = decode_frame(bytes(self._buffer[ENVELOPE.size:total]))
+            try:
+                frame = decode_frame(
+                    bytes(self._buffer[ENVELOPE.size:total]))
+            except PayloadError as exc:
+                frame = exc
             del self._buffer[:total]
             yield seq, frame, total
 

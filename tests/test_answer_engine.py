@@ -1,9 +1,9 @@
 """Tests for the vectorized answering engine.
 
-Covers the materialized summed-area caches, the batched workload paths
-(which must agree with the per-query loop for every λ and protocol), the
-IPF convergence diagnostics, and the decoded-value cache used by mean
-estimation.
+Covers the materialized summed-area caches, the batched workload path
+(which must be bit-identical to a per-query oracle for every λ and
+protocol), the IPF convergence diagnostics, and the decoded-value cache
+used by mean estimation.
 """
 
 import numpy as np
@@ -18,11 +18,14 @@ from repro.errors import (
     QueryError,
 )
 from repro.estimation import SummedAreaTable, pair_answers_tables
+from repro.fo.registry import pinnable_protocol_names
 from repro.queries.predicate import between, isin
 from repro.queries.query import Query
 from repro.queries.workload import WorkloadSpec, random_workload
 from repro.schema import Schema
 from repro.schema.attribute import categorical, numerical
+
+from tests.test_optimizer_plan import assert_all_paths_equal
 
 
 @pytest.fixture(scope="module")
@@ -195,23 +198,34 @@ class TestMaterialize:
 
 class TestBatchedWorkload:
     @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
-    @pytest.mark.parametrize("protocol",
-                             ["grr", "olh", "oue", "sue", "she", "the"])
+    @pytest.mark.parametrize("protocol", sorted(pinnable_protocol_names()))
     def test_batched_matches_loop(self, engine_dataset, protocol):
         model = Felip.ohg(engine_dataset.schema, epsilon=2.0,
                           protocols=(protocol,)).fit(engine_dataset, rng=13)
-        queries = _mixed_workload(engine_dataset.schema)
-        batched = model.answer_workload(queries)
-        loop = model.aggregator.answer_workload_loop(queries)
-        np.testing.assert_allclose(batched, loop, atol=1e-9)
+        assert_all_paths_equal(model.aggregator,
+                               _mixed_workload(engine_dataset.schema))
 
     @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_batched_matches_loop_materialized(self, fitted):
         fitted.materialize()
-        queries = _mixed_workload(fitted.schema, seed=21)
-        batched = fitted.answer_workload(queries)
-        loop = fitted.aggregator.answer_workload_loop(queries)
-        np.testing.assert_allclose(batched, loop, atol=1e-9)
+        assert_all_paths_equal(fitted.aggregator,
+                               _mixed_workload(fitted.schema, seed=21))
+
+    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
+    def test_validate_for_runs_once_per_query(self, engine_dataset,
+                                              monkeypatch):
+        model = Felip.ohg(engine_dataset.schema, epsilon=2.0,
+                          record_workload=True).fit(engine_dataset, rng=13)
+        queries = _mixed_workload(engine_dataset.schema, seed=51)
+        validated = []
+        validate = Query.validate_for
+        monkeypatch.setattr(
+            Query, "validate_for",
+            lambda query, schema: validated.append(query)
+            or validate(query, schema))
+        model.answer_workload(queries)
+        assert len(validated) == len(queries)
+        assert {id(q) for q in validated} == {id(q) for q in queries}
 
     @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_materialize_does_not_change_answers(self, engine_dataset):

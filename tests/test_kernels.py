@@ -39,9 +39,8 @@ from tests.test_parallel_pipeline import (
     planned_collection,
 )
 
-#: every compiled backend that actually loads here (may be empty when
-#: neither numba nor a C toolchain is present — then only the dispatch
-#: and fallback tests run)
+#: every compiled backend that actually loads here (empty when no C
+#: toolchain is present — then only the dispatch and fallback tests run)
 COMPILED = tuple(b for b in kernels.available_backends() if b != "numpy")
 
 needs_compiled = pytest.mark.skipif(

@@ -2,20 +2,22 @@
 
 The load-bearing properties:
 
-* **bit-identity** — the optimizer-executed workload path
-  (``plan_answers`` + ``execute_answer_plan``, which is what
-  ``answer_workload`` runs) returns answers *bit-identical* to the
-  per-query ``answer_workload_loop`` and to the retained
-  ``answer_workload_legacy`` grouping, across every registered pinnable
-  protocol and λ ∈ {1, 2, 3+}, materialized or not;
+* **bit-identity** — ``answer_workload`` (which is
+  ``execute_answer_plan(plan_answers(queries))``) returns answers
+  *bit-identical* to a per-query oracle kept here,
+  ``np.array([agg.answer(q) for q in queries])``, across every
+  registered pinnable protocol and λ ∈ {1, 2, 3+}, materialized or not;
 * **purity** — ``build_answer_plan`` is a pure function of
   (schema, queries, config): no fitted state, deterministic output;
 * **pruning never changes answers** — materializing a workload-pruned
   pair subset yields bit-identical answers to exhaustive
-  materialization-free answering (only latency changes).
+  materialization-free answering (only latency changes);
+* **bounded recording** — ``record_workload=True`` keeps running counts
+  whose size depends on the workload's shape, not its length.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,14 +27,15 @@ from repro.core.planner import plan_grids
 from repro.errors import ConfigurationError, QueryError
 from repro.fo.registry import pinnable_protocol_names
 from repro.grids.sizing import SizingParams, plan_grid
+from repro.estimation import SummedAreaTable
 from repro.optimizer import (
     AttributeProfile,
-    DefaultCostModel,
     WorkloadSpec,
     build_answer_plan,
     expected_workload_error,
     plan_materialization,
 )
+from repro.queries.predicate import between
 from repro.queries.query import Query
 from repro.queries.workload import WorkloadSpec as RandomWorkload
 from repro.queries.workload import random_workload
@@ -65,31 +68,37 @@ def _fit(dataset, **overrides):
                                                                 rng=7)
 
 
+def assert_all_paths_equal(agg, queries):
+    """``answer_workload`` is bit-identical to the per-query oracle (one
+    ``answer`` call per query) and to executing the compiled plan."""
+    batch = agg.answer_workload(queries)
+    oracle = np.array([agg.answer(q) for q in queries])
+    np.testing.assert_array_equal(batch, oracle)
+    plan = agg.plan_answers(queries)
+    np.testing.assert_array_equal(batch, agg.execute_answer_plan(plan))
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("protocol", sorted(pinnable_protocol_names()))
     @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_all_paths_bit_identical_per_protocol(self, dataset,
                                                   mixed_workload, protocol):
         model = _fit(dataset, protocols=(protocol,))
-        agg = model.aggregator
-        batch = agg.answer_workload(mixed_workload)
-        assert np.array_equal(batch, agg.answer_workload_loop(mixed_workload))
-        assert np.array_equal(batch,
-                              agg.answer_workload_legacy(mixed_workload))
-        plan = agg.plan_answers(mixed_workload)
-        assert np.array_equal(batch,
-                              agg.execute_answer_plan(plan, mixed_workload))
+        assert_all_paths_equal(model.aggregator, mixed_workload)
+
+    @pytest.mark.parametrize("protocol", sorted(pinnable_protocol_names()))
+    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
+    def test_all_paths_bit_identical_materialized(self, dataset,
+                                                  mixed_workload, protocol):
+        model = _fit(dataset, protocols=(protocol,)).materialize()
+        assert_all_paths_equal(model.aggregator, mixed_workload)
 
     @pytest.mark.parametrize("strategy", ["oug", "ohg"])
     @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_bit_identical_after_materialize(self, dataset, mixed_workload,
                                              strategy):
         model = _fit(dataset, strategy=strategy).materialize()
-        agg = model.aggregator
-        batch = agg.answer_workload(mixed_workload)
-        assert np.array_equal(batch, agg.answer_workload_loop(mixed_workload))
-        assert np.array_equal(batch,
-                              agg.answer_workload_legacy(mixed_workload))
+        assert_all_paths_equal(model.aggregator, mixed_workload)
 
     @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_pruned_materialization_answers_unchanged(self, dataset,
@@ -124,39 +133,61 @@ class TestAnswerPlanPurity:
                            for pos in node.positions)
         assert positions == list(range(len(mixed_workload)))
 
-    def test_strategies_match_dimension(self, dataset, mixed_workload):
+    def test_nodes_carry_schema_ordered_predicates(self, dataset,
+                                                   mixed_workload):
         plan = build_answer_plan(dataset.schema, mixed_workload,
-                                 FelipConfig(epsilon=1.0, strategy="ohg"))
+                                 FelipConfig(epsilon=1.0))
         for node in plan.nodes:
-            if node.dimension == 1:
-                assert node.strategy in ("grid-1d", "marginal-matmul")
-            elif node.dimension == 2:
-                assert node.strategy in ("sat-lookup", "pair-matmul")
-            else:
-                assert node.strategy == "batched-ipf"
+            assert list(node.key) == sorted(node.key)
+            assert len(node.predicates) == node.num_queries
+            for pos, predicates in zip(node.positions, node.predicates):
+                assert set(predicates) == set(mixed_workload[pos])
+                assert tuple(dataset.schema.index_of(p.attribute)
+                             for p in predicates) == node.key
 
-    def test_ohg_numerical_singles_use_1d_grid(self, dataset):
+    def test_invalid_query_rejected_at_plan_time(self, dataset):
+        bad = Query([between("num_0", 0, 10 ** 6)])
+        with pytest.raises(QueryError):
+            build_answer_plan(dataset.schema, [bad],
+                              FelipConfig(epsilon=1.0))
+
+    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
+    def test_ohg_numerical_singles_use_1d_grid(self, dataset, monkeypatch):
+        """OHG answers a numerical single from its 1-D grid; OUG, which
+        has none, from the attribute's marginal — chosen at run time."""
         query = Query([q for q in random_workload(
             dataset.schema.subset(["num_0"]),
             RandomWorkload(num_queries=1, dimension=1, selectivity=0.3),
             ensure_rng(1))[0]])
-        ohg = build_answer_plan(dataset.schema, [query],
-                                FelipConfig(epsilon=1.0, strategy="ohg"))
-        oug = build_answer_plan(dataset.schema, [query],
-                                FelipConfig(epsilon=1.0, strategy="oug"))
-        assert ohg.nodes[0].strategy == "grid-1d"
-        assert oug.nodes[0].strategy == "marginal-matmul"
+        used = []
+        for strategy in ("ohg", "oug"):
+            agg = _fit(dataset, strategy=strategy).aggregator
+            marginal = agg.marginal
+            monkeypatch.setattr(
+                agg, "marginal",
+                lambda t, s=strategy, f=marginal: used.append(s) or f(t))
+            agg.answer(query)
+        assert used == ["oug"]
 
-    def test_range_pairs_prefer_sat_when_materialized(self, dataset):
+    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
+    def test_range_pairs_prefer_sat_when_materialized(self, dataset,
+                                                      monkeypatch):
         queries = random_workload(
             dataset.schema.subset(["num_0", "num_1"]),
             RandomWorkload(num_queries=4, dimension=2, selectivity=0.3,
                            range_only=True), ensure_rng(2))
-        plan = build_answer_plan(dataset.schema, queries,
-                                 FelipConfig(epsilon=1.0))
-        node = plan.nodes[0]
-        assert node.strategy == "sat-lookup"
-        assert dict(node.alternatives)["pair-matmul"] > node.estimated_cost
+        lookups = []
+        rectangle = SummedAreaTable.rectangle
+        monkeypatch.setattr(
+            SummedAreaTable, "rectangle",
+            lambda sat, *bounds: lookups.append(len(bounds[0]))
+            or rectangle(sat, *bounds))
+        agg = _fit(dataset).aggregator
+        agg.answer_workload(queries)
+        assert lookups == []  # no table before materialize
+        agg.materialize()
+        agg.answer_workload(queries)
+        assert lookups == [len(queries)]
 
     def test_plan_artifact_roundtrips_to_json(self, dataset, mixed_workload):
         import json
@@ -164,13 +195,6 @@ class TestAnswerPlanPurity:
                                  FelipConfig(epsilon=1.0))
         encoded = json.dumps(plan.as_dict())
         assert json.loads(encoded)["num_queries"] == len(mixed_workload)
-
-    def test_executor_rejects_mismatched_workload(self, dataset,
-                                                  mixed_workload):
-        model = _fit(dataset)
-        plan = model.plan_answers(mixed_workload)
-        with pytest.raises(QueryError):
-            model.execute_answer_plan(plan, mixed_workload[:-1])
 
 
 class TestMaterializationPlanning:
@@ -250,6 +274,25 @@ class TestWorkloadSpec:
         direct = WorkloadSpec.from_queries(mixed_workload, dataset.schema)
         assert spec == direct
 
+    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
+    def test_recording_is_bounded_by_workload_shape(self, dataset):
+        pool = []
+        for dim in (1, 2):
+            pool += random_workload(
+                dataset.schema,
+                RandomWorkload(num_queries=25, dimension=dim,
+                               selectivity=0.4), ensure_rng(dim))
+        model = _fit(dataset, record_workload=True)
+        model.answer_workload(pool)
+        counts = model.aggregator._recorded
+        entries, once = len(counts), model.recorded_workload()
+        for _ in range(199):
+            model.answer_workload(pool)
+        assert len(counts) == entries
+        many = model.recorded_workload()
+        assert many.total_queries == 200 * len(pool)
+        assert replace(many, total_queries=once.total_queries) == once
+
     def test_recording_off_raises(self, dataset):
         model = _fit(dataset)
         with pytest.raises(QueryError):
@@ -298,10 +341,3 @@ class TestWorkloadSizing:
             scores[name] = expected_workload_error(
                 plans, dataset.schema, params, workload=spec)
         assert scores["aware"] <= scores["blind"]
-
-    def test_default_cost_model_orders_sat_first(self):
-        model = DefaultCostModel()
-        ranked = model.rank(dimension=2, num_queries=10, num_range=1,
-                            cells=[4], sat_available=True,
-                            grid_1d_available=False)
-        assert ranked[0][0] == "sat-lookup"

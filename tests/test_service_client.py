@@ -22,10 +22,13 @@ import pytest
 
 from repro.core import FelipConfig, StreamingCollector
 from repro.data import normal_dataset
-from repro.errors import CheckpointError, ClientError, WireError
+from repro.errors import (CheckpointError, ClientError, IngestError,
+                          PayloadError, WireError)
 from repro.fo.adaptive import make_oracle
+from repro.fo.olh import OLHReport
 from repro.queries import Query, between
 from repro.robustness import NetworkFaultInjector, backoff_delay
+from repro.robustness.attacks import forge_report
 from repro.service import (
     IngestionService,
     PeerAdmission,
@@ -86,6 +89,18 @@ def wire_frames(collector, users=40, seed=1, epsilon=None):
     return frames
 
 
+def poison_frame(collector):
+    """An intact frame (envelope-ready, both CRCs valid) whose payload
+    fails report construction: an OLH bucket outside its hash range, as
+    a hostile client that skips the report's validation can send."""
+    report = forge_report(OLHReport, seeds=np.arange(4, dtype=np.uint64),
+                          buckets=np.array([0, 1, 2, 9], dtype=np.uint64),
+                          hash_range=3, domain_size=8)
+    return encode_report(report, protocol="olh",
+                         epsilon=collector.config.epsilon, num_cells=8,
+                         key=(0,))
+
+
 async def serve_port(service, **kw):
     server = await service.serve(port=0, **kw)
     return server.sockets[0].getsockname()[1]
@@ -129,6 +144,31 @@ class TestSessionCodec:
         with pytest.raises(WireError, match="envelope magic"):
             list(decoder.feed(b"NOPE" + b"\x00" * 20))
         assert decoder.pending_bytes == 24
+
+    def test_sequenced_decoder_consumes_poison_frame(self, dataset):
+        collector = make_collector(dataset)
+        honest = wire_frames(collector, users=5)[0]
+        poison = poison_frame(collector)
+        stream = (encode_envelope(1, honest) + encode_envelope(2, poison)
+                  + encode_envelope(3, honest))
+        decoder = SequencedDecoder()
+        out = []
+        for i in range(0, len(stream), 11):  # ragged chunks
+            out.extend(decoder.feed(stream[i:i + 11]))
+        assert [seq for seq, _, _ in out] == [1, 2, 3]
+        assert isinstance(out[1][1], PayloadError)
+        assert out[1][2] == len(poison) + 12
+        assert not isinstance(out[2][1], PayloadError)
+        assert decoder.pending_bytes == 0
+
+    def test_sequenced_decoder_still_raises_on_crc_mismatch(self, dataset):
+        corrupt = bytearray(poison_frame(make_collector(dataset)))
+        corrupt[-1] ^= 0x01  # payload byte: the payload CRC now fails
+        decoder = SequencedDecoder()
+        with pytest.raises(WireError, match="CRC") as caught:
+            list(decoder.feed(encode_envelope(1, bytes(corrupt))))
+        assert not isinstance(caught.value, PayloadError)
+        assert decoder.pending_bytes == len(corrupt) + 12
 
     def test_backoff_schedule_is_shared_and_deterministic(self):
         assert backoff_delay(3, 0.1) == pytest.approx(0.8)
@@ -372,6 +412,67 @@ class TestWireClient:
         assert service.stats.sequence_gaps + \
             service.stats.malformed_frames >= 2
         assert collector.observed == n * 15
+
+    @pytest.mark.parametrize("mode", ["drop", "quarantine"])
+    def test_poison_frame_rejected_in_sequence(self, dataset, mode):
+        """A frame whose payload fails report construction is charged,
+        acked and skipped; the session and every later frame survive."""
+        async def run():
+            collector = make_collector(dataset, mode=mode)
+            service = IngestionService(collector)
+            await service.start()
+            port = await serve_port(service)
+            honest = []
+            for seed in range(2):
+                honest.extend(wire_frames(collector, users=20, seed=seed))
+            frames = honest[:3] + [poison_frame(collector)] + honest[3:]
+            async with WireClient("127.0.0.1", port, "sensor-p",
+                                  max_unacked=4) as client:
+                for frame in frames:
+                    await client.send(frame)
+            await service.stop()
+            return collector, service, client, len(honest), len(frames)
+
+        collector, service, client, honest, n = asyncio.run(run())
+        assert client.stats.frames_resent == 0
+        assert client.stats.reconnects == 0
+        assert client.acked_seq == n
+        assert service.stats.malformed_frames == 1
+        assert service.stats.acks_sent == n
+        assert service.stats.frames_accepted == honest
+        assert collector.observed == honest * 20
+        assert collector.ingest_stats.reasons == {"malformed-frame": 1}
+        quarantined = collector.ingest_stats.quarantine
+        if mode == "quarantine":
+            assert [e["reason"] for e in quarantined] == ["malformed-frame"]
+            assert quarantined[0]["source"].startswith("peer=")
+        else:
+            assert quarantined == []
+
+    def test_poison_frame_fails_strict_service(self, dataset):
+        async def run():
+            collector = make_collector(dataset, mode="strict")
+            service = IngestionService(collector)
+            await service.start()
+            port = await serve_port(service)
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(hello_line("sensor-s")
+                         + encode_envelope(1, poison_frame(collector)))
+            await writer.drain()
+            assert parse_session_reply(await reader.readline()) == (0, 0)
+            for _ in range(300):
+                if service.stats.malformed_frames:
+                    break
+                await asyncio.sleep(0.01)
+            writer.close()
+            with pytest.raises(IngestError, match="malformed-frame"):
+                await service.stop()
+            return service
+
+        service = asyncio.run(run())
+        assert service.stats.malformed_frames == 1
+        assert service.stats.acks_sent == 0
 
     def test_unreachable_server_exhausts_budget(self):
         async def run():
