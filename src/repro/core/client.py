@@ -14,39 +14,18 @@ Two execution strategies produce the reports:
   executor is tested against.
 * :func:`collect_reports` — the sharded executor: a single radix-argsort
   grouping pass replaces the ``m`` boolean-mask scans, each (group, chunk)
-  shard gathers only the columns its grid encodes, and shards run on a
-  thread or process pool (``workers``/``backend``) before reducing through
+  shard gathers only the columns its grid encodes, and the shard closures
+  run on :func:`repro.core.parallel.run_sharded` (a thread pool of
+  ``workers``) before reducing through
   :func:`repro.core.merge.merge_reports`.
-
-Backends
---------
-Under ``backend="thread"`` shards are closures capturing the gathered
-column arrays directly. Under ``backend="process"`` nothing heavy crosses
-the process boundary: the gathered columns are packed once into a
-shared-memory *input arena*, report arrays are preallocated in an *output
-arena* (sized from the protocol's registered ``report_layout``), and each
-shard travels as a tiny picklable payload of ``(shm name, dtype, shape,
-slice)`` descriptors plus its RNG state (see :mod:`repro.core.shm`).
-Workers map the descriptors back to zero-copy read-only views, perturb,
-write result arrays in place, and return only the report's scalar fields;
-the parent rebuilds the report objects and tears both arenas down in a
-``finally`` — a failed or chaos-killed collection leaves nothing in
-``/dev/shm``. Protocols without a registered layout (third-party specs,
-AHEAD's interactive models) fall back to pickling their reports back,
-which is slower but always correct.
 
 Determinism contract: with ``chunk_size=None`` the sharded executor spawns
 one child generator per group and consumes it exactly like the serial
 reference, so its reports are **bit-identical** to
-:func:`collect_reports_serial` for any ``workers`` *and any backend*. With
-a finite ``chunk_size`` each group's generator is further split
-one-per-chunk, so outputs are a pure function of ``(seed, chunk_size)`` —
-still invariant to ``workers`` and ``backend``, but a different (equally
-valid) random stream. The process backend preserves this by construction:
-a shard's payload carries the spawned generator's full bit-generator
-state, the worker rebuilds the identical stream from it, and oracles are
-deterministic functions of ``(protocol, epsilon, num_cells)``, so the
-worker-local rebuild perturbs exactly as the parent's oracle would.
+:func:`collect_reports_serial` for any ``workers``. With a finite
+``chunk_size`` each group's generator is further split one-per-chunk, so
+outputs are a pure function of ``(seed, chunk_size)`` — still invariant to
+``workers``, but a different (equally valid) random stream.
 
 Fault tolerance extends the contract rather than weakening it: every
 randomized shard task snapshots its generator's state at construction and
@@ -64,7 +43,6 @@ with its users accounted in ``ingest_stats``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -73,14 +51,11 @@ import numpy as np
 from repro.core.merge import merge_reports
 from repro.core.parallel import (
     ExecutionStats,
-    ShardTask,
     chunk_bounds,
     group_orders,
-    resolve_backend,
     run_sharded,
 )
 from repro.core.planner import PlannedGrid
-from repro.core.shm import ArrayHandle, SharedArena, attach_view, detach
 from repro.errors import ProtocolError
 from repro.fo.adaptive import make_oracle
 from repro.fo.registry import get as protocol_spec
@@ -126,7 +101,7 @@ def collect_reports_serial(records: np.ndarray, assignment: np.ndarray,
 
     Kept as the executable specification of the collection semantics; the
     sharded executor (:func:`collect_reports` with ``chunk_size=None``) is
-    bit-identical to it under a fixed seed, whatever the backend.
+    bit-identical to it under a fixed seed, whatever the worker count.
     """
     _check_assignment(records, assignment, planned_grids)
     group_rngs = spawn(ensure_rng(rng), len(planned_grids))
@@ -154,264 +129,45 @@ def collect_reports_serial(records: np.ndarray, assignment: np.ndarray,
     return reports
 
 
-# ---------------------------------------------------------------------------
-# Process-backend shard payloads and their worker-side runners. These are
-# module level (picklable by reference) so payloads cross the executor's
-# pickle boundary as pure data.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _PerturbShard:
-    """Descriptor payload for one (group, chunk) encode-and-perturb shard.
-
-    ``columns`` name the group's gathered column arrays in the input
-    arena; ``[start, stop)`` selects this chunk's rows from them. ``out``
-    (when the protocol registered a ``report_layout``) names the
-    preallocated output slots the worker writes report arrays into;
-    ``None`` means the whole report pickles back instead.
-    """
-
-    protocol: str
-    epsilon: float
-    num_cells: int
-    grid: Any
-    columns: Tuple[ArrayHandle, ...]
-    start: int
-    stop: int
-    rng_state: dict
-    out: Optional[Tuple[Tuple[str, ArrayHandle], ...]]
-
-
-@dataclass(frozen=True)
-class _InteractiveShard:
-    """Descriptor payload for a whole-group interactive (AHEAD-style) fit."""
-
-    protocol: str
-    planned: PlannedGrid
-    column: ArrayHandle
-    epsilon: float
-    rng_state: dict
-
-
-@dataclass(frozen=True)
-class _ShmReport:
-    """Stub a worker returns when the report's arrays were written to the
-    output arena in place: only the report's scalar fields travel back."""
-
-    meta: Dict[str, Any]
-
-
-#: worker-process oracle cache: oracles are deterministic, immutable
-#: functions of (protocol, epsilon, num_cells), so each worker builds
-#: each one once (THE's threshold optimization in particular)
-_WORKER_ORACLES: Dict[Tuple[str, float, int], Any] = {}
-
-
-def _worker_oracle(protocol: str, epsilon: float, num_cells: int):
-    key = (protocol, epsilon, num_cells)
-    oracle = _WORKER_ORACLES.get(key)
-    if oracle is None:
-        oracle = _WORKER_ORACLES[key] = make_oracle(protocol, epsilon,
-                                                    num_cells)
-    return oracle
-
-
-def _restored_rng(state: dict):
-    """Rebuild the exact generator stream a payload's state snapshots."""
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
-def _run_perturb_shard(shard: _PerturbShard):
-    """Worker entry point: map descriptors, encode, perturb, write back.
-
-    Re-entrant under retry: the RNG is rebuilt from the payload's state
-    snapshot on every call, so a retried attempt replays the exact stream
-    the failed attempt consumed.
-    """
-    oracle = _worker_oracle(shard.protocol, shard.epsilon, shard.num_cells)
-    columns = [attach_view(handle)[shard.start:shard.stop]
-               for handle in shard.columns]
-    report = oracle.perturb(shard.grid.encode_columns(*columns),
-                            _restored_rng(shard.rng_state))
-    if shard.out is None:
-        return report
-    slots = dict(shard.out)
-    meta: Dict[str, Any] = {}
-    for field in dataclasses.fields(report):
-        value = getattr(report, field.name)
-        handle = slots.get(field.name)
-        if handle is None:
-            meta[field.name] = value
-            continue
-        dest = attach_view(handle, writeable=True)
-        value = np.asarray(value)
-        if dest.shape != value.shape or dest.dtype != value.dtype:
-            raise ProtocolError(
-                f"report_layout for protocol {shard.protocol!r} declared "
-                f"{field.name} as {dest.dtype}{dest.shape}, but perturb "
-                f"produced {value.dtype}{value.shape}")
-        dest[...] = value
-    return _ShmReport(meta=meta)
-
-
-def _run_interactive_shard(shard: _InteractiveShard):
-    """Worker entry point for an interactive whole-group fit."""
-    fit = protocol_spec(shard.protocol).interactive_fit
-    column = attach_view(shard.column)
-    return fit(shard.planned, column, shard.epsilon,
-               _restored_rng(shard.rng_state))
-
-
 class _TaskBuilder:
-    """Build one collection run's shard tasks for either backend.
+    """One collection run's shard closures, with their bookkeeping.
 
-    Thread mode appends closures directly. Process mode defers: columns
-    are pooled (deduplicated by caller-supplied key), then :meth:`build`
-    packs them into the input arena, reserves layout-declared output
-    slots in the output arena, and emits :class:`ShardTask` descriptors.
-    :meth:`materialize` rebuilds report objects from output slots after
-    the run; :meth:`cleanup` destroys the arenas (call it in a
-    ``finally`` — teardown must also run when the pool died mid-flight).
+    ``tasks[i]`` is the zero-argument closure :func:`run_sharded` runs;
+    ``task_group[i]`` is the group its report reduces into and
+    ``task_spec[i]`` the oracle parameters the report is sanitized
+    against (``None`` when no ingest policy is configured).
     """
 
-    def __init__(self, use_process: bool,
-                 ingest: Optional[IngestPolicy]):
-        self.use_process = use_process
+    def __init__(self, ingest: Optional[IngestPolicy]):
         self.ingest = ingest
         self.tasks: List[Callable[[], Any]] = []
         self.task_group: List[int] = []
         self.task_spec: List[Optional[ReportSpec]] = []
-        self._rebuild: List[Optional[Tuple[type, tuple]]] = []
-        self._pool: List[np.ndarray] = []
-        self._pool_of: Dict[Any, int] = {}
-        self._pending: List[tuple] = []
-        self._in_arena: Optional[SharedArena] = None
-        self._out_arena: Optional[SharedArena] = None
-
-    def _pooled(self, key, array: np.ndarray) -> int:
-        index = self._pool_of.get(key)
-        if index is None:
-            index = len(self._pool)
-            self._pool.append(np.ascontiguousarray(array))
-            self._pool_of[key] = index
-        return index
 
     def add_perturb(self, g: int, planned: PlannedGrid, oracle,
-                    columns: Sequence[np.ndarray], keys: Sequence,
-                    bounds: Sequence[Tuple[int, int]], shard_rngs,
-                    epsilon: float) -> None:
+                    columns: Sequence[np.ndarray],
+                    bounds: Sequence[Tuple[int, int]], shard_rngs) -> None:
         spec = ReportSpec.from_oracle(oracle) if self.ingest is not None \
             else None
-        if not self.use_process:
-            for (start, stop), shard_rng in zip(bounds, shard_rngs):
-                self.tasks.append(_shard_task(
-                    planned, oracle, [c[start:stop] for c in columns],
-                    shard_rng))
-                self.task_group.append(g)
-                self.task_spec.append(spec)
-                self._rebuild.append(None)
-            return
-        pspec = protocol_spec(planned.protocol)
-        col_ids = tuple(self._pooled(key, c)
-                        for key, c in zip(keys, columns))
         for (start, stop), shard_rng in zip(bounds, shard_rngs):
-            layout = None
-            if pspec.report_layout is not None and \
-                    pspec.report_type is not None:
-                layout = pspec.report_layout(oracle, stop - start)
-            self._pending.append(
-                ("perturb", planned, epsilon, col_ids, start, stop,
-                 shard_rng.bit_generator.state, layout, pspec.report_type))
+            self.tasks.append(_shard_task(
+                planned, oracle, [c[start:stop] for c in columns],
+                shard_rng))
             self.task_group.append(g)
             self.task_spec.append(spec)
 
     def add_interactive(self, g: int, planned: PlannedGrid,
-                        column: np.ndarray, key, epsilon: float,
-                        rng) -> None:
-        if not self.use_process:
-            fit = protocol_spec(planned.protocol).interactive_fit
-            self.tasks.append(_interactive_task(fit, planned, column,
-                                                epsilon, rng))
-            self.task_group.append(g)
-            self.task_spec.append(None)
-            self._rebuild.append(None)
-            return
-        col_id = self._pooled(key, column)
-        self._pending.append(
-            ("interactive", planned, epsilon, (col_id,), 0, len(column),
-             rng.bit_generator.state, None, None))
+                        column: np.ndarray, epsilon: float, rng) -> None:
+        fit = protocol_spec(planned.protocol).interactive_fit
+        self.tasks.append(_interactive_task(fit, planned, column, epsilon,
+                                            rng))
         self.task_group.append(g)
         self.task_spec.append(None)
-
-    def build(self) -> None:
-        """Pack pooled columns and reserve output slots (process mode)."""
-        if not self.use_process or not self._pending:
-            return
-        self._in_arena, handles = SharedArena.from_arrays(self._pool)
-        out_size = sum(
-            int(np.dtype(dtype).itemsize
-                * int(np.prod(shape, dtype=np.int64)))
-            + 64
-            for entry in self._pending if entry[7]
-            for shape, dtype in entry[7].values())
-        if out_size:
-            self._out_arena = SharedArena(out_size)
-        for entry in self._pending:
-            kind, planned, epsilon, col_ids, start, stop, state, layout, \
-                report_type = entry
-            columns = tuple(handles[i] for i in col_ids)
-            if kind == "interactive":
-                self.tasks.append(ShardTask(
-                    _run_interactive_shard,
-                    _InteractiveShard(protocol=planned.protocol,
-                                      planned=planned, column=columns[0],
-                                      epsilon=epsilon, rng_state=state)))
-                self._rebuild.append(None)
-                continue
-            slots = None
-            if layout:
-                slots = tuple(
-                    (name, self._out_arena.reserve(shape, dtype))
-                    for name, (shape, dtype) in layout.items())
-            self.tasks.append(ShardTask(
-                _run_perturb_shard,
-                _PerturbShard(protocol=planned.protocol, epsilon=epsilon,
-                              num_cells=planned.num_cells,
-                              grid=planned.grid, columns=columns,
-                              start=start, stop=stop, rng_state=state,
-                              out=slots)))
-            self._rebuild.append((report_type, slots) if slots else None)
-
-    def materialize(self, result, index: int):
-        """Rebuild a report object from a worker's in-place slot writes."""
-        if not isinstance(result, _ShmReport):
-            return result
-        report_type, slots = self._rebuild[index]
-        arrays = {name: self._out_arena.view(handle).copy()
-                  for name, handle in slots}
-        return report_type(**arrays, **result.meta)
-
-    def cleanup(self) -> None:
-        """Destroy the arenas; run in a ``finally`` around the executor."""
-        names = []
-        for arena in (self._in_arena, self._out_arena):
-            if arena is not None:
-                names.append(arena.name)
-                arena.destroy()
-        # When descriptors ran inline (workers<=1 with backend="process"),
-        # this parent process attached its own arenas; drop those cached
-        # mappings too so nothing keeps the freed segments mapped.
-        detach(names)
-        self._in_arena = self._out_arena = None
 
 
 def collect_reports(records: np.ndarray, assignment: np.ndarray,
                     planned_grids: Sequence[PlannedGrid], epsilon: float,
                     rng: RngLike = None, *, workers: int = 1,
-                    backend: str = "thread",
                     chunk_size: int = None,
                     ingest: Optional[IngestPolicy] = None,
                     ingest_stats: Optional[IngestStats] = None,
@@ -437,10 +193,6 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
     workers:
         Pool width for shard execution (0 = one per CPU). Never affects
         the output — see the module determinism contract.
-    backend:
-        ``"thread"`` (closure shards), ``"process"`` (shared-memory
-        descriptor shards that sidestep the GIL), or ``"auto"``. Never
-        affects the output either.
     chunk_size:
         Rows per shard within a group; ``None`` keeps whole groups (the
         geometry bit-identical to :func:`collect_reports_serial`).
@@ -453,12 +205,10 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
         the same RNG stream.
     """
     _check_assignment(records, assignment, planned_grids)
-    backend = resolve_backend(backend, workers)
     group_rngs = spawn(ensure_rng(rng), len(planned_grids))
     order, offsets = group_orders(assignment, len(planned_grids))
 
-    builder = _TaskBuilder(use_process=(backend == "process"),
-                           ingest=ingest)
+    builder = _TaskBuilder(ingest)
     group_sizes: List[int] = []
     for g, planned in enumerate(planned_grids):
         indices = order[offsets[g]:offsets[g + 1]]
@@ -467,11 +217,9 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
             continue
         if protocol_spec(planned.protocol).interactive_fit is not None:
             # Interactive backends consume their whole group; one shard.
-            attr = planned.grid.attr_index
-            builder.add_interactive(g, planned,
-                                    records[:, attr][indices],
-                                    key=(g, attr), epsilon=epsilon,
-                                    rng=group_rngs[g])
+            builder.add_interactive(
+                g, planned, records[:, planned.grid.attr_index][indices],
+                epsilon, group_rngs[g])
             continue
         columns = [records[:, t][indices]
                    for t in planned.grid.column_indices]
@@ -479,15 +227,10 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
         shard_rngs = ([group_rngs[g]] if len(bounds) == 1
                       else spawn(group_rngs[g], len(bounds)))
         oracle = make_oracle(planned.protocol, epsilon, planned.num_cells)
-        builder.add_perturb(g, planned, oracle, columns,
-                            keys=[(g, t)
-                                  for t in planned.grid.column_indices],
-                            bounds=bounds, shard_rngs=shard_rngs,
-                            epsilon=epsilon)
+        builder.add_perturb(g, planned, oracle, columns, bounds, shard_rngs)
 
-    shards_of = _execute(builder, len(planned_grids), workers, backend,
-                         retries, fault_injector, exec_stats, ingest,
-                         ingest_stats)
+    shards_of = _execute(builder, len(planned_grids), workers, retries,
+                         fault_injector, exec_stats, ingest, ingest_stats)
     return [GroupReport(planned=planned,
                         report=merge_reports(shards_of[g]),
                         group_size=group_sizes[g])
@@ -495,39 +238,27 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
 
 
 def _execute(builder: _TaskBuilder, num_groups: int, workers: int,
-             backend: str, retries: int, fault_injector,
+             retries: int, fault_injector,
              exec_stats: Optional[ExecutionStats],
              ingest: Optional[IngestPolicy],
              ingest_stats: Optional[IngestStats]) -> Dict[int, list]:
-    """Run a built task set and bucket sanitized results per group.
-
-    The arena teardown runs in the ``finally``: success, a terminal shard
-    failure, and a chaos-killed worker pool all unlink every segment the
-    builder created.
-    """
-    try:
-        builder.build()
-        results = run_sharded(builder.tasks, workers, backend=backend,
-                              retries=retries,
-                              fault_injector=fault_injector,
-                              stats=exec_stats)
-        shards_of: Dict[int, list] = {g: [] for g in range(num_groups)}
-        for index, (g, spec, result) in enumerate(
-                zip(builder.task_group, builder.task_spec, results)):
-            result = builder.materialize(result, index)
-            if ingest is not None:
-                result = sanitize_report(result, ingest, ingest_stats,
-                                         expected=spec)
-            if result is not None:
-                shards_of[g].append(result)
-        return shards_of
-    finally:
-        builder.cleanup()
+    """Run a built task set and bucket sanitized results per group."""
+    results = run_sharded(builder.tasks, workers, retries=retries,
+                          fault_injector=fault_injector, stats=exec_stats)
+    shards_of: Dict[int, list] = {g: [] for g in range(num_groups)}
+    for g, spec, result in zip(builder.task_group, builder.task_spec,
+                               results):
+        if ingest is not None:
+            result = sanitize_report(result, ingest, ingest_stats,
+                                     expected=spec)
+        if result is not None:
+            shards_of[g].append(result)
+    return shards_of
 
 
 def _shard_task(planned: PlannedGrid, oracle, columns: List[np.ndarray],
                 rng) -> Callable[[], Any]:
-    """Encode-and-perturb closure for one (group, chunk) shard (threads).
+    """Encode-and-perturb closure for one (group, chunk) shard.
 
     The generator state is snapshotted at construction and restored on
     every entry, so a retried attempt after a transient failure replays
@@ -561,7 +292,6 @@ def collect_reports_budget_split(records: np.ndarray,
                                  planned_grids: Sequence[PlannedGrid],
                                  epsilon: float,
                                  rng: RngLike = None, *, workers: int = 1,
-                                 backend: str = "thread",
                                  chunk_size: int = None,
                                  ingest: Optional[IngestPolicy] = None,
                                  ingest_stats: Optional[IngestStats] = None,
@@ -573,10 +303,8 @@ def collect_reports_budget_split(records: np.ndarray,
     Sequential composition makes the total privacy loss ε, identical to
     :func:`collect_reports`; the paper proves (and the ablation benchmark
     shows) this variant always has higher variance. Shares the sharded
-    executor, its backends, and its determinism contract (shards here are
-    (grid, chunk) slices of the whole population — under the process
-    backend each record column enters the input arena once, shared by
-    every grid that encodes it).
+    executor and its determinism contract (shards here are (grid, chunk)
+    slices of the whole population).
     """
     if not planned_grids:
         raise ProtocolError("no grids planned")
@@ -591,12 +319,10 @@ def collect_reports_budget_split(records: np.ndarray,
             f"adaptive refinement needs each group's full per-user "
             f"budget); use partition_mode='users' or a budget-splittable "
             f"backend")
-    backend = resolve_backend(backend, workers)
     epsilon_each = epsilon / len(planned_grids)
     grid_rngs = spawn(ensure_rng(rng), len(planned_grids))
 
-    builder = _TaskBuilder(use_process=(backend == "process"),
-                           ingest=ingest)
+    builder = _TaskBuilder(ingest)
     for g, planned in enumerate(planned_grids):
         if len(records) == 0 or planned.num_cells < 2:
             continue
@@ -606,15 +332,10 @@ def collect_reports_budget_split(records: np.ndarray,
                       else spawn(grid_rngs[g], len(bounds)))
         oracle = make_oracle(planned.protocol, epsilon_each,
                              planned.num_cells)
-        builder.add_perturb(g, planned, oracle, columns,
-                            keys=[("population", t)
-                                  for t in planned.grid.column_indices],
-                            bounds=bounds, shard_rngs=shard_rngs,
-                            epsilon=epsilon_each)
+        builder.add_perturb(g, planned, oracle, columns, bounds, shard_rngs)
 
-    shards_of = _execute(builder, len(planned_grids), workers, backend,
-                         retries, fault_injector, exec_stats, ingest,
-                         ingest_stats)
+    shards_of = _execute(builder, len(planned_grids), workers, retries,
+                         fault_injector, exec_stats, ingest, ingest_stats)
     return [GroupReport(planned=planned,
                         report=merge_reports(shards_of[g]),
                         group_size=len(records))

@@ -121,7 +121,6 @@ class Aggregator:
                 reports = collect_reports_budget_split(
                     dataset.records, self.plans, self.config.epsilon, rng,
                     workers=self.config.workers,
-                    backend=self.config.backend,
                     chunk_size=self.config.chunk_size,
                     ingest=self.ingest_policy,
                     ingest_stats=self.ingest_stats,
@@ -136,7 +135,6 @@ class Aggregator:
                     dataset.records, assignment, self.plans,
                     self.config.epsilon, rng,
                     workers=self.config.workers,
-                    backend=self.config.backend,
                     chunk_size=self.config.chunk_size,
                     ingest=self.ingest_policy,
                     ingest_stats=self.ingest_stats,
@@ -188,11 +186,7 @@ class Aggregator:
 
         Estimation is deterministic (no randomness), so running the grids
         on a pool is trivially order-safe; ``run_sharded`` returns results
-        in task order regardless of completion order. The estimate and
-        materialize stages always use the thread backend — their tasks
-        capture the aggregator itself, and their hot loops are numpy
-        reductions that release the GIL; ``config.backend`` targets the
-        collection stage, where the GIL ceiling actually bites.
+        in task order regardless of completion order.
         """
         def run():
             return self._estimate_group(group)

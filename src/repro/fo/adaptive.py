@@ -55,8 +55,8 @@ def make_oracle(protocol: str, epsilon: float,
             f"be instantiated with make_oracle()")
     oracle = spec.factory(epsilon, domain_size)
     # Warm this protocol's compiled kernels now: make_oracle is the one
-    # choke point every collection path (serial, thread shards, process
-    # workers, streaming) builds oracles through, so compile/load cost
+    # choke point every collection path (serial, sharded, streaming)
+    # builds oracles through, so compile/load cost
     # lands here instead of inside the first timed perturb. Idempotent
     # and cheap once warm.
     kernels.warm(spec.kernels)

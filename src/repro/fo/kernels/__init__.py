@@ -39,8 +39,8 @@ end-to-end. Consequently pipeline output remains a pure function of
 never observable in results, only in wall time.
 
 Call :func:`warm` (done automatically by
-:func:`repro.fo.adaptive.make_oracle` and by process-pool worker
-initializers) to force compilation/loading before timed work.
+:func:`repro.fo.adaptive.make_oracle` and by ``Aggregator.fit``) to
+force compilation/loading before timed work.
 """
 
 from __future__ import annotations

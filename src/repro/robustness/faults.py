@@ -17,17 +17,6 @@ lands in. For the opposite class — a *deterministic* poison pill used to
 exercise the executor's fail-fast path — pass ``poison=[shard]``, which
 raises :class:`PoisonedShardError` (a
 :class:`~repro.errors.ReproError`) that is never retried.
-
-Process safety
---------------
-Under ``backend="process"`` the injector crosses a pickle boundary into
-every worker. Pickling keeps the fault *plan* (which attempts to doom)
-but drops the lock and resets the counters, so each worker consults a
-clean copy; the executor ships each shard's counts back in its result
-tuple and folds them into the parent instance via :meth:`absorb`. Counts
-from shards that failed terminally in a worker are lost by design —
-process-backend chaos tests should assert ``total_injected`` only on
-runs that complete.
 """
 
 from __future__ import annotations
@@ -87,8 +76,7 @@ class FaultInjector:
         this like any library error: no retry, fail fast.
 
     The injector counts what it did (``injected``) and is safe to consult
-    from pool worker threads; it pickles into worker processes (plan
-    kept, counters reset — see the module docstring).
+    from pool worker threads.
     """
 
     def __init__(self, fail: Iterable[Tuple[int, int]] = (),
@@ -99,20 +87,6 @@ class FaultInjector:
         self._poison = {int(s) for s in poison}
         self._lock = threading.Lock()
         self.injected: Dict[Tuple[int, int], int] = {}
-
-    def __getstate__(self):
-        # Plan only: the lock is unpicklable and the counters must start
-        # empty in each worker so absorb() never double-counts.
-        return {"fail": sorted(self._fail),
-                "fail_all_first": self._fail_all_first,
-                "poison": sorted(self._poison)}
-
-    def __setstate__(self, state):
-        self._fail = set(map(tuple, state["fail"]))
-        self._fail_all_first = state["fail_all_first"]
-        self._poison = set(state["poison"])
-        self._lock = threading.Lock()
-        self.injected = {}
 
     def maybe_fail(self, shard: int, attempt: int) -> None:
         """Raise the configured fault if this attempt is doomed."""
@@ -131,15 +105,6 @@ class FaultInjector:
             self.injected[key] = self.injected.get(key, 0) + 1
         raise TransientShardFault(
             f"injected fault: shard {shard}, attempt {attempt}")
-
-    def absorb(self, injected: Dict[Tuple[int, int], int]) -> None:
-        """Fold a worker-process copy's counts into this instance."""
-        if not injected:
-            return
-        with self._lock:
-            for key, count in injected.items():
-                key = tuple(key)
-                self.injected[key] = self.injected.get(key, 0) + count
 
     @property
     def total_injected(self) -> int:

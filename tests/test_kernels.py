@@ -250,8 +250,7 @@ class TestPipelineBitIdentity:
                     config.epsilon, rng=17)
             return collect_reports(
                 pipeline_dataset.records, assignment, plans,
-                config.epsilon, rng=17, workers=4, backend="thread",
-                chunk_size=1_000)
+                config.epsilon, rng=17, workers=4, chunk_size=1_000)
 
         with kernels.use_backend("numpy"):
             reference_serial = collect(serial=True)

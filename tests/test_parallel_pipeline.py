@@ -1,12 +1,11 @@
 """Tests for the sharded parallel collection pipeline.
 
 Covers the determinism contract (serial ≡ sharded bit-for-bit under a
-fixed seed; output invariant to ``workers`` *and* ``backend``), the
-process-backed shared-memory executor (per-protocol bit-identity, shm
-segment hygiene, backend resolution and validation), the executor
-plumbing through ``Aggregator``/``Felip``/``StreamingCollector``, the
-stage timers, and the satellite regressions: SUE/SHE/THE streaming, the
-budget×AHEAD config rejection, and the streaming oracle cache.
+fixed seed for every registered protocol; output invariant to
+``workers``), the executor plumbing through
+``Aggregator``/``Felip``/``StreamingCollector``, the stage timers, and the
+satellite regressions: SUE/SHE/THE streaming, the budget×AHEAD config
+rejection, and the streaming oracle cache.
 """
 
 import os
@@ -22,10 +21,8 @@ from repro.core.client import (
     collect_reports_serial,
 )
 from repro.core.parallel import (
-    ShardTask,
     chunk_bounds,
     group_orders,
-    resolve_backend,
     resolve_workers,
     run_sharded,
 )
@@ -35,7 +32,6 @@ from repro.queries import Query, between
 from repro.rng import ensure_rng
 
 ALL_PROTOCOLS = ("grr", "olh", "oue", "sue", "she", "the", "sw", "hr")
-BACKENDS = ("thread", "process")
 
 
 def config_for(protocol, epsilon=1.0):
@@ -44,14 +40,6 @@ def config_for(protocol, epsilon=1.0):
     if protocol == "sw":
         return FelipConfig(epsilon=epsilon, one_d_protocol="sw")
     return FelipConfig(epsilon=epsilon, protocols=(protocol,))
-
-
-def shm_segments():
-    """Names currently present in /dev/shm (empty set off-Linux)."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 @pytest.fixture(scope="module")
@@ -86,53 +74,52 @@ def planned_collection(dataset, config, seed=11):
 
 
 class TestSerialEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_sharded_bit_identical_to_serial(self, dataset, workers,
-                                             backend):
-        """chunk_size=None: sharded ≡ serial, any workers, any backend."""
-        config = FelipConfig(epsilon=1.0)
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS + ("default",))
+    def test_sharded_bit_identical_to_serial(self, dataset, protocol,
+                                             workers):
+        """chunk_size=None: sharded ≡ serial for every registered
+        protocol and for the default adaptive choice, at any worker
+        count."""
+        config = (FelipConfig(epsilon=1.0) if protocol == "default"
+                  else config_for(protocol))
         plans, assignment = planned_collection(dataset, config)
         serial = collect_reports_serial(
             dataset.records, assignment, plans, config.epsilon, rng=23)
         sharded = collect_reports(
             dataset.records, assignment, plans, config.epsilon, rng=23,
-            workers=workers, backend=backend, chunk_size=None)
+            workers=workers, chunk_size=None)
         assert_same_reports(sharded, serial)
 
-    def test_chunked_output_invariant_to_workers_and_backend(self, dataset):
-        """Finite chunk_size: a new stream, but invariant to both the
-        worker count and the executor backend."""
+    def test_chunked_output_invariant_to_workers(self, dataset):
+        """Finite chunk_size: a new stream, but invariant to the worker
+        count."""
         config = FelipConfig(epsilon=1.0)
         plans, assignment = planned_collection(dataset, config)
         runs = [collect_reports(dataset.records, assignment, plans,
                                 config.epsilon, rng=29, workers=w,
-                                backend=b, chunk_size=1_000)
-                for w, b in ((1, "thread"), (2, "thread"), (4, "thread"),
-                             (2, "process"), (4, "process"))]
+                                chunk_size=1_000)
+                for w in (1, 2, 4)]
         for run in runs[1:]:
             assert_same_reports(run, runs[0])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_budget_split_invariant_to_workers(self, dataset, backend):
+    def test_budget_split_invariant_to_workers(self, dataset):
         config = FelipConfig(epsilon=1.0, partition_mode="budget")
         plans = plan_grids(dataset.schema, config, dataset.n)
         runs = [collect_reports_budget_split(
                     dataset.records, plans, config.epsilon, rng=31,
-                    workers=w, backend=backend, chunk_size=2_500)
+                    workers=w, chunk_size=2_500)
                 for w in (1, 4)]
         assert_same_reports(runs[1], runs[0])
 
-    def test_full_fit_identical_across_workers_and_backends(self, dataset):
+    def test_full_fit_identical_across_workers(self, dataset):
         """End-to-end: answers are a pure function of the seed — identical
-        across serial, thread, process, and auto executions."""
+        inline, on a 4-thread pool, and on one thread per CPU."""
         q = Query([between("num_0", 5, 20), between("num_1", 5, 20)])
         answers, marginals = [], []
-        for workers, backend in ((1, "thread"), (4, "thread"),
-                                 (4, "process"), (4, "auto")):
+        for workers in (1, 4, 0):
             model = Felip(dataset.schema,
-                          FelipConfig(epsilon=1.0, workers=workers,
-                                      backend=backend))
+                          FelipConfig(epsilon=1.0, workers=workers))
             model.fit(dataset, rng=37)
             answers.append(model.answer(q))
             marginals.append(model.marginal("num_0"))
@@ -140,126 +127,27 @@ class TestSerialEquivalence:
         for m in marginals[1:]:
             np.testing.assert_array_equal(m, marginals[0])
 
-    def test_streaming_invariant_to_worker_count_and_backend(self, dataset):
-        """Sharded streaming output is workers- and backend-independent."""
+    def test_streaming_invariant_to_worker_count(self, dataset):
+        """Streaming output is worker-count independent — inline
+        (workers=1) included."""
         q = Query([between("num_0", 5, 20)])
         answers = []
-        for workers, backend in ((2, "thread"), (4, "thread"),
-                                 (2, "process"), (4, "process")):
+        for workers in (1, 2, 4):
             collector = StreamingCollector(
                 dataset.schema,
-                FelipConfig(epsilon=1.0, workers=workers, backend=backend),
+                FelipConfig(epsilon=1.0, workers=workers),
                 expected_users=dataset.n, rng=41)
             for start in range(0, dataset.n, 5_000):
                 collector.observe(dataset.records[start:start + 5_000])
             answers.append(collector.finalize().answer(q))
         assert all(a == answers[0] for a in answers[1:])
 
-
-class TestProcessBackend:
-    """The tentpole contract: ``backend="process"`` is bit-identical to
-    serial for every registered protocol, and leaks no shm segments."""
-
-    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    def test_process_bit_identical_to_serial_per_protocol(self, dataset,
-                                                          protocol):
-        config = config_for(protocol)
-        plans, assignment = planned_collection(dataset, config)
-        before = shm_segments()
-        serial = collect_reports_serial(
-            dataset.records, assignment, plans, config.epsilon, rng=67)
-        sharded = collect_reports(
-            dataset.records, assignment, plans, config.epsilon, rng=67,
-            workers=4, backend="process", chunk_size=None)
-        assert_same_reports(sharded, serial)
-        assert shm_segments() <= before
-
-    def test_ahead_runs_through_process_backend(self, dataset):
-        """Protocols without a shared report layout (AHEAD) fall back to
-        pickling whole reports through the result pipe — slower, but
-        the backend stays universally correct."""
-        config = FelipConfig(epsilon=1.0, one_d_protocol="ahead",
-                             backend="process", workers=4)
-        model = Felip(dataset.schema, config)
-        model.fit(dataset, rng=71)
-        q = Query([between("num_0", 5, 20)])
-        assert 0.0 <= model.answer(q) <= 1.0
-
-    def test_no_segments_leaked_after_successful_fit(self, dataset):
-        before = shm_segments()
-        model = Felip(dataset.schema,
-                      FelipConfig(epsilon=1.0, workers=4,
-                                  backend="process", chunk_size=2_000))
-        model.fit(dataset, rng=73)
-        assert shm_segments() <= before
-
-    def test_no_segments_leaked_after_shard_failure(self, dataset):
-        """The arena teardown sits in a finally: a deterministic shard
-        error mid-collection must still unlink every segment."""
-        from repro.robustness import FaultInjector, PoisonedShardError
-
-        config = FelipConfig(epsilon=1.0)
-        plans, assignment = planned_collection(dataset, config)
-        before = shm_segments()
-        with pytest.raises(PoisonedShardError):
-            collect_reports(
-                dataset.records, assignment, plans, config.epsilon,
-                rng=79, workers=4, backend="process", chunk_size=None,
-                fault_injector=FaultInjector(poison=[1]))
-        assert shm_segments() <= before
-
-    def test_run_sharded_requires_shard_tasks_for_process(self):
-        """Closures cannot cross a process boundary; the executor says so
-        instead of letting pickle produce an inscrutable traceback."""
-        with pytest.raises(ConfigurationError, match="ShardTask"):
-            run_sharded([lambda: 1, lambda: 2], workers=2,
-                        backend="process")
-
-    def test_run_sharded_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            run_sharded([], workers=2, backend="greenlet")
-
-    def test_config_validates_backend(self):
-        assert FelipConfig(backend="process").backend == "process"
-        assert FelipConfig(backend="auto").backend == "auto"
-        with pytest.raises(ConfigurationError, match="backend"):
-            FelipConfig(backend="greenlet")
-
-    def test_resolve_backend(self, monkeypatch):
-        assert resolve_backend("thread", 4) == "thread"
-        assert resolve_backend("process", 1) == "process"
-        # auto picks processes only when >1 worker is requested AND the
-        # host actually has >1 effective core to run them on.
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2, 3}, raising=False)
-        assert resolve_backend("auto", 2) == "process"
-        assert resolve_backend("auto", 1) == "thread"
-
-    def test_resolve_backend_auto_single_core_prefers_threads(
-            self, monkeypatch):
-        """On a one-core host extra processes cannot run concurrently, so
-        auto must not pay the fork/pickle overhead (measured ~2.8x slower
-        than threads at workers=4 on the single-core bench host)."""
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert resolve_backend("auto", 4) == "thread"
-        # Explicit backend choice is never overridden.
-        assert resolve_backend("process", 4) == "process"
-
-    def test_shard_task_runs_inline_and_in_threads(self):
-        """ShardTask descriptors are plain callables: the thread and
-        inline paths execute them exactly like closures."""
-        tasks = [ShardTask(fn=_square, payload=i) for i in range(8)]
-        assert run_sharded(tasks, 1) == [i * i for i in range(8)]
-        assert run_sharded(tasks, 4, backend="thread") == \
-            [i * i for i in range(8)]
-        assert run_sharded(tasks, 4, backend="process") == \
-            [i * i for i in range(8)]
-
-
-def _square(payload):
-    return payload * payload
+    def test_backend_knob_removed(self):
+        """There is one executor: no call site accepts ``backend=``."""
+        with pytest.raises(TypeError):
+            FelipConfig(backend="thread")
+        with pytest.raises(TypeError):
+            run_sharded([lambda: 1], 1, backend="thread")
 
 
 class TestWorkerResolution:
