@@ -24,9 +24,6 @@ from repro.queries.workload import WorkloadSpec, random_workload
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_answers.json"
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.errors.ConvergenceWarning")
-
 USERS = 60_000
 QUERIES_PER_DIM = 250  # λ ∈ {1, 2, 3, 4} -> 1000 queries total
 

@@ -56,7 +56,7 @@ def test_postprocess_round(benchmark, grid_estimates):
 def test_response_matrix_128(benchmark, grid_estimates):
     pair, gx, gy = grid_estimates
     benchmark(lambda: build_response_matrix(
-        [pair, gx, gy], 0, 1, 128, 128, n=1_000_000, max_iters=100))
+        [pair, gx, gy], 0, 1, 128, 128, tolerance=1e-3, max_iters=100))
 
 
 def test_lambda8_combination(benchmark):
@@ -65,7 +65,7 @@ def test_lambda8_combination(benchmark):
         for j in range(i + 1, 8):
             answers[(i, j)] = PairAnswers(pp=0.25, pn=0.25, np_=0.25,
                                           nn=0.25)
-    benchmark(lambda: estimate_lambda_query(answers, 8, n=1_000_000,
+    benchmark(lambda: estimate_lambda_query(answers, 8, tolerance=1e-3,
                                             max_iters=500))
 
 

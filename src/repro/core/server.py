@@ -43,10 +43,12 @@ from repro.estimation.lambda_query import (
 from repro.estimation.response_matrix import (
     IPFDiagnostics,
     fit_response_matrix,
+    stop_tolerance,
 )
 from repro.fo import kernels as fo_kernels
 from repro.fo.adaptive import make_oracle
 from repro.optimizer import (
+    AnswerNode,
     AnswerPlan,
     MaterializationPlan,
     WorkloadAccumulator,
@@ -79,6 +81,8 @@ class Aggregator:
         self._matrix_diags: Dict[Tuple[int, int], IPFDiagnostics] = {}
         self._sats: Dict[Tuple[int, int], SummedAreaTable] = {}
         self._lambda_stats: Dict[str, int] = self._fresh_lambda_stats()
+        #: IPF stop tolerance τ of the fitted grids (set by _finalize)
+        self._tolerance: float = float("nan")
         self._priors: Dict[Tuple[int, int], np.ndarray] = {}
         self._report_epsilon: float = config.epsilon
         #: cumulative wall-clock seconds per pipeline stage
@@ -179,6 +183,7 @@ class Aggregator:
                 self._cell_variances(),
                 num_attributes=len(self.schema),
                 rounds=self.config.postprocess_rounds)
+        self._tolerance = stop_tolerance(self._cell_variances().values())
         return self
 
     def _estimate_task(self, group: GroupReport):
@@ -284,7 +289,8 @@ class Aggregator:
         return fit_response_matrix(
             related, i, j,
             self.schema[i].domain_size, self.schema[j].domain_size,
-            self.n, max_iters=self.config.response_matrix_max_iters,
+            self._tolerance,
+            max_iters=self.config.response_matrix_max_iters,
             prior=self._priors.get((i, j)))
 
     def response_matrix(self, i: int, j: int) -> np.ndarray:
@@ -506,9 +512,10 @@ class Aggregator:
         Each node goes by λ to its primitive: 1-D sums
         (:meth:`_answer_singles`), 2-D rectangle sums
         (:meth:`_pair_values`) or the batched Algorithm 4 IPF
-        (:meth:`_answer_lambda_batch`). The plan already validated and
-        schema-ordered every query's predicates. Answers are clipped to
-        [0, 1]; time is recorded under the ``answer`` stage.
+        (:meth:`_answer_lambda`), which answers every λ ≥ 3 node of equal
+        λ in one call. The plan already validated and schema-ordered every
+        query's predicates. Answers are clipped to [0, 1]; time is
+        recorded under the ``answer`` stage.
         """
         self._require_fitted()
         if self.config.record_workload:
@@ -519,6 +526,7 @@ class Aggregator:
         if not plan.nodes:
             return out
         with self.timings.time("answer"):
+            by_lambda: Dict[int, List[AnswerNode]] = {}
             for node in plan.nodes:
                 key, batch = node.key, node.predicates
                 if len(key) == 1:
@@ -529,8 +537,13 @@ class Aggregator:
                         key[0], key[1], [preds[0] for preds in batch],
                         [preds[1] for preds in batch])
                 else:
-                    values = self._answer_lambda_batch(key, batch)
+                    by_lambda.setdefault(len(key), []).append(node)
+                    continue
                 out[list(node.positions)] = np.clip(values, 0.0, 1.0)
+            for dimension, nodes in by_lambda.items():
+                positions = [p for node in nodes for p in node.positions]
+                out[positions] = np.clip(
+                    self._answer_lambda(dimension, nodes), 0.0, 1.0)
         return out
 
     def answer_workload(self, queries: Iterable[Query]) -> np.ndarray:
@@ -656,29 +669,39 @@ class Aggregator:
             tables[picks] = pair_answers_tables(matrix, stack_i, stack_j)
         return tables
 
-    def _answer_lambda_batch(self, key: Tuple[int, ...],
-                             batch: List[List[Predicate]]) -> np.ndarray:
-        """Batched λ ≥ 3 answers for queries over attribute set ``key``.
+    def _answer_lambda(self, dimension: int,
+                       nodes: List[AnswerNode]) -> np.ndarray:
+        """λ ≥ 3 answers of every node of one λ, in node order.
 
-        Builds every pair's ``(Q, 2, 2)`` sign tables (summed-area fast
-        path where available), then runs one batched Algorithm 4 IPF over
-        all ``Q`` queries simultaneously.
+        Builds each node's per-pair ``(Q, 2, 2)`` sign tables (summed-area
+        fast path where available), stacks them and runs ONE batched
+        Algorithm 4 IPF over all of them: the IPF sees only predicate
+        positions, and per-query freezing keeps every row identical to
+        its solo run.
         """
-        pairs = canonical_pairs(len(key))
-        tables = np.empty((len(batch), len(pairs), 2, 2))
-        for p, (a, b) in enumerate(pairs):
-            tables[:, p] = self._pair_tables(
-                key[a], key[b], [preds[a] for preds in batch],
-                [preds[b] for preds in batch])
+        pairs = canonical_pairs(dimension)
+        tables = np.concatenate([self._lambda_tables(node, pairs)
+                                 for node in nodes])
         values, sweeps, converged = fit_lambda_queries(
-            tables, len(key), self.n,
+            tables, dimension, self._tolerance,
             max_iters=self.config.lambda_max_iters, pairs=pairs)
         self._record_lambda(sweeps, converged)
         if not converged.all():
             behind = int((~converged).sum())
             warnings.warn(
-                f"lambda-query batch (lambda={len(key)}): {behind} of "
-                f"{len(batch)} queries hit the sweep cap "
+                f"lambda-query batch (lambda={dimension}): {behind} of "
+                f"{len(tables)} queries still moving at the sweep cap "
                 f"({self.config.lambda_max_iters})",
                 ConvergenceWarning, stacklevel=3)
         return values
+
+    def _lambda_tables(self, node: AnswerNode,
+                       pairs: List[Tuple[int, int]]) -> np.ndarray:
+        """``(Q, C(λ, 2), 2, 2)`` sign tables of one λ ≥ 3 plan node."""
+        key, batch = node.key, node.predicates
+        tables = np.empty((len(batch), len(pairs), 2, 2))
+        for p, (a, b) in enumerate(pairs):
+            tables[:, p] = self._pair_tables(
+                key[a], key[b], [preds[a] for preds in batch],
+                [preds[b] for preds in batch])
+        return tables

@@ -105,9 +105,9 @@ class ConvergenceWarning(UserWarning):
     """An iterative fit (Algorithm 3 / 4 IPF sweep) hit its iteration cap.
 
     Emitted via :func:`warnings.warn` when a response-matrix or λ-D
-    estimate stops at ``max_iters`` with the sweep change still above the
-    ``1/n`` threshold. The estimate is still returned — non-convergence
-    bounds its residual, it does not invalidate it — but callers that care
+    estimate stops at ``max_iters`` while its last sweep still moved the
+    iterate by the stop tolerance or more. The estimate is still returned
+    — it is the iterate after ``max_iters`` sweeps — but callers that care
     can escalate the warning or inspect
     :meth:`repro.core.Aggregator.fit_diagnostics`.
     """

@@ -1,16 +1,16 @@
 """Estimation algorithms: response matrices and λ-D query combination."""
 
 from repro.estimation.response_matrix import (
+    STOP_KAPPA,
     IPFDiagnostics,
     build_response_matrix,
-    build_response_matrix_reference,
     fit_response_matrix,
+    stop_tolerance,
 )
 from repro.estimation.lambda_query import (
     PairAnswers,
     canonical_pairs,
     estimate_lambda_query,
-    estimate_lambda_query_reference,
     fit_lambda_queries,
     fit_lambda_query,
     pair_answers_from_matrix,
@@ -19,17 +19,17 @@ from repro.estimation.lambda_query import (
 from repro.estimation.engine import SummedAreaTable
 
 __all__ = [
+    "STOP_KAPPA",
     "IPFDiagnostics",
     "SummedAreaTable",
     "build_response_matrix",
-    "build_response_matrix_reference",
     "fit_response_matrix",
+    "stop_tolerance",
     "PairAnswers",
     "canonical_pairs",
     "pair_answers_from_matrix",
     "pair_answers_tables",
     "estimate_lambda_query",
-    "estimate_lambda_query_reference",
     "fit_lambda_query",
     "fit_lambda_queries",
 ]

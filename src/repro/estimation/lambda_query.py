@@ -5,7 +5,10 @@ vector ``z`` over the ``2^λ`` sign patterns (bit ``t`` set ⇔ predicate ``t``
 satisfied, clear ⇔ its complement) and repeatedly rescales, for every pair
 ``(i, j)`` and every sign combination of that pair, the ``2^(λ−2)`` matching
 entries so their total equals the pair's observed answer. The final estimate
-is ``z[all bits set]``.
+is ``z[all bits set]``. A fit stops after the first sweep that moves ``z``
+by less than a tolerance τ (L1 norm of the net change; see
+:func:`repro.estimation.response_matrix.stop_tolerance`), with a sweep cap
+as the backstop.
 
 Unlike a positives-only update, using all four sign combinations per pair
 fully constrains the pair's 2-D margin of ``z`` — this is the variant the
@@ -22,7 +25,7 @@ four fancy-indexed member-list updates. The same kernel runs *batched*:
 stacking ``Q`` queries' ``z`` vectors into a ``(Q, 2^λ)`` array sweeps every
 query simultaneously, with per-query convergence freezing so each query's
 trajectory is identical to its solo run. The original per-member-list loop
-is retained as :func:`estimate_lambda_query_reference` for property tests.
+is kept with the tests as the reference these kernels are checked against.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.estimation.response_matrix import (
     IPFDiagnostics,
+    _validate_tolerance,
     _warn_non_convergence,
 )
 
@@ -137,7 +141,8 @@ def canonical_pairs(dimension: int) -> List[Tuple[int, int]]:
     return list(itertools.combinations(range(dimension), 2))
 
 
-def _validate_pair_answers(pair_answers, dimension: int, n: int) -> None:
+def _validate_pair_answers(pair_answers, dimension: int,
+                           tolerance: float) -> None:
     if dimension < 2:
         raise EstimationError(f"dimension must be >= 2, got {dimension}")
     expected = set(canonical_pairs(dimension))
@@ -147,8 +152,7 @@ def _validate_pair_answers(pair_answers, dimension: int, n: int) -> None:
         raise EstimationError(
             f"pair answers mismatch; missing {missing}, unexpected {extra}"
         )
-    if n < 1:
-        raise EstimationError(f"n must be >= 1, got {n}")
+    _validate_tolerance(tolerance)
 
 
 def _broadcast_tables(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
@@ -174,8 +178,8 @@ def _broadcast_tables(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
 
 
 def _lambda_ipf(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
-                dimension: int, threshold: float, max_iters: int
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                dimension: int, tolerance: float, max_iters: int
+                ) -> Tuple[np.ndarray, ...]:
     """Batched iterative-scaling kernel over stacked sign tables.
 
     Parameters
@@ -185,14 +189,14 @@ def _lambda_ipf(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
         ``[si, sj]`` for ``pairs[p] = (i, j)``.
     pairs:
         Update order of the ``C(λ, 2)`` pairs within a sweep.
-    threshold, max_iters:
-        Per-query convergence threshold and sweep cap.
+    tolerance, max_iters:
+        Per-query stop tolerance on a sweep's movement, and sweep cap.
 
-    Returns ``(z, sweeps, converged, final_change)``: ``z`` is the
-    ``(Q, 2^λ)`` fitted sign-pattern distribution; the other three are
-    per-query diagnostics. Converged queries are frozen — removed from the
-    active batch — so every query's trajectory is exactly what a solo run
-    would produce.
+    Returns ``(z, sweeps, converged, movement, residual)``: ``z`` is the
+    ``(Q, 2^λ)`` fitted sign-pattern distribution; the other four are
+    per-query diagnostics of the last sweep each query ran. Converged
+    queries are frozen — removed from the active batch — so every query's
+    trajectory is exactly what a solo run would produce.
     """
     q = tables.shape[0]
     size = 1 << dimension
@@ -208,14 +212,15 @@ def _lambda_ipf(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
 
     sweeps = np.full(q, max_iters, dtype=np.int64)
     converged = np.zeros(q, dtype=bool)
-    final_change = np.zeros(q)
+    movement = np.full(q, np.inf)
+    residual = np.zeros(q)
     active = np.arange(q)
     for sweep in range(1, max_iters + 1):
         if active.size == 0:
             break
         z_act = z[active]
         zi = z_act.reshape((len(active),) + (2,) * dimension)
-        change = np.zeros(len(active))
+        sweep_residual = np.zeros(len(active))
         for axes, table in zip(axis_sets, broadcast):
             t = table[active]
             tot = zi.sum(axis=axes, keepdims=True)
@@ -223,25 +228,28 @@ def _lambda_ipf(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
             scale = np.divide(t, tot, out=np.ones_like(tot), where=pos)
             contrib = np.where(pos, np.abs(t - tot),
                                np.where(t > 0.0, t, 0.0))
-            change += contrib.reshape(len(active), -1).sum(axis=1)
+            sweep_residual += contrib.reshape(len(active), -1).sum(axis=1)
             zi *= scale
             refill = (~pos) & (t > 0.0)
             if refill.any():
                 zi[...] = np.where(refill, t / block, zi)
+        # z still holds the pre-sweep rows: the gather is the only copy.
+        moved = np.abs(z_act - z[active]).sum(axis=1)
         z[active] = z_act
-        final_change[active] = change
-        done = change < threshold
+        movement[active] = moved
+        residual[active] = sweep_residual
+        done = moved < tolerance
         if done.any():
             settled = active[done]
             converged[settled] = True
             sweeps[settled] = sweep
             active = active[~done]
-    return z, sweeps, converged, final_change
+    return z, sweeps, converged, movement, residual
 
 
 def fit_lambda_query(
         pair_answers: Dict[Tuple[int, int], PairAnswers],
-        dimension: int, n: int, max_iters: int = 500
+        dimension: int, tolerance: float, max_iters: int = 500
 ) -> Tuple[float, IPFDiagnostics]:
     """Combine pairwise answers into the λ-D estimate (Algorithm 4).
 
@@ -253,22 +261,24 @@ def fit_lambda_query(
         Pairs are applied in the dict's iteration order.
     dimension:
         λ ≥ 2.
-    n:
-        Population size (convergence threshold ``1/n``).
+    tolerance:
+        τ ≥ 0: the fit stops after the first sweep that moves ``z`` by
+        less than τ (L1). ``0`` runs to ``max_iters``.
     max_iters:
         Backstop on full sweeps.
 
     Returns the estimate plus :class:`IPFDiagnostics`; emits a
-    :class:`~repro.errors.ConvergenceWarning` when the sweep cap is hit.
+    :class:`~repro.errors.ConvergenceWarning` when ``z`` still moves by τ
+    or more at the sweep cap.
     """
-    _validate_pair_answers(pair_answers, dimension, n)
+    _validate_pair_answers(pair_answers, dimension, tolerance)
     pairs = list(pair_answers)
     tables = np.stack([pair_answers[p].as_table() for p in pairs])[None]
-    threshold = 1.0 / n
-    z, sweeps, converged, change = _lambda_ipf(tables, pairs, dimension,
-                                               threshold, max_iters)
+    z, sweeps, converged, movement, residual = _lambda_ipf(
+        tables, pairs, dimension, tolerance, max_iters)
     diag = IPFDiagnostics(sweeps=int(sweeps[0]), converged=bool(converged[0]),
-                          final_change=float(change[0]), threshold=threshold)
+                          final_change=float(movement[0]),
+                          threshold=tolerance, residual=float(residual[0]))
     _warn_non_convergence(f"lambda-query combination (lambda={dimension})",
                           diag)
     return float(z[0, -1]), diag
@@ -276,15 +286,16 @@ def fit_lambda_query(
 
 def estimate_lambda_query(
         pair_answers: Dict[Tuple[int, int], PairAnswers],
-        dimension: int, n: int, max_iters: int = 500) -> float:
+        dimension: int, tolerance: float, max_iters: int = 500) -> float:
     """Estimate-only convenience over :func:`fit_lambda_query`."""
-    estimate, _ = fit_lambda_query(pair_answers, dimension, n,
+    estimate, _ = fit_lambda_query(pair_answers, dimension, tolerance,
                                    max_iters=max_iters)
     return estimate
 
 
 def fit_lambda_queries(
-        tables: np.ndarray, dimension: int, n: int, max_iters: int = 500,
+        tables: np.ndarray, dimension: int, tolerance: float,
+        max_iters: int = 500,
         pairs: Optional[Sequence[Tuple[int, int]]] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched Algorithm 4: many queries' sign tables in one IPF.
@@ -294,11 +305,14 @@ def fit_lambda_queries(
     tables:
         ``(Q, C(λ,2), 2, 2)`` stacked sign tables (e.g. from
         :func:`pair_answers_tables`), ``tables[q, p]`` indexed
-        ``[si, sj]`` for the ``p``-th pair.
+        ``[si, sj]`` for the ``p``-th pair. The IPF sees only predicate
+        positions, so queries over different attribute sets of the same
+        λ can share one call.
     dimension:
         λ ≥ 2, shared by every query in the batch.
-    n:
-        Population size (convergence threshold ``1/n``).
+    tolerance:
+        τ ≥ 0: a query stops after the first sweep that moves its ``z``
+        by less than τ (L1). ``0`` runs every query to ``max_iters``.
     max_iters:
         Backstop on full sweeps per query.
     pairs:
@@ -312,8 +326,7 @@ def fit_lambda_queries(
     """
     if dimension < 2:
         raise EstimationError(f"dimension must be >= 2, got {dimension}")
-    if n < 1:
-        raise EstimationError(f"n must be >= 1, got {n}")
+    _validate_tolerance(tolerance)
     if pairs is None:
         pairs = canonical_pairs(dimension)
     tables = np.asarray(tables, dtype=np.float64)
@@ -326,51 +339,6 @@ def fit_lambda_queries(
         raise EstimationError(
             f"pairs {sorted(pairs)} do not cover all C({dimension}, 2) "
             f"position pairs")
-    z, sweeps, converged, _ = _lambda_ipf(tables, list(pairs), dimension,
-                                          1.0 / n, max_iters)
+    z, sweeps, converged, _, _ = _lambda_ipf(tables, list(pairs), dimension,
+                                             tolerance, max_iters)
     return z[:, -1].copy(), sweeps, converged
-
-
-def estimate_lambda_query_reference(
-        pair_answers: Dict[Tuple[int, int], PairAnswers],
-        dimension: int, n: int, max_iters: int = 500) -> float:
-    """Per-member-list reference implementation of Algorithm 4.
-
-    Retained verbatim for property tests: the broadcast tensor sweep of
-    :func:`fit_lambda_query` must reproduce this loop to float round-off,
-    because the four sign blocks of one pair partition ``z`` (disjoint
-    member sets), making the fused rescale order-equivalent.
-    """
-    _validate_pair_answers(pair_answers, dimension, n)
-
-    size = 1 << dimension
-    z = np.full(size, 1.0 / size)
-    masks = np.arange(size)
-    # Precompute, per pair and sign combination, the member index arrays
-    # (fancy indexing is markedly faster than boolean masks here).
-    updates = []
-    for (i, j), answers in pair_answers.items():
-        table = answers.as_table()
-        bit_i = (masks >> i) & 1
-        bit_j = (masks >> j) & 1
-        for si in (0, 1):
-            for sj in (0, 1):
-                members = np.flatnonzero((bit_i == si) & (bit_j == sj))
-                updates.append((members, float(table[si, sj])))
-
-    threshold = 1.0 / n
-    for _ in range(max_iters):
-        change = 0.0
-        for members, target in updates:
-            block = z[members]
-            total = block.sum()
-            if total <= 0.0:
-                if target > 0.0:
-                    z[members] = target / len(members)
-                    change += target
-                continue
-            change += abs(target - total)
-            z[members] = block * (target / total)
-        if change < threshold:
-            break
-    return float(z[size - 1])

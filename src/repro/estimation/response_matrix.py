@@ -5,8 +5,21 @@ per 2-D *value* ``(x, y)`` — finer than any grid. It is fit by iterative
 proportional scaling: repeatedly, for every cell ``c`` of every related grid
 (Γ = the pair's 2-D grid plus the attributes' 1-D grids when they exist),
 rescale the entries in ``c``'s subdomain so their total matches the cell's
-estimated mass ``f_c``. Convergence: total absolute change per sweep below
-``1/n`` (paper's threshold), with a hard iteration cap as a backstop.
+estimated mass ``f_c``.
+
+Stopping
+--------
+The paper stops once a sweep's change falls below ``1/n``. Read as the L1
+constraint residual, that test never fires on real data: the targets are
+noisy grid estimates that disagree with each other, so the residual has a
+positive floor. The fit therefore stops on *iterate movement* — the L1
+norm of the net change one sweep makes to ``M`` — once it falls below a
+tolerance τ. Callers derive τ from the variance model
+(:func:`stop_tolerance`: a tenth of the smallest predicted per-cell
+standard error), so the stopping sweep moved no answer by more than a
+tenth of a cell's noise. The residual is still reported
+(:attr:`IPFDiagnostics.residual`) as an inconsistency diagnostic, and a
+hard iteration cap remains the backstop.
 
 When both attributes are categorical the pair's 2-D grid already has one
 cell per value, so ``M`` is just its matrix (the paper's special case).
@@ -21,38 +34,61 @@ whole grid can be applied as ONE fused update: per-cell block sums via
 ``np.add.reduceat`` along each axis, a per-cell scale factor, and a single
 elementwise multiply through the grid's precomputed row/column cell-id maps.
 That turns a sweep from O(cells) Python iterations into one fused multiply
-per grid, with results identical to the sequential reference (retained as
-:func:`build_response_matrix_reference` and property-tested against).
+per grid, with results identical to the sequential constraint-by-constraint
+loop (the reference kept with the tests, property-tested against).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConvergenceWarning, EstimationError
 from repro.grids.grid import Grid1D, Grid2D, GridEstimate
 
-#: (row_lo, row_hi_excl, col_lo, col_hi_excl, target_mass)
-_Constraint = Tuple[int, int, int, int, float]
+#: κ: Algorithms 3 and 4 stop once a sweep moves their iterate by less
+#: than κ·σ_min (see :func:`stop_tolerance`).
+STOP_KAPPA = 0.1
+
+
+def stop_tolerance(cell_variances: Iterable[float]) -> float:
+    """The IPF stop tolerance τ = κ·σ_min for a set of fitted grids.
+
+    ``cell_variances`` are the per-cell estimation variances the registry
+    variance model predicts for the grids (one per grid); σ_min is the
+    square root of the smallest. A sweep that moves the iterate by less
+    than τ (L1) moves no answer by more than a tenth of the standard error
+    of the least noisy cell.
+    """
+    variances = list(cell_variances)
+    if not variances:
+        raise EstimationError("need at least one cell variance")
+    return STOP_KAPPA * math.sqrt(min(variances))
 
 
 @dataclass(frozen=True)
 class IPFDiagnostics:
     """Convergence accounting of one iterative-proportional-fit run.
 
-    ``sweeps`` counts full passes executed (including the converging one);
-    ``converged`` is True when the final sweep's total absolute change fell
-    below ``threshold`` (``1/n``) before the ``max_iters`` cap.
+    ``sweeps`` counts full passes executed (including the stopping one).
+    ``final_change`` is the last sweep's movement: the L1 norm of the net
+    change it made to the iterate. ``converged`` is True when that fell
+    below ``threshold`` (the tolerance τ) before the ``max_iters`` cap.
+    ``residual`` is the last sweep's L1 constraint residual (``|target −
+    total|`` summed over the constraints it applied): it measures how much
+    the targets disagree and stays above zero when they do, so it is
+    reported, never tested.
     """
 
     sweeps: int
     converged: bool
     final_change: float
     threshold: float
+    residual: float
 
     def as_dict(self) -> dict:
         return {
@@ -60,61 +96,17 @@ class IPFDiagnostics:
             "converged": self.converged,
             "final_change": self.final_change,
             "threshold": self.threshold,
+            "residual": self.residual,
         }
 
 
 def _warn_non_convergence(what: str, diag: IPFDiagnostics) -> None:
     if not diag.converged:
         warnings.warn(
-            f"{what} did not converge in {diag.sweeps} sweeps "
-            f"(last change {diag.final_change:.3e} >= threshold "
-            f"{diag.threshold:.3e}); consider raising max_iters",
+            f"{what} still moved by {diag.final_change:.3e} (tolerance "
+            f"{diag.threshold:.3e}) after {diag.sweeps} sweeps; consider "
+            f"raising max_iters",
             ConvergenceWarning, stacklevel=3)
-
-
-def _constraints_for(estimate: GridEstimate, attr_i: int, attr_j: int,
-                     di: int, dj: int) -> List[_Constraint]:
-    """Rectangle constraints that ``estimate`` imposes on the (i, j) matrix."""
-    grid = estimate.grid
-    constraints: List[_Constraint] = []
-    if isinstance(grid, Grid1D):
-        binning = grid.binning
-        for cell in range(binning.num_cells):
-            lo, hi = binning.bounds(cell)
-            mass = float(estimate.frequencies[cell])
-            if grid.attr_index == attr_i:
-                constraints.append((lo, hi + 1, 0, dj, mass))
-            elif grid.attr_index == attr_j:
-                constraints.append((0, di, lo, hi + 1, mass))
-            else:
-                raise EstimationError(
-                    f"1-D grid over attribute {grid.attr_index} unrelated "
-                    f"to pair ({attr_i}, {attr_j})"
-                )
-        return constraints
-
-    if not isinstance(grid, Grid2D):
-        raise EstimationError(f"unsupported grid type {type(grid).__name__}")
-    if grid.attr_index_x == attr_i and grid.attr_index_y == attr_j:
-        bx, by, transpose = grid.binning_x, grid.binning_y, False
-    elif grid.attr_index_x == attr_j and grid.attr_index_y == attr_i:
-        bx, by, transpose = grid.binning_x, grid.binning_y, True
-    else:
-        raise EstimationError(
-            f"2-D grid over {grid.key} unrelated to pair "
-            f"({attr_i}, {attr_j})"
-        )
-    matrix = estimate.matrix()
-    for cx in range(bx.num_cells):
-        x_lo, x_hi = bx.bounds(cx)
-        for cy in range(by.num_cells):
-            y_lo, y_hi = by.bounds(cy)
-            mass = float(matrix[cx, cy])
-            if transpose:
-                constraints.append((y_lo, y_hi + 1, x_lo, x_hi + 1, mass))
-            else:
-                constraints.append((x_lo, x_hi + 1, y_lo, y_hi + 1, mass))
-    return constraints
 
 
 class _GridPartition:
@@ -161,7 +153,7 @@ class _GridPartition:
     def apply(self, m: np.ndarray) -> float:
         """One fused weighted-update of this grid's constraints, in place.
 
-        Returns the constraint set's contribution to the sweep change
+        Returns the constraint set's contribution to the sweep residual
         (``sum |target - total|`` over positive-mass cells plus the target
         mass poured into repopulated zero-mass cells) — identical to the
         sequential reference because the cells are disjoint.
@@ -218,13 +210,17 @@ def _partition_for(estimate: GridEstimate, attr_i: int, attr_j: int,
     )
 
 
+def _validate_tolerance(tolerance: float) -> None:
+    if not tolerance >= 0.0:  # also rejects NaN
+        raise EstimationError(f"tolerance must be >= 0, got {tolerance}")
+
+
 def _validate_fit_inputs(related: Sequence[GridEstimate], di: int, dj: int,
-                         n: int, prior: Optional[np.ndarray]) -> Optional[
-                             np.ndarray]:
+                         tolerance: float, prior: Optional[np.ndarray]
+                         ) -> Optional[np.ndarray]:
     if not related:
         raise EstimationError("need at least one related grid estimate")
-    if n < 1:
-        raise EstimationError(f"n must be >= 1, got {n}")
+    _validate_tolerance(tolerance)
     if prior is not None:
         prior = np.asarray(prior, dtype=np.float64)
         if prior.shape != (di, dj):
@@ -261,7 +257,7 @@ def _trivial_fast_path(related: Sequence[GridEstimate], attr_i: int,
 
 
 def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
-                        attr_j: int, di: int, dj: int, n: int,
+                        attr_j: int, di: int, dj: int, tolerance: float,
                         max_iters: int = 100,
                         prior: np.ndarray = None
                         ) -> Tuple[np.ndarray, IPFDiagnostics]:
@@ -276,8 +272,10 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
         Schema indices of the pair (``M``'s rows are ``a_i`` values).
     di, dj:
         The attributes' domain sizes.
-    n:
-        Population size; the convergence threshold is ``1/n``.
+    tolerance:
+        τ ≥ 0: the fit stops after the first sweep whose movement (L1 norm
+        of the net change to ``M``) is below τ — see :func:`stop_tolerance`.
+        ``0`` runs to ``max_iters``.
     max_iters:
         Backstop on the number of full sweeps.
     prior:
@@ -289,82 +287,47 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
     Returns
     -------
     The fitted matrix plus the sweep's :class:`IPFDiagnostics`. A
-    :class:`~repro.errors.ConvergenceWarning` is emitted when the fit hits
-    ``max_iters`` without meeting the ``1/n`` threshold.
+    :class:`~repro.errors.ConvergenceWarning` is emitted when the matrix
+    still moves by τ or more at ``max_iters``.
     """
-    prior = _validate_fit_inputs(related, di, dj, n, prior)
-    threshold = 1.0 / n
+    prior = _validate_fit_inputs(related, di, dj, tolerance, prior)
 
     fast = _trivial_fast_path(related, attr_i, attr_j)
     if fast is not None:
         return fast, IPFDiagnostics(sweeps=0, converged=True,
-                                    final_change=0.0, threshold=threshold)
+                                    final_change=0.0, threshold=tolerance,
+                                    residual=0.0)
 
     partitions = [_partition_for(estimate, attr_i, attr_j, di, dj)
                   for estimate in related]
     m = _initial_matrix(di, dj, prior)
-    change = float("inf")
+    before = np.empty_like(m)
+    movement = residual = float("inf")
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
-        change = 0.0
+        np.copyto(before, m)
+        residual = 0.0
         for partition in partitions:
-            change += partition.apply(m)
-        if change < threshold:
+            residual += partition.apply(m)
+        # before := |m - before|, in place: the sweep's net movement.
+        movement = float(np.abs(np.subtract(m, before, out=before),
+                                out=before).sum())
+        if movement < tolerance:
             break
-    diag = IPFDiagnostics(sweeps=sweeps, converged=change < threshold,
-                          final_change=change, threshold=threshold)
+    diag = IPFDiagnostics(sweeps=sweeps, converged=movement < tolerance,
+                          final_change=movement, threshold=tolerance,
+                          residual=residual)
     _warn_non_convergence(
         f"response matrix for pair ({attr_i}, {attr_j})", diag)
     return m, diag
 
 
 def build_response_matrix(related: Sequence[GridEstimate], attr_i: int,
-                          attr_j: int, di: int, dj: int, n: int,
+                          attr_j: int, di: int, dj: int, tolerance: float,
                           max_iters: int = 100,
                           prior: np.ndarray = None) -> np.ndarray:
     """Matrix-only convenience over :func:`fit_response_matrix`."""
-    matrix, _ = fit_response_matrix(related, attr_i, attr_j, di, dj, n,
-                                    max_iters=max_iters, prior=prior)
+    matrix, _ = fit_response_matrix(related, attr_i, attr_j, di, dj,
+                                    tolerance, max_iters=max_iters,
+                                    prior=prior)
     return matrix
-
-
-def build_response_matrix_reference(related: Sequence[GridEstimate],
-                                    attr_i: int, attr_j: int, di: int,
-                                    dj: int, n: int, max_iters: int = 100,
-                                    prior: np.ndarray = None) -> np.ndarray:
-    """Sequential per-constraint reference implementation of Algorithm 3.
-
-    Retained verbatim for property tests: the vectorized fused sweep of
-    :func:`fit_response_matrix` must reproduce this loop to float
-    round-off, because each related grid's constraints cover disjoint
-    blocks (see the module docstring).
-    """
-    prior = _validate_fit_inputs(related, di, dj, n, prior)
-    fast = _trivial_fast_path(related, attr_i, attr_j)
-    if fast is not None:
-        return fast
-
-    constraints: List[_Constraint] = []
-    for estimate in related:
-        constraints.extend(
-            _constraints_for(estimate, attr_i, attr_j, di, dj))
-
-    m = _initial_matrix(di, dj, prior)
-    threshold = 1.0 / n
-    for _ in range(max_iters):
-        change = 0.0
-        for row_lo, row_hi, col_lo, col_hi, target in constraints:
-            block = m[row_lo:row_hi, col_lo:col_hi]
-            total = block.sum()
-            if total <= 0.0:
-                if target > 0.0:
-                    per_value = target / block.size
-                    change += target
-                    block[:] = per_value
-                continue
-            scale = target / total
-            change += abs(target - total)
-            block *= scale
-        if change < threshold:
-            break
-    return m

@@ -6,18 +6,25 @@ protocol), the IPF convergence diagnostics, and the decoded-value cache
 used by mean estimation.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core.felip import Felip
-from repro.data import Dataset
+from repro.data import Dataset, normal_dataset
 from repro.errors import (
     ConvergenceWarning,
     EstimationError,
     NotFittedError,
     QueryError,
 )
-from repro.estimation import SummedAreaTable, pair_answers_tables
+from repro.estimation import (
+    STOP_KAPPA,
+    SummedAreaTable,
+    pair_answers_tables,
+)
 from repro.fo.registry import pinnable_protocol_names
 from repro.queries.predicate import between, isin
 from repro.queries.query import Query
@@ -197,7 +204,6 @@ class TestMaterialize:
 
 
 class TestBatchedWorkload:
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     @pytest.mark.parametrize("protocol", sorted(pinnable_protocol_names()))
     def test_batched_matches_loop(self, engine_dataset, protocol):
         model = Felip.ohg(engine_dataset.schema, epsilon=2.0,
@@ -205,13 +211,11 @@ class TestBatchedWorkload:
         assert_all_paths_equal(model.aggregator,
                                _mixed_workload(engine_dataset.schema))
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_batched_matches_loop_materialized(self, fitted):
         fitted.materialize()
         assert_all_paths_equal(fitted.aggregator,
                                _mixed_workload(fitted.schema, seed=21))
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_validate_for_runs_once_per_query(self, engine_dataset,
                                               monkeypatch):
         model = Felip.ohg(engine_dataset.schema, epsilon=2.0,
@@ -227,7 +231,6 @@ class TestBatchedWorkload:
         assert len(validated) == len(queries)
         assert {id(q) for q in validated} == {id(q) for q in queries}
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_materialize_does_not_change_answers(self, engine_dataset):
         plain = Felip.ohg(engine_dataset.schema, epsilon=2.0).fit(
             engine_dataset, rng=17)
@@ -274,9 +277,38 @@ class TestFitDiagnostics:
         fitted.aggregator.response_matrix(0, 1)
         diag = fitted.fit_diagnostics()["response_matrices"][(0, 1)]
         assert set(diag) == {"sweeps", "converged", "final_change",
-                             "threshold"}
+                             "threshold", "residual"}
         assert diag["sweeps"] >= 1
-        assert diag["threshold"] == pytest.approx(1.0 / 3_000)
+        # τ = κ·σ_min over the variance model's per-cell variances.
+        variances = fitted.aggregator._cell_variances().values()
+        assert diag["threshold"] == pytest.approx(
+            STOP_KAPPA * math.sqrt(min(variances)))
+        assert diag["converged"]
+        assert diag["final_change"] < diag["threshold"]
+        assert diag["residual"] > 0.0
+
+    def test_default_fit_converges_without_warnings(self):
+        """Fit + materialize + a λ=3 workload on the answer-throughput
+        benchmark's 60k-user dataset: every pair and query stops on
+        movement, and no ConvergenceWarning fires."""
+        dataset = normal_dataset(60_000, num_numerical=4,
+                                 num_categorical=2, numerical_domain=64,
+                                 categorical_domain=8, rng=2023)
+        queries = random_workload(
+            dataset.schema,
+            WorkloadSpec(num_queries=50, dimension=3, selectivity=0.4),
+            rng=103)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            model = Felip.ohg(dataset.schema, epsilon=1.0).fit(
+                dataset, rng=2024).materialize()
+            model.answer_workload(queries)
+        diagnostics = model.fit_diagnostics()
+        pairs = diagnostics["response_matrices"]
+        assert len(pairs) == 15
+        assert all(diag["converged"] for diag in pairs.values())
+        assert diagnostics["lambda_queries"]["queries"] == 50
+        assert diagnostics["lambda_queries"]["non_converged"] == 0
 
     def test_lambda_counters_accumulate(self, engine_dataset):
         model = Felip.ohg(engine_dataset.schema, epsilon=2.0).fit(
@@ -304,7 +336,6 @@ class TestFitDiagnostics:
         assert model.fit_diagnostics()["lambda_queries"][
             "non_converged"] >= 2
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_response_matrix_non_convergence_warns(self, engine_dataset):
         model = Felip.ohg(engine_dataset.schema, epsilon=2.0,
                           response_matrix_max_iters=1).fit(

@@ -3,7 +3,9 @@
 Pins the invariants Algorithms 3 and 4 must satisfy for *any* valid
 input: response matrices reproduce their grid constraints, stay
 non-negative, and conserve mass; λ-D estimates respect the Fréchet bounds
-implied by their pairwise answers.
+implied by their pairwise answers; the fused kernels agree with the
+sequential references in ``tests/ipf_reference.py`` on both the result
+and the sweep at which they stop.
 """
 
 import numpy as np
@@ -14,15 +16,20 @@ from hypothesis import strategies as st
 from repro.estimation import (
     PairAnswers,
     build_response_matrix,
-    build_response_matrix_reference,
     canonical_pairs,
     estimate_lambda_query,
-    estimate_lambda_query_reference,
     fit_lambda_queries,
+    fit_lambda_query,
+    fit_response_matrix,
 )
 from repro.grids import Binning, Grid2D, GridEstimate
 from repro.grids.grid import Grid1D
 from repro.schema.attribute import numerical
+
+from tests.ipf_reference import (
+    build_response_matrix_reference,
+    estimate_lambda_query_reference,
+)
 
 
 def _random_grid_estimate(di, dj, lx, ly, frequencies):
@@ -44,7 +51,7 @@ class TestResponseMatrixProperties:
         rng = np.random.default_rng(random.randint(0, 2**31))
         freqs = rng.dirichlet(np.ones(lx * ly))
         est = _random_grid_estimate(di, dj, lx, ly, freqs)
-        m = build_response_matrix([est], 0, 1, di, dj, n=1_000_000,
+        m = build_response_matrix([est], 0, 1, di, dj, tolerance=1e-9,
                                   max_iters=300)
         matrix = est.matrix()
         for cx in range(lx):
@@ -61,7 +68,7 @@ class TestResponseMatrixProperties:
         rng = np.random.default_rng(random.randint(0, 2**31))
         freqs = rng.dirichlet(np.ones(lx * ly))
         est = _random_grid_estimate(di, dj, lx, ly, freqs)
-        m = build_response_matrix([est], 0, 1, di, dj, n=100_000)
+        m = build_response_matrix([est], 0, 1, di, dj, tolerance=1e-6)
         assert (m >= -1e-12).all()
         assert m.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -88,8 +95,8 @@ class TestLambdaQueryProperties:
     def test_estimate_within_frechet_bounds(self, dimension, random):
         rng = np.random.default_rng(random.randint(0, 2**31))
         answers = _pair_answers_from_probs(rng, dimension)
-        estimate = estimate_lambda_query(answers, dimension, n=10**6,
-                                         max_iters=300)
+        estimate = estimate_lambda_query(answers, dimension,
+                                         tolerance=1e-6, max_iters=300)
         upper = min(a.pp for a in answers.values())
         assert -1e-9 <= estimate <= upper + 1e-6
 
@@ -104,20 +111,21 @@ class TestLambdaQueryProperties:
                 answers[(i, j)] = PairAnswers(
                     pp=prob * prob, pn=prob * (1 - prob),
                     np_=(1 - prob) * prob, nn=(1 - prob) ** 2)
-        estimate = estimate_lambda_query(answers, dimension, n=10**7,
-                                         max_iters=500)
+        estimate = estimate_lambda_query(answers, dimension,
+                                         tolerance=1e-7, max_iters=500)
         assert estimate == pytest.approx(prob ** dimension, abs=5e-3)
 
 
 class TestVectorizedMatchesReference:
-    """The fused kernels must reproduce the retained reference loops.
+    """The fused kernels must reproduce the reference loops.
 
     The vectorized Algorithm 3 sweep applies every constraint of one grid
     simultaneously; the reference applies them one by one. The two are
     equal (not just close) because one grid's cells partition the matrix —
     no entry is touched twice within a grid — so only float round-off of
     the block sums separates the paths. Same argument for the four sign
-    blocks of one pair in Algorithm 4.
+    blocks of one pair in Algorithm 4. Both stop on the same movement
+    rule, so they must also stop at the same sweep.
     """
 
     @given(grid_shapes, st.booleans(), st.booleans(),
@@ -137,25 +145,27 @@ class TestVectorizedMatchesReference:
                 grid=grid, frequencies=rng.dirichlet(np.ones(cells))))
         prior = (rng.dirichlet(np.ones(di * dj)).reshape(di, dj)
                  if with_prior else None)
-        vectorized = build_response_matrix(related, 0, 1, di, dj,
-                                           n=10_000, max_iters=60,
-                                           prior=prior)
-        reference = build_response_matrix_reference(related, 0, 1, di, dj,
-                                                    n=10_000, max_iters=60,
-                                                    prior=prior)
+        vectorized, diag = fit_response_matrix(
+            related, 0, 1, di, dj, tolerance=1e-6, max_iters=60,
+            prior=prior)
+        reference, sweeps = build_response_matrix_reference(
+            related, 0, 1, di, dj, tolerance=1e-6, max_iters=60,
+            prior=prior)
         np.testing.assert_allclose(vectorized, reference, rtol=0,
                                    atol=1e-12)
+        assert diag.sweeps == sweeps
 
     @given(st.integers(2, 6), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
     def test_lambda_estimate_matches_reference(self, dimension, random):
         rng = np.random.default_rng(random.randint(0, 2**31))
         answers = _pair_answers_from_probs(rng, dimension)
-        vectorized = estimate_lambda_query(answers, dimension, n=10**6,
-                                           max_iters=300)
-        reference = estimate_lambda_query_reference(answers, dimension,
-                                                    n=10**6, max_iters=300)
+        vectorized, diag = fit_lambda_query(answers, dimension,
+                                            tolerance=1e-6, max_iters=300)
+        reference, sweeps = estimate_lambda_query_reference(
+            answers, dimension, tolerance=1e-6, max_iters=300)
         assert abs(vectorized - reference) < 1e-12
+        assert diag.sweeps == sweeps
 
     @given(st.integers(2, 5), st.integers(1, 6),
            st.randoms(use_true_random=False))
@@ -170,10 +180,11 @@ class TestVectorizedMatchesReference:
             np.stack([answers[p].as_table() for p in pairs])
             for answers in answer_sets])
         estimates, sweeps, converged = fit_lambda_queries(
-            tables, dimension, n=10**6, max_iters=300)
+            tables, dimension, tolerance=1e-6, max_iters=300)
         assert estimates.shape == sweeps.shape == converged.shape == (
             batch,)
         for q, answers in enumerate(answer_sets):
-            reference = estimate_lambda_query_reference(
-                answers, dimension, n=10**6, max_iters=300)
+            reference, ref_sweeps = estimate_lambda_query_reference(
+                answers, dimension, tolerance=1e-6, max_iters=300)
             assert abs(estimates[q] - reference) < 1e-12
+            assert sweeps[q] == ref_sweeps

@@ -87,7 +87,7 @@ class TestEstimateLambdaQuery:
                 mass *= probs[t] if b else 1 - probs[t]
             joint[bits] = mass
         answers = _pairs_from_joint(joint)
-        estimate = estimate_lambda_query(answers, 3, n=10**6)
+        estimate = estimate_lambda_query(answers, 3, tolerance=1e-9)
         assert estimate == pytest.approx(0.5 * 0.4 * 0.3, abs=1e-4)
 
     def test_recovers_consistent_correlated_joint(self):
@@ -97,7 +97,7 @@ class TestEstimateLambdaQuery:
         rng = np.random.default_rng(1)
         joint = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
         answers = _pairs_from_joint(joint)
-        estimate = estimate_lambda_query(answers, 3, n=10**6,
+        estimate = estimate_lambda_query(answers, 3, tolerance=1e-9,
                                          max_iters=2000)
         # Pairwise info does not identify the 3-way joint exactly, but
         # the estimate must stay within the Frechet bounds implied by the
@@ -108,7 +108,7 @@ class TestEstimateLambdaQuery:
 
     def test_lambda_two_matches_pair_answer(self):
         answers = {(0, 1): PairAnswers(pp=0.2, pn=0.3, np_=0.1, nn=0.4)}
-        estimate = estimate_lambda_query(answers, 2, n=10**6)
+        estimate = estimate_lambda_query(answers, 2, tolerance=1e-9)
         assert estimate == pytest.approx(0.2, abs=1e-6)
 
     def test_high_dimension_runs(self):
@@ -118,7 +118,7 @@ class TestEstimateLambdaQuery:
         for i, j in itertools.combinations(range(8), 2):
             answers[(i, j)] = PairAnswers(pp=0.25, pn=0.25, np_=0.25,
                                           nn=0.25)
-        estimate = estimate_lambda_query(answers, 8, n=10**6)
+        estimate = estimate_lambda_query(answers, 8, tolerance=1e-9)
         assert estimate == pytest.approx(0.5 ** 8, abs=1e-4)
 
     def test_zero_pair_answer_forces_zero(self):
@@ -126,19 +126,20 @@ class TestEstimateLambdaQuery:
         # Degenerate all-zero tables: answer must be 0, not NaN.
         answers = {k: PairAnswers(pp=0.0, pn=0.0, np_=0.5, nn=0.5)
                    for k in answers}
-        estimate = estimate_lambda_query(answers, 3, n=1000)
+        estimate = estimate_lambda_query(answers, 3, tolerance=1e-9)
         assert estimate == pytest.approx(0.0, abs=1e-6)
 
     def test_missing_pair_rejected(self):
         answers = {(0, 1): PairAnswers(0.25, 0.25, 0.25, 0.25)}
         with pytest.raises(EstimationError):
-            estimate_lambda_query(answers, 3, n=100)
+            estimate_lambda_query(answers, 3, tolerance=1e-6)
 
     def test_dimension_below_two_rejected(self):
         with pytest.raises(EstimationError):
-            estimate_lambda_query({}, 1, n=100)
+            estimate_lambda_query({}, 1, tolerance=1e-6)
 
-    def test_invalid_n_rejected(self):
+    def test_invalid_tolerance_rejected(self):
         answers = {(0, 1): PairAnswers(0.25, 0.25, 0.25, 0.25)}
-        with pytest.raises(EstimationError):
-            estimate_lambda_query(answers, 2, n=0)
+        for tolerance in (-1e-6, float("nan")):
+            with pytest.raises(EstimationError):
+                estimate_lambda_query(answers, 2, tolerance=tolerance)

@@ -16,7 +16,6 @@ The load-bearing properties:
   whose size depends on the workload's shape, not its length.
 """
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -80,27 +79,23 @@ def assert_all_paths_equal(agg, queries):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("protocol", sorted(pinnable_protocol_names()))
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_all_paths_bit_identical_per_protocol(self, dataset,
                                                   mixed_workload, protocol):
         model = _fit(dataset, protocols=(protocol,))
         assert_all_paths_equal(model.aggregator, mixed_workload)
 
     @pytest.mark.parametrize("protocol", sorted(pinnable_protocol_names()))
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_all_paths_bit_identical_materialized(self, dataset,
                                                   mixed_workload, protocol):
         model = _fit(dataset, protocols=(protocol,)).materialize()
         assert_all_paths_equal(model.aggregator, mixed_workload)
 
     @pytest.mark.parametrize("strategy", ["oug", "ohg"])
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_bit_identical_after_materialize(self, dataset, mixed_workload,
                                              strategy):
         model = _fit(dataset, strategy=strategy).materialize()
         assert_all_paths_equal(model.aggregator, mixed_workload)
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_pruned_materialization_answers_unchanged(self, dataset,
                                                       mixed_workload):
         spec = WorkloadSpec.from_queries(mixed_workload, dataset.schema)
@@ -151,7 +146,6 @@ class TestAnswerPlanPurity:
             build_answer_plan(dataset.schema, [bad],
                               FelipConfig(epsilon=1.0))
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_ohg_numerical_singles_use_1d_grid(self, dataset, monkeypatch):
         """OHG answers a numerical single from its 1-D grid; OUG, which
         has none, from the attribute's marginal — chosen at run time."""
@@ -169,7 +163,6 @@ class TestAnswerPlanPurity:
             agg.answer(query)
         assert used == ["oug"]
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_range_pairs_prefer_sat_when_materialized(self, dataset,
                                                       monkeypatch):
         queries = random_workload(
@@ -267,14 +260,12 @@ class TestWorkloadSpec:
 
     def test_recorded_workload_roundtrip(self, dataset, mixed_workload):
         model = _fit(dataset, record_workload=True)
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with np.errstate(all="ignore"):
             model.answer_workload(mixed_workload)
         spec = model.recorded_workload()
         direct = WorkloadSpec.from_queries(mixed_workload, dataset.schema)
         assert spec == direct
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_recording_is_bounded_by_workload_shape(self, dataset):
         pool = []
         for dim in (1, 2):

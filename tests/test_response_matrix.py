@@ -27,7 +27,7 @@ class TestCatCatFastPath:
         a, b = categorical("a", 2), categorical("b", 3)
         freqs = np.array([0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
         est = _grid2d((a, b), (0, 1), (2, 3), freqs)
-        m = build_response_matrix([est], 0, 1, 2, 3, n=1000)
+        m = build_response_matrix([est], 0, 1, 2, 3, tolerance=1e-9)
         np.testing.assert_allclose(m, freqs.reshape(2, 3))
 
     def test_transposed_orientation(self):
@@ -36,7 +36,7 @@ class TestCatCatFastPath:
         # Grid stored with attributes (1, 0): matrix must come back
         # transposed into (0, 1) orientation.
         est = _grid2d((b, a), (1, 0), (3, 2), freqs)
-        m = build_response_matrix([est], 0, 1, 2, 3, n=1000)
+        m = build_response_matrix([est], 0, 1, 2, 3, tolerance=1e-9)
         np.testing.assert_allclose(m, freqs.reshape(3, 2).T)
 
 
@@ -46,7 +46,7 @@ class TestIterativeFit:
         rng = np.random.default_rng(0)
         cell_freqs = rng.dirichlet(np.ones(16))
         est = _grid2d((x, y), (0, 1), (4, 4), cell_freqs)
-        m = build_response_matrix([est], 0, 1, 8, 8, n=100_000)
+        m = build_response_matrix([est], 0, 1, 8, 8, tolerance=1e-9)
         # Every grid cell's rectangle mass in M must match its frequency.
         matrix = est.matrix()
         for cx in range(4):
@@ -60,7 +60,7 @@ class TestIterativeFit:
         x, y = numerical("x", 4), numerical("y", 4)
         est = _grid2d((x, y), (0, 1), (2, 2),
                       [0.4, 0.1, 0.2, 0.3])
-        m = build_response_matrix([est], 0, 1, 4, 4, n=10_000)
+        m = build_response_matrix([est], 0, 1, 4, 4, tolerance=1e-9)
         # Within the top-left 2x2 cell, mass is spread uniformly.
         block = m[:2, :2]
         np.testing.assert_allclose(block, 0.1 * np.ones((2, 2)),
@@ -73,7 +73,8 @@ class TestIterativeFit:
         # The 1-D grid of x is finer and says all x-mass is at codes 0, 2:
         # the matrix must concentrate rows 0 and 2.
         fine_x = _grid1d(0, x, 4, [0.5, 0.0, 0.5, 0.0])
-        m = build_response_matrix([pair, fine_x], 0, 1, 4, 4, n=100_000)
+        m = build_response_matrix([pair, fine_x], 0, 1, 4, 4,
+                                  tolerance=1e-9)
         np.testing.assert_allclose(m.sum(axis=1),
                                    [0.5, 0.0, 0.5, 0.0], atol=1e-3)
         # And the 2-D cell masses still hold.
@@ -86,7 +87,8 @@ class TestIterativeFit:
                        rng.dirichlet(np.ones(15)))
         gx = _grid1d(0, x, 4, rng.dirichlet(np.ones(4)))
         gy = _grid1d(1, y, 3, rng.dirichlet(np.ones(3)))
-        m = build_response_matrix([pair, gx, gy], 0, 1, 10, 6, n=10_000)
+        m = build_response_matrix([pair, gx, gy], 0, 1, 10, 6,
+                                  tolerance=1e-9)
         assert m.sum() == pytest.approx(1.0, abs=1e-3)
         assert (m >= -1e-12).all()
 
@@ -96,7 +98,7 @@ class TestIterativeFit:
         rng = np.random.default_rng(2)
         pair = _grid2d((c, y), (0, 1), (3, 3), rng.dirichlet(np.ones(9)))
         gy = _grid1d(1, y, 9, rng.dirichlet(np.ones(9)))
-        m = build_response_matrix([pair, gy], 0, 1, 3, 9, n=10_000)
+        m = build_response_matrix([pair, gy], 0, 1, 3, 9, tolerance=1e-9)
         np.testing.assert_allclose(m.sum(axis=0), gy.frequencies,
                                    atol=1e-3)
 
@@ -106,7 +108,7 @@ class TestIterativeFit:
         # constraint must be able to repopulate it.
         pair = _grid2d((x, y), (0, 1), (2, 2), [0.0, 0.0, 0.5, 0.5])
         gx = _grid1d(0, x, 2, [0.5, 0.5])
-        m = build_response_matrix([pair, gx], 0, 1, 4, 4, n=1000,
+        m = build_response_matrix([pair, gx], 0, 1, 4, 4, tolerance=1e-9,
                                   max_iters=200)
         assert np.isfinite(m).all()
 
@@ -114,17 +116,20 @@ class TestIterativeFit:
 class TestValidation:
     def test_empty_related_rejected(self):
         with pytest.raises(EstimationError):
-            build_response_matrix([], 0, 1, 4, 4, n=100)
+            build_response_matrix([], 0, 1, 4, 4, tolerance=1e-9)
 
     def test_unrelated_grid_rejected(self):
         x, y, z = (numerical(n, 4) for n in "xyz")
         other = _grid1d(2, z, 4, [0.25] * 4)
         pair = _grid2d((x, y), (0, 1), (2, 2), [0.25] * 4)
         with pytest.raises(EstimationError):
-            build_response_matrix([pair, other], 0, 1, 4, 4, n=100)
+            build_response_matrix([pair, other], 0, 1, 4, 4,
+                                  tolerance=1e-9)
 
-    def test_invalid_n(self):
+    def test_invalid_tolerance(self):
         x, y = numerical("x", 4), numerical("y", 4)
         pair = _grid2d((x, y), (0, 1), (2, 2), [0.25] * 4)
-        with pytest.raises(EstimationError):
-            build_response_matrix([pair], 0, 1, 4, 4, n=0)
+        for tolerance in (-1e-6, float("nan")):
+            with pytest.raises(EstimationError):
+                build_response_matrix([pair], 0, 1, 4, 4,
+                                      tolerance=tolerance)
