@@ -4,7 +4,7 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test test-nojit test-faults test-service lint \
-	bench-kernels bench-pipeline bench-answers bench-figures \
+	bench-kernels bench-check bench-pipeline bench-answers bench-figures \
 	bench-service bench-selftest
 
 # Tier-1: the gate every PR must keep green. Includes the fault and
@@ -43,6 +43,15 @@ bench-kernels:
 	    --benchmark-json=.bench_raw.json
 	$(PY) benchmarks/record.py .bench_raw.json BENCH_kernels.json
 	@rm -f .bench_raw.json
+
+# Re-run the micro-primitive suite and compare it with BENCH_kernels.json
+# without rewriting it: lists rows whose mean is more than 25% above the
+# record's and rows missing on either side, and fails if there are any.
+bench-check:
+	$(PY) -m pytest benchmarks/test_micro_primitives.py -m benchmarks -q \
+	    --benchmark-json=.bench_raw.json
+	$(PY) benchmarks/record.py --check .bench_raw.json BENCH_kernels.json; \
+	    status=$$?; rm -f .bench_raw.json; exit $$status
 
 # Collection-pipeline throughput at n=10^6: serial reference vs the
 # sharded executor. Writes BENCH_pipeline.json for PR-over-PR diffing.

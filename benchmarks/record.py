@@ -3,6 +3,7 @@
 Usage::
 
     python benchmarks/record.py RAW_JSON OUT_JSON
+    python benchmarks/record.py --check RAW_JSON RECORD_JSON
 
 ``RAW_JSON`` is the file produced by ``pytest --benchmark-json=...``; the
 output keeps only the stable per-benchmark statistics (seconds and ops/s)
@@ -18,6 +19,11 @@ suite disappears from the record instead of living on under a fresh
 header. Other top-level sections of an existing ``OUT_JSON`` — written
 directly by the benchmark tests themselves, e.g. the ``workload_plan``
 rows in ``BENCH_answers.json`` — survive the recording step.
+
+``--check`` writes nothing. It compares each row's ``mean_s`` in
+``RAW_JSON`` with the committed ``RECORD_JSON``, lists the rows more than
+:data:`CHECK_TOLERANCE` slower and the rows missing on either side, and
+exits 1 if there are any.
 """
 
 from __future__ import annotations
@@ -26,9 +32,13 @@ import json
 import os
 import subprocess
 import sys
-from typing import Optional
+from typing import List, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: a row whose mean is more than this fraction above the record's has
+#: regressed (the timing bound BENCHMARK.json gives its metrics)
+CHECK_TOLERANCE = 0.25
 
 
 def git_commit(cwd: str = ROOT) -> Optional[str]:
@@ -85,7 +95,38 @@ def merge(existing: dict, fresh: dict) -> dict:
     return {**existing, **fresh}
 
 
+def check(raw: dict, record: dict) -> List[str]:
+    """One line per row of ``raw`` slower than ``record`` beyond
+    :data:`CHECK_TOLERANCE`, and per row only one side has."""
+    fresh = compact(raw, None, 0)["benchmarks"]
+    recorded = record.get("benchmarks", {})
+    problems = []
+    for name in sorted(set(fresh) | set(recorded)):
+        if name not in recorded:
+            problems.append(f"{name}: not in the record")
+        elif name not in fresh:
+            problems.append(f"{name}: not in this run")
+        else:
+            now, then = fresh[name]["mean_s"], recorded[name]["mean_s"]
+            if now > then * (1.0 + CHECK_TOLERANCE):
+                problems.append(f"{name}: {now:.4g} s against {then:.4g} s "
+                                f"recorded (+{now / then - 1.0:.0%})")
+    return problems
+
+
 def main(argv) -> int:
+    if len(argv) == 4 and argv[1] == "--check":
+        with open(argv[2]) as fh:
+            raw = json.load(fh)
+        with open(argv[3]) as fh:
+            record = json.load(fh)
+        problems = check(raw, record)
+        for line in problems:
+            print(line)
+        rows = len(raw.get("benchmarks", []))
+        print(f"{len(problems)} problem(s) over {rows} rows against "
+              f"{argv[3]} (bound +{CHECK_TOLERANCE:.0%})")
+        return 1 if problems else 0
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2

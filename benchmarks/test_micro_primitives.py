@@ -79,10 +79,6 @@ def test_support_kernel_d64(benchmark):
     _bench_kernel(benchmark, _DOMAIN)
 
 
-def test_support_kernel_d1024(benchmark):
-    _bench_kernel(benchmark, _DOMAIN_LARGE)
-
-
 def test_hio_answer_throughput(benchmark):
     # End-to-end answer latency of the OLH-backed HIO baseline: interval
     # covers -> per-group tiled support counting. The memo cache is
@@ -127,10 +123,13 @@ def test_kernel_ue_accumulate(benchmark, backend, values):
             uniforms, vals, true_uniforms, 0.6, 0.25))
 
 
+# ε=1 gives g=4 (the power-of-two mask compare), ε=4 gives g=56 (the
+# divisibility compare on the AVX-512 sweep, `s % g` on the scalar one).
 @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
-def test_kernel_support_counts_d1024(benchmark, backend):
+@pytest.mark.parametrize("epsilon", [1.0, 4.0], ids=["eps1", "eps4"])
+def test_kernel_support_counts_d1024(benchmark, epsilon, backend):
     rng = np.random.default_rng(11)
-    oracle = OptimizedLocalHashing(1.0, _DOMAIN_LARGE)
+    oracle = OptimizedLocalHashing(epsilon, _DOMAIN_LARGE)
     mixed = mix_seeds(random_seeds(_N, rng))
     buckets = rng.integers(0, oracle.g, size=_N).astype(np.uint64)
     candidates = np.arange(_DOMAIN_LARGE, dtype=np.uint64)

@@ -10,7 +10,8 @@ backend   provided by
 ========  =====================================================
 cc        :mod:`c_impl` — C source compiled at first use with the
           host toolchain (``cc``/``gcc``/``clang``), cached as a
-          shared library, loaded via ctypes
+          shared library, loaded via ctypes; its support sweep runs
+          on AVX-512 when the CPU has it (:func:`backend_report`)
 numpy     :mod:`numpy_impl` — always present, always last
 ========  =====================================================
 
@@ -153,15 +154,24 @@ def active_backends() -> Dict[str, str]:
 
 
 def backend_report() -> Dict[str, object]:
-    """Diagnostic snapshot: active selection, recorded failures, env."""
+    """Diagnostic snapshot: active selection, recorded failures, env.
+
+    When the ``cc`` library serves ``support_counts``, ``"support_sweep"``
+    names the sweep it chose at load from the CPU: ``"avx512"`` or
+    ``"scalar"``. The key is absent when numpy serves.
+    """
     with _lock:
         errors = dict(_errors)
-    return {
-        "active": active_backends(),
+    active = active_backends()
+    report = {
+        "active": active,
         "errors": errors,
         "override": _override,
         "no_jit": _no_jit(),
     }
+    if active["support_counts"] == "cc":
+        report["support_sweep"] = c_impl.support_path()
+    return report
 
 
 @contextlib.contextmanager
@@ -343,10 +353,15 @@ def support_counts(mixed_seeds, buckets, hash_range, candidates,
                    tile_bytes=DEFAULT_TILE_BYTES):
     """OLH-family support counting: for each candidate row, how many
     users' hash chains land in their reported bucket. Mirrors
-    :func:`repro.fo.hashing.tiled_support_counts` validation."""
+    :func:`repro.fo.hashing.tiled_support_counts` validation.
+
+    Buckets are not range-checked here (``OLHReport`` does that at
+    construction): a bucket outside ``[0, hash_range)`` supports no
+    candidate, on every backend and every sweep path."""
     hash_range = int(hash_range)
-    if hash_range < 1:
-        raise ProtocolError("support_counts: hash_range must be >= 1")
+    if not 1 <= hash_range < 2**64:
+        raise ProtocolError("support_counts: hash_range must be in "
+                            "[1, 2**64)")
     if int(tile_bytes) < 8:
         raise ProtocolError("support_counts: tile_bytes must be >= 8")
     mixed_seeds = _c(mixed_seeds, np.uint64)

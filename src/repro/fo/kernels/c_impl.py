@@ -9,8 +9,17 @@ including pool workers, just dlopens the cached ``.so``.
 
 Bit-identity with :mod:`repro.fo.kernels.numpy_impl` is a hard contract:
 
-* Integer kernels perform the identical modular arithmetic (the splitmix64
-  chain is the same three multiply-xor-shift rounds numpy evaluates).
+* Integer kernels compute the same integers: the splitmix64 chain is the
+  same three multiply-xor-shift rounds numpy evaluates.
+* The support sweep has two entry points in the one library, and the CPU
+  probe picks one per load (:func:`support_path`). The scalar loop takes
+  ``s % g`` as numpy does. The AVX-512 loop (x86-64 builds, run only when
+  the CPU has AVX-512F and AVX-512DQ) rests on an identity instead: for
+  ``b < g``, ``s % g == b`` exactly when ``s >= b`` and ``g`` divides
+  ``s - b``, and divisibility by ``g = d0 * 2**k`` (``d0`` odd) is one
+  multiply by ``d0``'s inverse mod 2**64, a rotate and a compare. It is
+  exact integer arithmetic, and buckets ``>= g`` are masked out, so both
+  paths count what numpy counts.
 * Floating-point kernels accumulate in the exact order numpy's axis-0
   reduce does (first row initializes, later rows add sequentially), and
   the library is compiled with ``-ffp-contract=off`` and *without*
@@ -188,6 +197,137 @@ void repro_fold_f64(const double **arrs, int64_t k, int64_t m,
         for (int64_t j = 0; j < m; j++) out[j] += src[j];
     }
 }
+
+int repro_has_avx512(void) {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f")
+        && __builtin_cpu_supports("avx512dq");
+#else
+    return 0;
+#endif
+}
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+/* The support sweep on AVX-512: 8 users per vector, REPRO_SC_WIDTH
+   candidates per loaded user vector (independent multiply chains hide
+   vpmullq's latency), users in REPRO_SC_TILE tiles so the seeds and
+   buckets stay cache-resident across all candidates. Counts equal
+   repro_support_counts' on every input:
+   - g = 2^k: s % g == b  <=>  (s & (g-1)) == b, no lane mask needed
+     (a bucket b >= g never equals a masked value);
+   - g = d0*2^k, d0 odd, b < g: s % g == b  <=>  s >= b and g | s-b, and
+     g | x  <=>  ror(x * d0^-1 mod 2^64, k) <= (2^64-1)/g;
+   - a bucket b >= g would pass that test whenever s >= b and s == b
+     (mod g), so those lanes are masked out. */
+#define REPRO_SC_WIDTH 4
+#define REPRO_SC_TILE 2048
+#define REPRO_AVX512 __attribute__((target("avx512f,avx512dq")))
+
+REPRO_AVX512 static inline __m512i repro_sm64_x8(__m512i x) {
+    const __m512i golden = _mm512_set1_epi64((long long)0x9E3779B97F4A7C15ULL);
+    const __m512i mix1 = _mm512_set1_epi64((long long)0xBF58476D1CE4E5B9ULL);
+    const __m512i mix2 = _mm512_set1_epi64((long long)0x94D049BB133111EBULL);
+    x = _mm512_add_epi64(x, golden);
+    x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64(x, 30)),
+                           mix1);
+    x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64(x, 27)),
+                           mix2);
+    return _mm512_xor_si512(x, _mm512_srli_epi64(x, 31));
+}
+
+/* out[c] += support of candidate c (c < w) among users [lo, hi). */
+REPRO_AVX512 __attribute__((always_inline))
+static inline void repro_sc_block(const uint64_t *mixed,
+                                  const uint64_t *buckets, int64_t lo,
+                                  int64_t hi, const uint64_t *cand, int w,
+                                  int64_t components, int pow2, __m512i g,
+                                  __m512i inv, __m512i rot, __m512i limit,
+                                  int64_t *out) {
+    const __m512i one = _mm512_set1_epi64(1);
+    const __m512i mask = _mm512_sub_epi64(g, one);
+    __m512i acc[REPRO_SC_WIDTH];
+    for (int c = 0; c < w; c++) acc[c] = _mm512_setzero_si512();
+    for (int64_t i = lo; i < hi; i += 8) {
+        __mmask8 lanes = hi - i >= 8 ? 0xFF
+                                     : (__mmask8)((1u << (hi - i)) - 1);
+        __m512i m = _mm512_maskz_loadu_epi64(lanes, mixed + i);
+        __m512i b = _mm512_maskz_loadu_epi64(lanes, buckets + i);
+        __mmask8 valid = _mm512_mask_cmplt_epu64_mask(lanes, b, g);
+        __m512i s[REPRO_SC_WIDTH];
+        for (int c = 0; c < w; c++) s[c] = m;
+        for (int64_t j = 0; j < components; j++)
+            for (int c = 0; c < w; c++)
+                s[c] = repro_sm64_x8(_mm512_xor_si512(
+                    s[c], _mm512_set1_epi64(
+                              (long long)cand[c * components + j])));
+        for (int c = 0; c < w; c++) {
+            __mmask8 hit;
+            if (pow2) {
+                hit = _mm512_mask_cmpeq_epu64_mask(
+                    lanes, _mm512_and_si512(s[c], mask), b);
+            } else {
+                __mmask8 ge = _mm512_mask_cmpge_epu64_mask(valid, s[c], b);
+                __m512i q = _mm512_rorv_epi64(
+                    _mm512_mullo_epi64(_mm512_sub_epi64(s[c], b), inv), rot);
+                hit = _mm512_mask_cmple_epu64_mask(ge, q, limit);
+            }
+            acc[c] = _mm512_mask_add_epi64(acc[c], hit, acc[c], one);
+        }
+    }
+    for (int c = 0; c < w; c++) {
+        int64_t part[8];
+        _mm512_storeu_si512((void *)part, acc[c]);
+        for (int l = 0; l < 8; l++) out[c] += part[l];
+    }
+}
+
+REPRO_AVX512 __attribute__((always_inline))
+static inline void repro_sc_tile(const uint64_t *mixed,
+                                 const uint64_t *buckets, int64_t lo,
+                                 int64_t hi, const uint64_t *cand,
+                                 int64_t num_candidates, int64_t components,
+                                 int pow2, __m512i g, __m512i inv,
+                                 __m512i rot, __m512i limit, int64_t *out) {
+    int64_t t = 0;
+    for (; t + REPRO_SC_WIDTH <= num_candidates; t += REPRO_SC_WIDTH)
+        repro_sc_block(mixed, buckets, lo, hi, cand + t * components,
+                       REPRO_SC_WIDTH, components, pow2, g, inv, rot, limit,
+                       out + t);
+    if (t < num_candidates)
+        repro_sc_block(mixed, buckets, lo, hi, cand + t * components,
+                       (int)(num_candidates - t), components, pow2, g, inv,
+                       rot, limit, out + t);
+}
+
+REPRO_AVX512
+void repro_support_counts_avx512(const uint64_t *mixed,
+                                 const uint64_t *buckets, uint64_t g,
+                                 int64_t pow2, const uint64_t *cand,
+                                 int64_t num_candidates, int64_t components,
+                                 int64_t n, int64_t *out) {
+    int k = __builtin_ctzll(g);
+    uint64_t d0 = g >> k;
+    uint64_t inv = d0;  /* Newton: 3 correct low bits, doubling per step */
+    for (int r = 0; r < 5; r++) inv *= 2 - d0 * inv;
+    __m512i gv = _mm512_set1_epi64((long long)g);
+    __m512i invv = _mm512_set1_epi64((long long)inv);
+    __m512i rot = _mm512_set1_epi64(k);
+    __m512i limit = _mm512_set1_epi64((long long)(UINT64_MAX / g));
+    for (int64_t t = 0; t < num_candidates; t++) out[t] = 0;
+    for (int64_t lo = 0; lo < n; lo += REPRO_SC_TILE) {
+        int64_t hi = n - lo > REPRO_SC_TILE ? lo + REPRO_SC_TILE : n;
+        if (pow2)
+            repro_sc_tile(mixed, buckets, lo, hi, cand, num_candidates,
+                          components, 1, gv, invv, rot, limit, out);
+        else
+            repro_sc_tile(mixed, buckets, lo, hi, cand, num_candidates,
+                          components, 0, gv, invv, rot, limit, out);
+    }
+}
+#endif
 """
 
 #: no FMA contraction, no fast-math: float adds must round exactly like
@@ -196,9 +336,15 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
 _SOURCE_TAG = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
 
+#: the support sweep's entry point per path; the loaded library serves
+#: ``"avx512"`` when the CPU has AVX-512F and AVX-512DQ, else ``"scalar"``
+_SWEEPS = {"scalar": "repro_support_counts",
+           "avx512": "repro_support_counts_avx512"}
+
 _lock = threading.RLock()
 _lib: Optional[ctypes.CDLL] = None
 _load_error: Optional[str] = None
+_sweep_path: Optional[str] = None
 
 
 def _cache_dir() -> str:
@@ -258,6 +404,8 @@ def _compile() -> str:
 def _bind(lib: ctypes.CDLL) -> None:
     c_double, c_int64, c_void_p = (ctypes.c_double, ctypes.c_int64,
                                    ctypes.c_void_p)
+    sweep = (c_void_p, c_void_p, ctypes.c_uint64, c_int64, c_void_p,
+             c_int64, c_int64, c_int64, c_void_p)
     signatures = {
         "repro_grr_apply": (c_void_p, c_void_p, c_void_p, c_double,
                             c_int64, c_void_p),
@@ -267,9 +415,7 @@ def _bind(lib: ctypes.CDLL) -> None:
                                     c_void_p),
         "repro_he_threshold_accumulate": (c_void_p, c_void_p, c_double,
                                           c_int64, c_int64, c_void_p),
-        "repro_support_counts": (c_void_p, c_void_p, ctypes.c_uint64,
-                                 c_int64, c_void_p, c_int64, c_int64,
-                                 c_int64, c_void_p),
+        "repro_support_counts": sweep,
         "repro_hr_apply": (c_void_p, c_void_p, c_void_p, c_double, c_int64,
                            c_void_p),
         "repro_hr_supports": (c_void_p, c_void_p, c_int64, c_int64,
@@ -280,14 +426,23 @@ def _bind(lib: ctypes.CDLL) -> None:
         "repro_fold_i64": (c_void_p, c_int64, c_int64, c_void_p),
         "repro_fold_f64": (c_void_p, c_int64, c_int64, c_void_p),
     }
+    if hasattr(lib, _SWEEPS["avx512"]):  # x86-64 builds only
+        signatures[_SWEEPS["avx512"]] = sweep
     for name, argtypes in signatures.items():
         fn = getattr(lib, name)
         fn.argtypes = list(argtypes)
         fn.restype = None
 
 
+def _cpu_has_avx512(lib: ctypes.CDLL) -> bool:
+    """The CPU probe: does this host run AVX-512F and AVX-512DQ code?"""
+    lib.repro_has_avx512.argtypes = []
+    lib.repro_has_avx512.restype = ctypes.c_int
+    return bool(lib.repro_has_avx512())
+
+
 def _load() -> ctypes.CDLL:
-    global _lib, _load_error
+    global _lib, _load_error, _sweep_path
     with _lock:
         if _lib is not None:
             return _lib
@@ -299,6 +454,7 @@ def _load() -> ctypes.CDLL:
                 path = _compile()
             lib = ctypes.CDLL(path)
             _bind(lib)
+            vector_sweep = _cpu_has_avx512(lib)
         except subprocess.CalledProcessError as exc:
             _load_error = (f"kernel compile failed "
                            f"({exc.returncode}): {exc.stderr!s:.500}")
@@ -306,16 +462,25 @@ def _load() -> ctypes.CDLL:
         except Exception as exc:
             _load_error = f"{type(exc).__name__}: {exc}"
             raise
+        _sweep_path = "avx512" if vector_sweep else "scalar"
         _lib = lib
         return lib
 
 
+def support_path() -> str:
+    """The support sweep the loaded library serves: ``"avx512"`` or
+    ``"scalar"``, chosen once per load from the CPU probe."""
+    _load()
+    return _sweep_path
+
+
 def reset_for_tests() -> None:
     """Forget the loaded library and any recorded failure (test hook)."""
-    global _lib, _load_error
+    global _lib, _load_error, _sweep_path
     with _lock:
         _lib = None
         _load_error = None
+        _sweep_path = None
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +527,19 @@ def he_threshold_accumulate(noisy, values, threshold):
 
 
 def support_counts(mixed_seeds, buckets, hash_range, candidates,
-                   tile_bytes):
-    # The fused per-(candidate, user) loop never materializes tile
+                   tile_bytes, path=None):
+    # The fused per-(candidate, user) loops never materialize tile
     # matrices, so tile_bytes (the numpy kernel's scratch cap) is moot.
+    # ``path`` names a sweep explicitly (tests); by default the one the
+    # CPU probe chose at load serves.
+    lib = _load()
+    sweep = getattr(lib, _SWEEPS[path or _sweep_path])
     num_candidates, components = candidates.shape
     out = np.empty(num_candidates, dtype=np.int64)
     pow2 = 1 if hash_range & (hash_range - 1) == 0 else 0
-    _load().repro_support_counts(_ptr(mixed_seeds), _ptr(buckets),
-                                 hash_range, pow2, _ptr(candidates),
-                                 num_candidates, components,
-                                 len(mixed_seeds), _ptr(out))
+    sweep(_ptr(mixed_seeds), _ptr(buckets), hash_range, pow2,
+          _ptr(candidates), num_candidates, components, len(mixed_seeds),
+          _ptr(out))
     return out
 
 

@@ -51,3 +51,32 @@ def test_header_names_commit_and_effective_cores(tmp_path):
         len(os.sched_getaffinity(0))
     commit = record["commit"]
     assert commit is None or len(commit.split("-")[0]) == 40
+
+
+def _check(tmp_path, raw, record):
+    raw_path, record_path = tmp_path / "raw.json", tmp_path / "record.json"
+    raw_path.write_text(json.dumps(raw))
+    record_path.write_text(json.dumps(record))
+    return main(["record.py", "--check", str(raw_path), str(record_path)])
+
+
+def test_check_flags_slow_and_missing_rows(tmp_path, capsys):
+    """0.5 s runs: within the 25% bound of 0.45 s, beyond it of 0.35 s;
+    one row only in the run, one only in the record."""
+    record = {"benchmarks": {"test_within": {"mean_s": 0.45},
+                             "test_beyond": {"mean_s": 0.35},
+                             "test_gone": {"mean_s": 0.5}}}
+    raw = _raw("test_within", "test_beyond", "test_new")
+    assert _check(tmp_path, raw, record) == 1
+    lines = capsys.readouterr().out.splitlines()
+    flagged = {line.split(":")[0] for line in lines[:-1]}
+    assert flagged == {"test_beyond", "test_gone", "test_new"}
+    assert "+43%" in next(line for line in lines
+                          if line.startswith("test_beyond"))
+
+
+def test_check_passes_rows_within_the_bound(tmp_path):
+    record = {"benchmarks": {"test_a": {"mean_s": 0.45},
+                             "test_b": {"mean_s": 0.9}}}
+    assert _check(tmp_path, _raw("test_a", "test_b"), record) == 0
+    assert json.loads((tmp_path / "record.json").read_text()) == record

@@ -29,7 +29,8 @@ from repro.core.client import collect_reports, collect_reports_serial
 from repro.errors import ProtocolError
 from repro.fo import kernels
 from repro.fo import registry
-from repro.fo.kernels import numpy_impl
+from repro.fo.hashing import splitmix64
+from repro.fo.kernels import c_impl, numpy_impl
 from repro.rng import ensure_rng
 
 from tests.test_parallel_pipeline import (
@@ -45,6 +46,9 @@ COMPILED = tuple(b for b in kernels.available_backends() if b != "numpy")
 
 needs_compiled = pytest.mark.skipif(
     not COMPILED, reason="no compiled kernel backend available")
+
+#: the C library's support sweep on this CPU ("avx512" or "scalar")
+SWEEP_PATH = c_impl.support_path() if "cc" in COMPILED else None
 
 
 @pytest.fixture(autouse=True)
@@ -77,6 +81,43 @@ def seeded_case(draw_seed, n, d):
     values = rng.integers(0, d, size=n).astype(np.int64)
     uniforms = rng.random(n)
     return rng, values, uniforms
+
+
+#: hash ranges for the support sweep: powers of two (the mask compare,
+#: g=4 at ε=1) and not (the divisibility compare, g=56 at ε=4), up to
+#: the uint64 extremes
+SUPPORT_HASH_RANGES = [1, 2, 4, 13, 16, 17, 56, 64, 101, 3 * 2**33,
+                       2**63 + 1, 2**64 - 1]
+
+#: one support-sweep input: n crosses the 8-lane and user-tile edges,
+#: candidate counts are often not a multiple of the interleave width
+support_inputs = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(0, 5000),
+    g=st.sampled_from(SUPPORT_HASH_RANGES), terms=st.integers(1, 21),
+    components=st.integers(1, 3), wide_buckets=st.booleans())
+
+
+def support_case(seed, n, g, terms, components, wide_buckets):
+    """Seeds, buckets and candidates where a third of the users report
+    candidate 0's true bucket, so every hash range sees hits. With
+    ``wide_buckets`` the rest report any uint64, and some report a bucket
+    b >= g with b <= s and b == s (mod g): a hit for ``s % g == b``
+    restated as divisibility, unless out-of-range buckets are excluded."""
+    rng = np.random.default_rng(seed)
+    mixed = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    high = 2**64 if wide_buckets else g
+    buckets = rng.integers(0, high, size=n, dtype=np.uint64)
+    cand = rng.integers(0, 2**64, size=(terms, components), dtype=np.uint64)
+    state = mixed
+    for component in cand[0]:
+        state = splitmix64(state ^ component)
+    truth = state % np.uint64(g)
+    pick = rng.integers(0, 3, size=n)
+    buckets[pick == 0] = truth[pick == 0]
+    if wide_buckets:
+        trap = (pick == 1) & (state - truth >= np.uint64(g))
+        buckets[trap] = truth[trap] + np.uint64(g)
+    return mixed, buckets, cand
 
 
 @needs_compiled
@@ -133,16 +174,12 @@ class TestKernelBitEquality:
                                                 threshold),
                 reference)
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
-           g=st.sampled_from([2, 13, 16, 17, 64, 101]),
-           terms=st.integers(1, 20), components=st.integers(1, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_support_counts(self, backend, seed, n, g, terms, components):
-        rng = np.random.default_rng(seed)
-        mixed = rng.integers(0, 2**64, size=n, dtype=np.uint64)
-        buckets = rng.integers(0, g, size=n).astype(np.uint64)
-        cand = rng.integers(0, 2**64, size=(terms, components),
-                            dtype=np.uint64)
+    @given(**support_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_support_counts(self, backend, seed, n, g, terms, components,
+                            wide_buckets):
+        mixed, buckets, cand = support_case(seed, n, g, terms, components,
+                                            wide_buckets)
         reference = numpy_impl.support_counts(mixed, buckets, g, cand,
                                               1 << 20)
         with kernels.use_backend(backend):
@@ -217,6 +254,63 @@ class TestKernelBitEquality:
         with kernels.use_backend(backend):
             bit_equal(kernels.fold_arrays(arrays),
                       numpy_impl.fold_arrays(arrays))
+
+
+# ---------------------------------------------------------------------------
+# The C library's two support sweeps: scalar loop and AVX-512 vectors
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def scalar_probe(monkeypatch):
+    """Reload the C library as on a CPU without AVX-512."""
+    monkeypatch.setattr(c_impl, "_cpu_has_avx512", lambda lib: False)
+    c_impl.reset_for_tests()
+    yield
+    monkeypatch.undo()
+    c_impl.reset_for_tests()
+
+
+@pytest.mark.skipif("cc" not in COMPILED, reason="no C toolchain")
+class TestSupportSweepPaths:
+    @pytest.mark.skipif(SWEEP_PATH != "avx512",
+                        reason="CPU lacks AVX-512F/AVX-512DQ")
+    @given(**support_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_and_vector_entry_points_agree(
+            self, seed, n, g, terms, components, wide_buckets):
+        mixed, buckets, cand = support_case(seed, n, g, terms, components,
+                                            wide_buckets)
+        reference = numpy_impl.support_counts(mixed, buckets, g, cand,
+                                              1 << 20)
+        for path in ("scalar", "avx512"):
+            bit_equal(c_impl.support_counts(mixed, buckets, g, cand, 0,
+                                            path=path),
+                      reference)
+
+    def test_probe_false_serves_scalar_loop(self, scalar_probe):
+        mixed, buckets, cand = support_case(5, 2_000, 56, 7, 2, True)
+        reference = numpy_impl.support_counts(mixed, buckets, 56, cand,
+                                              1 << 20)
+        with kernels.use_backend("cc"):
+            assert kernels.backend_report()["support_sweep"] == "scalar"
+            bit_equal(kernels.support_counts(mixed, buckets, 56, cand),
+                      reference)
+
+    @pytest.mark.parametrize("g", [4, 56])
+    def test_out_of_range_buckets_support_nothing(self, g):
+        """Only users with a bucket b >= g remain, about a third of them
+        ones the divisibility compare alone would count; no backend or
+        path counts any."""
+        mixed, buckets, cand = support_case(9, 5_000, g, 5, 1, True)
+        keep = buckets >= np.uint64(g)
+        mixed, buckets = mixed[keep], buckets[keep]
+        expected = np.zeros(len(cand), dtype=np.int64)
+        bit_equal(numpy_impl.support_counts(mixed, buckets, g, cand,
+                                            1 << 20), expected)
+        for path in dict.fromkeys(("scalar", SWEEP_PATH)):
+            bit_equal(c_impl.support_counts(mixed, buckets, g, cand, 0,
+                                            path=path), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +415,15 @@ class TestDispatch:
         assert out.stdout.strip() == "['numpy']"
 
     def test_backend_report_shape(self):
+        base = {"active", "errors", "override", "no_jit"}
         report = kernels.backend_report()
-        assert set(report) == {"active", "errors", "override", "no_jit"}
+        if report["active"]["support_counts"] == "cc":
+            assert set(report) == base | {"support_sweep"}
+            assert report["support_sweep"] in ("avx512", "scalar")
+        else:
+            assert set(report) == base
+        with kernels.use_backend("numpy"):
+            assert set(kernels.backend_report()) == base
 
     def test_registry_kernel_declarations_are_known(self):
         for spec in registry.all_specs():
@@ -359,10 +460,12 @@ class TestValidation:
                                  np.zeros(2), np.zeros(1), 0.2, 0.1, 4)
 
     def test_support_counts_rejects_bad_hash_range(self):
-        with pytest.raises(ProtocolError, match="hash_range"):
-            kernels.support_counts(np.zeros(2, np.uint64),
-                                   np.zeros(2, np.uint64), 0,
-                                   np.zeros(1, np.uint64))
+        # 2**64 would wrap to 0 in the C library's uint64 argument.
+        for hash_range in (0, 2**64):
+            with pytest.raises(ProtocolError, match="hash_range"):
+                kernels.support_counts(np.zeros(2, np.uint64),
+                                       np.zeros(2, np.uint64), hash_range,
+                                       np.zeros(1, np.uint64))
 
     def test_fold_arrays_rejects_empty_and_mismatched(self):
         with pytest.raises(ProtocolError, match="at least one"):
