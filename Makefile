@@ -45,8 +45,9 @@ bench-kernels:
 	@rm -f .bench_raw.json
 
 # Re-run the micro-primitive suite and compare it with BENCH_kernels.json
-# without rewriting it: lists rows whose mean is more than 25% above the
-# record's and rows missing on either side, and fails if there are any.
+# without rewriting it: lists rows whose fastest round is more than 25%
+# above the record's and rows missing on either side, and fails if there
+# are any.
 bench-check:
 	$(PY) -m pytest benchmarks/test_micro_primitives.py -m benchmarks -q \
 	    --benchmark-json=.bench_raw.json

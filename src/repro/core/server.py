@@ -509,13 +509,14 @@ class Aggregator:
     def execute_answer_plan(self, plan: AnswerPlan) -> np.ndarray:
         """Answer a compiled :class:`AnswerPlan`, in workload order.
 
-        Each node goes by λ to its primitive: 1-D sums
-        (:meth:`_answer_singles`), 2-D rectangle sums
-        (:meth:`_pair_values`) or the batched Algorithm 4 IPF
-        (:meth:`_answer_lambda`), which answers every λ ≥ 3 node of equal
-        λ in one call. The plan already validated and schema-ordered every
-        query's predicates. Answers are clipped to [0, 1]; time is
-        recorded under the ``answer`` stage.
+        Each λ ≤ 2 node goes to its primitive: 1-D sums
+        (:meth:`_answer_singles`) or 2-D rectangle sums
+        (:meth:`_pair_values`). The λ ≥ 3 nodes are answered together by
+        :meth:`_answer_lambdas`: one sign-table pass over the whole
+        batch, then one batched Algorithm 4 IPF per λ. The plan already
+        validated and schema-ordered every query's predicates. Answers
+        are clipped to [0, 1]; time is recorded under the ``answer``
+        stage.
         """
         self._require_fitted()
         if self.config.record_workload:
@@ -526,7 +527,7 @@ class Aggregator:
         if not plan.nodes:
             return out
         with self.timings.time("answer"):
-            by_lambda: Dict[int, List[AnswerNode]] = {}
+            high: List[AnswerNode] = []
             for node in plan.nodes:
                 key, batch = node.key, node.predicates
                 if len(key) == 1:
@@ -537,13 +538,12 @@ class Aggregator:
                         key[0], key[1], [preds[0] for preds in batch],
                         [preds[1] for preds in batch])
                 else:
-                    by_lambda.setdefault(len(key), []).append(node)
+                    high.append(node)
                     continue
                 out[list(node.positions)] = np.clip(values, 0.0, 1.0)
-            for dimension, nodes in by_lambda.items():
-                positions = [p for node in nodes for p in node.positions]
-                out[positions] = np.clip(
-                    self._answer_lambda(dimension, nodes), 0.0, 1.0)
+            if high:
+                for positions, values in self._answer_lambdas(high):
+                    out[positions] = np.clip(values, 0.0, 1.0)
         return out
 
     def answer_workload(self, queries: Iterable[Query]) -> np.ndarray:
@@ -643,10 +643,11 @@ class Aggregator:
                      preds_j: List[Predicate]) -> np.ndarray:
         """Batched 2x2 sign tables for schema pair ``(ti, tj)``.
 
-        Returns ``(Q, 2, 2)`` tables indexed ``[query, sign_i, sign_j]``,
-        via O(1) summed-area lookups for materialized ``BETWEEN`` pairs and
-        stacked indicator matmuls otherwise — the path is chosen per
-        query, so an answer never depends on the rest of its batch.
+        Returns ``(R, 2, 2)`` tables indexed ``[request, sign_i, sign_j]``,
+        via O(1) summed-area lookups for ``BETWEEN x BETWEEN`` requests on
+        a materialized pair and one stacked indicator matmul for the
+        rest. The path is chosen per request, so a table never depends
+        on the rest of its batch.
         """
         tables = np.empty((len(preds_i), 2, 2))
         sat = self._sats.get((ti, tj))
@@ -669,39 +670,72 @@ class Aggregator:
             tables[picks] = pair_answers_tables(matrix, stack_i, stack_j)
         return tables
 
-    def _answer_lambda(self, dimension: int,
-                       nodes: List[AnswerNode]) -> np.ndarray:
-        """λ ≥ 3 answers of every node of one λ, in node order.
+    def _lambda_tables(self, nodes: List[AnswerNode]
+                       ) -> Dict[int, Tuple[List[int], np.ndarray]]:
+        """Sign tables of every λ ≥ 3 node, built in one pass.
 
-        Builds each node's per-pair ``(Q, 2, 2)`` sign tables (summed-area
-        fast path where available), stacks them and runs ONE batched
-        Algorithm 4 IPF over all of them: the IPF sees only predicate
-        positions, and per-query freezing keeps every row identical to
-        its solo run.
+        Returns, per λ in first-encounter order, the workload positions
+        of its queries (in node order) and their ``(Q, C(λ, 2), 2, 2)``
+        tables. Every (query, pair position) request of every node is
+        grouped by the schema pair it reads, so the whole batch makes at
+        most ``C(k, 2)`` :meth:`_pair_tables` calls however its queries
+        spread over attribute sets and λ.
         """
-        pairs = canonical_pairs(dimension)
-        tables = np.concatenate([self._lambda_tables(node, pairs)
-                                 for node in nodes])
-        values, sweeps, converged = fit_lambda_queries(
-            tables, dimension, self._tolerance,
-            max_iters=self.config.lambda_max_iters, pairs=pairs)
-        self._record_lambda(sweeps, converged)
-        if not converged.all():
-            behind = int((~converged).sum())
-            warnings.warn(
-                f"lambda-query batch (lambda={dimension}): {behind} of "
-                f"{len(tables)} queries still moving at the sweep cap "
-                f"({self.config.lambda_max_iters})",
-                ConvergenceWarning, stacklevel=3)
-        return values
+        by_lambda: Dict[int, List[AnswerNode]] = {}
+        for node in nodes:
+            by_lambda.setdefault(len(node.key), []).append(node)
+        # One flat (R, 2, 2) buffer holds every request, λ by λ, each
+        # λ's block its (Q, C(λ, 2)) table stack in row-major order:
+        # visiting queries in node order and pair positions in canonical
+        # order, a request's slot is the running count.
+        groups: Dict[Tuple[int, int],
+                     Tuple[List[int], List[Predicate], List[Predicate]]] = {}
+        blocks = []
+        slot = 0
+        for dimension, members in by_lambda.items():
+            pairs = canonical_pairs(dimension)
+            start, positions = slot, []
+            for node in members:
+                key = node.key
+                targets = [groups.setdefault((key[a], key[b]), ([], [], []))
+                           for a, b in pairs]
+                for preds in node.predicates:
+                    for (a, b), (slots, preds_i, preds_j) in zip(pairs,
+                                                                 targets):
+                        slots.append(slot)
+                        preds_i.append(preds[a])
+                        preds_j.append(preds[b])
+                        slot += 1
+                positions.extend(node.positions)
+            blocks.append((dimension, positions, start, slot, len(pairs)))
+        flat = np.empty((slot, 2, 2))
+        for (ti, tj), (slots, preds_i, preds_j) in groups.items():
+            flat[slots] = self._pair_tables(ti, tj, preds_i, preds_j)
+        return {dimension: (positions,
+                            flat[start:stop].reshape(-1, width, 2, 2))
+                for dimension, positions, start, stop, width in blocks}
 
-    def _lambda_tables(self, node: AnswerNode,
-                       pairs: List[Tuple[int, int]]) -> np.ndarray:
-        """``(Q, C(λ, 2), 2, 2)`` sign tables of one λ ≥ 3 plan node."""
-        key, batch = node.key, node.predicates
-        tables = np.empty((len(batch), len(pairs), 2, 2))
-        for p, (a, b) in enumerate(pairs):
-            tables[:, p] = self._pair_tables(
-                key[a], key[b], [preds[a] for preds in batch],
-                [preds[b] for preds in batch])
-        return tables
+    def _answer_lambdas(self, nodes: List[AnswerNode]
+                        ) -> List[Tuple[List[int], np.ndarray]]:
+        """λ ≥ 3 answers of ``nodes``: ``(positions, values)`` per λ.
+
+        Runs ONE batched Algorithm 4 IPF per λ over the tables of
+        :meth:`_lambda_tables`: the IPF sees only predicate positions,
+        and per-query freezing keeps every row identical to its solo run.
+        """
+        answers = []
+        for dimension, (positions, tables) in self._lambda_tables(
+                nodes).items():
+            values, sweeps, converged = fit_lambda_queries(
+                tables, dimension, self._tolerance,
+                max_iters=self.config.lambda_max_iters)
+            self._record_lambda(sweeps, converged)
+            if not converged.all():
+                behind = int((~converged).sum())
+                warnings.warn(
+                    f"lambda-query batch (lambda={dimension}): {behind} of "
+                    f"{len(tables)} queries still moving at the sweep cap "
+                    f"({self.config.lambda_max_iters})",
+                    ConvergenceWarning, stacklevel=3)
+            answers.append((positions, values))
+        return answers

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import EstimationError
-from repro.estimation.lambda_query import _renormalize_tables
+from repro.estimation.lambda_query import _clip_renormalize
 
 
 class SummedAreaTable:
@@ -45,8 +45,8 @@ class SummedAreaTable:
 
     def _check_bounds(self, r0, r1, c0, c1) -> None:
         rows, cols = self.shape
-        if (np.any(r0 < 0) or np.any(r1 >= rows) or np.any(r0 > r1)
-                or np.any(c0 < 0) or np.any(c1 >= cols) or np.any(c0 > c1)):
+        if ((r0 < 0) | (r1 >= rows) | (r0 > r1)
+                | (c0 < 0) | (c1 >= cols) | (c0 > c1)).any():
             raise EstimationError(
                 f"rectangle bounds outside matrix of shape {self.shape}")
 
@@ -79,19 +79,25 @@ class SummedAreaTable:
         Returns ``(Q, 2, 2)`` tables indexed ``[query, row_sign,
         col_sign]`` (1 = inside the band) — the O(1) counterpart of
         :func:`repro.estimation.pair_answers_tables` for ``BETWEEN``
-        predicates, with the same clip-then-renormalize treatment.
+        predicates, with the same clip-then-renormalize treatment. The
+        bounds are checked once, and one gather over each rectangle's
+        row cuts ``{0, r0, r1 + 1, rows}`` x column cuts
+        ``{0, c0, c1 + 1, cols}`` holds the corners of the rectangle and
+        of both its bands, combined exactly as :meth:`rectangle`,
+        :meth:`row_band` and :meth:`col_band` combine them.
         """
-        pp = np.atleast_1d(self.rectangle(r0, r1, c0, c1))
-        row = np.atleast_1d(self.row_band(r0, r1))
-        col = np.atleast_1d(self.col_band(c0, c1))
-        pn = np.maximum(row - pp, 0.0)
-        np_ = np.maximum(col - pp, 0.0)
-        nn = np.maximum(self.total - row - col + pp, 0.0)
-        pp = np.maximum(pp, 0.0)
-        tables = np.stack([np.stack([nn, np_], axis=-1),
-                           np.stack([pn, pp], axis=-1)], axis=-2)
-        _renormalize_tables(tables, np.full(len(tables), self.total))
-        return tables
+        r0, r1, c0, c1 = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(b, dtype=np.intp))
+              for b in (r0, r1, c0, c1)))
+        self._check_bounds(r0, r1, c0, c1)
+        rows, cols = self.shape
+        zero = np.zeros_like(r0)
+        s = self._sat[np.stack([zero, r0, r1 + 1, zero + rows])[:, None],
+                      np.stack([zero, c0, c1 + 1, zero + cols])[None, :]]
+        pp = s[2, 2] - s[1, 2] - s[2, 1] + s[1, 1]
+        row = s[2, 3] - s[1, 3] - s[2, 0] + s[1, 0]
+        col = s[3, 2] - s[0, 2] - s[3, 1] + s[0, 1]
+        return _clip_renormalize(pp, row, col, self.total)
 
     def __repr__(self) -> str:
         return f"SummedAreaTable(shape={self.shape}, total={self.total:.6f})"

@@ -63,20 +63,30 @@ class PairAnswers:
         return np.array([[self.nn, self.np_], [self.pn, self.pp]])
 
 
-def _renormalize_tables(tables: np.ndarray, totals: np.ndarray) -> None:
-    """Rescale clipped 2x2 tables back to their matrix totals, in place.
+def _clip_renormalize(pp: np.ndarray, row: np.ndarray, col: np.ndarray,
+                      total: float) -> np.ndarray:
+    """``(Q, 2, 2)`` sign tables from rectangle and band masses.
 
-    Clipping each sign cell at 0 independently can push the table total
-    above (or leave it below) the response-matrix mass it decomposes —
-    the λ-D combination then chases an infeasible margin. Rescaling the
-    whole table restores ``sum == total`` without reintroducing negatives.
+    ``pp`` holds each query's rectangle mass, ``row``/``col`` the masses
+    of its row and column bands, and ``total`` the matrix mass; the table
+    is indexed ``[row_sign, col_sign]`` (1 = inside the band). Each cell
+    is clipped at 0 on its own, which can push the table total above (or
+    leave it below) the matrix mass it decomposes, and the λ-D
+    combination would then chase an infeasible margin. So a table whose
+    sum moved is rescaled to ``total``, which restores ``sum == total``
+    without reintroducing negatives.
     """
-    sums = tables.sum(axis=(-2, -1))
-    fix = (sums > 0.0) & (totals > 0.0) & (sums != totals)
-    if np.any(fix):
-        factor = np.ones_like(sums)
-        factor[fix] = totals[fix] / sums[fix]
-        tables *= factor[..., None, None]
+    tables = np.empty((len(pp), 2, 2))
+    np.maximum(total - row - col + pp, 0.0, out=tables[:, 0, 0])
+    np.maximum(col - pp, 0.0, out=tables[:, 0, 1])
+    np.maximum(row - pp, 0.0, out=tables[:, 1, 0])
+    np.maximum(pp, 0.0, out=tables[:, 1, 1])
+    if total > 0.0:
+        sums = tables.sum(axis=(1, 2))
+        fix = (sums > 0.0) & (sums != total)
+        if fix.any():
+            tables[fix] *= (total / sums[fix])[:, None, None]
+    return tables
 
 
 def pair_answers_from_matrix(matrix: np.ndarray, indicator_i: np.ndarray,
@@ -126,14 +136,7 @@ def pair_answers_tables(matrix: np.ndarray, indicators_i: np.ndarray,
                     optimize=False)
     pp = np.einsum("qi,ij,qj->q", indicators_i, matrix, indicators_j,
                    optimize=False)
-    pn = np.maximum(row - pp, 0.0)
-    np_ = np.maximum(col - pp, 0.0)
-    nn = np.maximum(total - row - col + pp, 0.0)
-    pp = np.maximum(pp, 0.0)
-    tables = np.stack([np.stack([nn, np_], axis=-1),
-                       np.stack([pn, pp], axis=-1)], axis=-2)
-    _renormalize_tables(tables, np.full(len(tables), total))
-    return tables
+    return _clip_renormalize(pp, row, col, total)
 
 
 def canonical_pairs(dimension: int) -> List[Tuple[int, int]]:

@@ -53,14 +53,15 @@ def chain_hash(seeds: np.ndarray, components: Sequence[Component],
         component may be a scalar (same value for every seed) or an array
         broadcastable against ``seeds``.
     buckets:
-        ``g``, the hash range size.
+        ``g``, the hash range size, in ``[1, 2**64)``.
 
     Returns
     -------
     ``uint64`` array of bucket indices, broadcast shape of seeds/components.
     """
-    if buckets < 1:
-        raise ProtocolError(f"hash range must be >= 1, got {buckets}")
+    if not 1 <= buckets < 2**64:
+        raise ProtocolError(
+            f"hash range must be in [1, 2**64), got {buckets}")
     if not components:
         raise ProtocolError("chain_hash needs at least one value component")
     state = splitmix64(np.asarray(seeds, dtype=np.uint64))
@@ -147,7 +148,7 @@ def tiled_support_counts(mixed_seeds: np.ndarray, buckets: np.ndarray,
     buckets:
         Reported buckets, shape ``(n,)``, values in ``[0, hash_range)``.
     hash_range:
-        ``g``, the hash range size.
+        ``g``, the hash range size, in ``[1, 2**64)``.
     candidates:
         Candidate values: shape ``(T,)`` for single-component values or
         ``(T, k)`` for multi-component (tuple) values, hashed by chaining
@@ -164,8 +165,9 @@ def tiled_support_counts(mixed_seeds: np.ndarray, buckets: np.ndarray,
     -------
     ``int64`` array of shape ``(T,)``: the support count of each candidate.
     """
-    if hash_range < 1:
-        raise ProtocolError(f"hash range must be >= 1, got {hash_range}")
+    if not 1 <= hash_range < 2**64:
+        raise ProtocolError(
+            f"hash range must be in [1, 2**64), got {hash_range}")
     if tile_bytes < 8:
         raise ProtocolError(f"tile_bytes must be >= 8, got {tile_bytes}")
     mixed_seeds = np.asarray(mixed_seeds, dtype=np.uint64)

@@ -9,9 +9,9 @@ depends only on ``(schema, queries, config)`` — the property tests
 assert exactly that. ``Aggregator.execute_answer_plan`` interprets the
 plan against fitted estimates, sending each node by λ to one of three
 primitives (1-D grid or marginal sum, 2-D rectangle sum, λ ≥ 3 pairwise
-IPF, run once for all nodes of one λ); the primitives themselves pick
-summed-area lookups vs matmuls and 1-D grids vs marginals per query at
-run time.
+IPF, whose sign tables come from one pass over every λ ≥ 3 node and
+which runs once per λ); the primitives themselves pick summed-area
+lookups vs matmuls and 1-D grids vs marginals per query at run time.
 """
 
 from __future__ import annotations

@@ -61,11 +61,11 @@ def _check(tmp_path, raw, record):
 
 
 def test_check_flags_slow_and_missing_rows(tmp_path, capsys):
-    """0.5 s runs: within the 25% bound of 0.45 s, beyond it of 0.35 s;
-    one row only in the run, one only in the record."""
-    record = {"benchmarks": {"test_within": {"mean_s": 0.45},
-                             "test_beyond": {"mean_s": 0.35},
-                             "test_gone": {"mean_s": 0.5}}}
+    """Fastest rounds of 0.4 s: within the 25% bound of 0.35 s, beyond
+    it of 0.28 s; one row only in the run, one only in the record."""
+    record = {"benchmarks": {"test_within": {"min_s": 0.35},
+                             "test_beyond": {"min_s": 0.28},
+                             "test_gone": {"min_s": 0.4}}}
     raw = _raw("test_within", "test_beyond", "test_new")
     assert _check(tmp_path, raw, record) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -76,7 +76,23 @@ def test_check_flags_slow_and_missing_rows(tmp_path, capsys):
 
 
 def test_check_passes_rows_within_the_bound(tmp_path):
-    record = {"benchmarks": {"test_a": {"mean_s": 0.45},
-                             "test_b": {"mean_s": 0.9}}}
+    record = {"benchmarks": {"test_a": {"min_s": 0.35},
+                             "test_b": {"min_s": 0.9}}}
     assert _check(tmp_path, _raw("test_a", "test_b"), record) == 0
     assert json.loads((tmp_path / "record.json").read_text()) == record
+
+
+def test_check_compares_fastest_rounds_not_means(tmp_path, capsys):
+    """A noisy run (mean 0.5 s, +67% over the recorded mean) passes when
+    its fastest round (0.4 s) is within the bound of the recorded one;
+    a run whose fastest round regressed fails even if its mean did not."""
+    record = {"benchmarks": {"test_noisy": {"mean_s": 0.3, "min_s": 0.35},
+                             "test_slower": {"mean_s": 0.6,
+                                             "min_s": 0.3}}}
+    assert _check(tmp_path, _raw("test_noisy"),
+                  {"benchmarks": {"test_noisy":
+                                  record["benchmarks"]["test_noisy"]}}) == 0
+    capsys.readouterr()
+    assert _check(tmp_path, _raw("test_noisy", "test_slower"), record) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["test_slower"]

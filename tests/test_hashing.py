@@ -96,6 +96,15 @@ class TestChainHash:
         with pytest.raises(ProtocolError):
             chain_hash(np.uint64(1), [0], 0)
 
+    @pytest.mark.parametrize("buckets", [2**64, 2**64 + 4])
+    def test_hash_range_beyond_uint64_rejected(self, buckets):
+        # Regression: np.uint64(buckets) raised a bare OverflowError.
+        with pytest.raises(ProtocolError):
+            chain_hash(np.uint64(1), [0], buckets)
+
+    def test_largest_hash_range_accepted(self):
+        assert chain_hash(np.uint64(1), [0], 2**64 - 1).dtype == np.uint64
+
     def test_empty_components_rejected(self):
         with pytest.raises(ProtocolError):
             chain_hash(np.uint64(1), [], 4)
@@ -169,6 +178,14 @@ class TestTiledSupportCounts:
         with pytest.raises(ProtocolError):
             tiled_support_counts(np.zeros(2, dtype=np.uint64),
                                  np.zeros(2, dtype=np.uint64), 0,
+                                 np.arange(4))
+
+    @pytest.mark.parametrize("hash_range", [2**64, 2**64 + 4])
+    def test_hash_range_beyond_uint64_rejected(self, hash_range):
+        # Regression: np.uint64(hash_range) raised a bare OverflowError.
+        with pytest.raises(ProtocolError):
+            tiled_support_counts(np.zeros(2, dtype=np.uint64),
+                                 np.zeros(2, dtype=np.uint64), hash_range,
                                  np.arange(4))
 
     def test_invalid_tile_bytes_rejected(self):
