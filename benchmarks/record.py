@@ -32,8 +32,10 @@ of the same code.
 
 from __future__ import annotations
 
+import datetime
 import json
 import os
+import platform
 import subprocess
 import sys
 from typing import List, Optional
@@ -70,17 +72,46 @@ def effective_cores() -> int:
     return os.cpu_count() or 1
 
 
-def compact(raw: dict, commit: Optional[str], cores: int) -> dict:
-    out = {
-        "machine": {
-            "python": raw.get("machine_info", {}).get("python_version"),
-            "cpu": raw.get("machine_info", {}).get("cpu", {}).get("brand_raw"),
-            "effective_cores": cores,
-        },
-        "datetime": raw.get("datetime"),
+def cpu_model() -> Optional[str]:
+    """The CPU model name from ``/proc/cpuinfo`` (Linux), else
+    ``platform.processor()``; None when neither names one."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def header(*, python: Optional[str], cpu: Optional[str],
+           when: Optional[str], commit: Optional[str], cores: int) -> dict:
+    """The provenance header every record carries."""
+    return {
+        "machine": {"python": python, "cpu": cpu,
+                    "effective_cores": cores},
+        "datetime": when,
         "commit": commit,
-        "benchmarks": {},
     }
+
+
+def host_header() -> dict:
+    """:func:`header` for a record written by a benchmark itself rather
+    than compacted from a pytest-benchmark dump: this interpreter, this
+    host's CPU and effective cores, now, and the checkout's commit."""
+    return header(python=platform.python_version(), cpu=cpu_model(),
+                  when=datetime.datetime.now(datetime.timezone.utc)
+                  .isoformat(),
+                  commit=git_commit(), cores=effective_cores())
+
+
+def compact(raw: dict, commit: Optional[str], cores: int) -> dict:
+    machine = raw.get("machine_info", {})
+    out = header(python=machine.get("python_version"),
+                 cpu=machine.get("cpu", {}).get("brand_raw"),
+                 when=raw.get("datetime"), commit=commit, cores=cores)
+    out["benchmarks"] = {}
     for bench in raw.get("benchmarks", []):
         stats = bench.get("stats", {})
         mean = stats.get("mean")

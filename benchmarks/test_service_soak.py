@@ -5,10 +5,16 @@ sustained stream, so this test times it directly and writes
 ``BENCH_service.json`` itself: end-to-end ingest throughput (users/s and
 frames/s through decode → pin check → sanitize → merge, with periodic
 compaction), the p50/p99 per-frame admission latency, and the
-checkpoint cycle (snapshot size, save/restore wall time) at the
-million-user mark — plus a bit-identity check that the restored
-collector finalizes the same estimates, so the recorded numbers are for
-a checkpoint that provably works.
+checkpoint cycle at the million-user mark — snapshot size, the
+``save_checkpoint`` wall time, the two halves the service runs (the
+loop-side cut and the flush-thread file write) and the restore — plus a
+bit-identity check that the restored collector finalizes the same
+estimates, so the recorded numbers are for a checkpoint that provably
+works.
+
+Each write stamps the file with ``benchmarks/record.py``'s provenance
+header (commit, CPU, effective cores, date); ``make bench-service`` runs
+both suites, so the header names the run that wrote both sections.
 
 The chaos soak measures the same pipeline under sustained network
 faults plus a mid-stream service kill restored from the latest
@@ -30,13 +36,16 @@ from repro.data import normal_dataset
 from repro.fo.adaptive import make_oracle
 from repro.queries import Query, between
 from repro.robustness import NetworkFaultInjector
+from benchmarks.record import host_header
 from repro.service import (
     IngestionService,
     WireClient,
     checkpoint_meta,
+    cut_checkpoint,
     latest_checkpoint,
     restore_checkpoint,
     save_checkpoint,
+    write_checkpoint_file,
 )
 from repro.wire import encode_report
 
@@ -56,6 +65,7 @@ def merge_record(key: str, record: dict) -> None:
             existing = {}
         if "target_users" in existing:  # pre-chaos flat layout
             existing = {"soak": existing}
+    existing.update(host_header())
     existing[key] = record
     OUT_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True)
                         + "\n")
@@ -91,7 +101,7 @@ def client_frames(collector: StreamingCollector, total_users: int):
     return frames
 
 
-def test_service_soak_million_users():
+def test_service_soak_million_users(tmp_path):
     collector = build_collector(TARGET_USERS)
     frames = client_frames(collector, TARGET_USERS)
     service = IngestionService(collector, max_pending=256,
@@ -111,9 +121,25 @@ def test_service_soak_million_users():
     query = Query([between("num_0", 4, 20)])
     expected = collector.finalize().answer(query)
 
+    # save_s is the whole in-memory snapshot: compaction of the frames
+    # admitted since the service's last compaction (compact_s, which
+    # recopies every row of those grids), then the serialization. The
+    # service splits the same snapshot in two: cut_s is what its
+    # consumer loop pays, that compaction plus the reference capture and
+    # meta rendering; write_s is the flush thread's streamed
+    # serialization, fsyncs and rename.
     save_started = time.perf_counter()
+    collector.compact()
+    compact_elapsed = time.perf_counter() - save_started
     blob = save_checkpoint(collector)
     save_elapsed = time.perf_counter() - save_started
+    cut_started = time.perf_counter()
+    cut = cut_checkpoint(collector)
+    cut_elapsed = compact_elapsed + (time.perf_counter() - cut_started)
+    write_started = time.perf_counter()
+    path = write_checkpoint_file(tmp_path / "ckpt-0000000000.flck", cut)
+    write_elapsed = time.perf_counter() - write_started
+    assert path.read_bytes() == blob
     restore_started = time.perf_counter()
     resumed = restore_checkpoint(build_collector(TARGET_USERS), blob)
     restore_elapsed = time.perf_counter() - restore_started
@@ -133,6 +159,9 @@ def test_service_soak_million_users():
         "checkpoint": {
             "bytes": len(blob),
             "save_s": save_elapsed,
+            "compact_s": compact_elapsed,
+            "cut_s": cut_elapsed,
+            "write_s": write_elapsed,
             "restore_s": restore_elapsed,
             "resume_bit_identical": True,
         },

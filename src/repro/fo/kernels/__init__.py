@@ -290,8 +290,15 @@ def warm(names: Optional[Iterable[str]] = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _c(array, dtype) -> np.ndarray:
-    return np.ascontiguousarray(array, dtype=dtype)
+def _c(array, dtype=None) -> np.ndarray:
+    """Contiguous and aligned: the compiled kernels take typed pointers.
+
+    A zero-copy view into a byte buffer (a report restored from a
+    checkpoint, whose frames start at any byte offset) can sit off its
+    dtype's alignment; only such an array is copied.
+    """
+    array = np.ascontiguousarray(array, dtype=dtype)
+    return array if array.flags.aligned else array.copy()
 
 
 def _check_values(values: np.ndarray, d: int, kernel: str) -> None:
@@ -425,7 +432,7 @@ def sw_transform(v, close, close_draws, far_draws, b, width, buckets):
 def fold_arrays(arrays):
     """Elementwise left fold ``((a0 + a1) + a2) + …`` of same-shape
     arrays — the merge monoid's sufficient-statistic addition."""
-    arrays = [np.ascontiguousarray(a) for a in arrays]
+    arrays = [_c(a) for a in arrays]
     if not arrays:
         raise ProtocolError("fold_arrays: need at least one array")
     shape = arrays[0].shape

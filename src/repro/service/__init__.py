@@ -18,17 +18,21 @@ across a service crash restored from its latest checkpoint.
 :func:`save_checkpoint` / :func:`restore_checkpoint` snapshot a
 collector's complete streaming state so a killed aggregator resumes
 mid-collection with bit-identical final estimates; with
-``checkpoint_dir`` set, the service writes those snapshots itself —
-atomically, off the consumer loop, pruned to the newest few — and
-reports the recovery-point lag a crash would cost.
+``checkpoint_dir`` set, the service writes those snapshots itself — a
+:func:`cut_checkpoint` by reference on the consumer loop, then
+:func:`write_checkpoint_file` streaming the same bytes to disk from a
+flush thread, atomically, pruned to the newest few — and reports the
+recovery-point lag a crash would cost.
 """
 
 from repro.service.admission import PeerAdmission, PeerLimits, TokenBucket
 from repro.service.checkpoint import (
     CHECKPOINT_VERSION,
+    CheckpointCut,
     checkpoint_index,
     checkpoint_meta,
     checkpoint_path,
+    cut_checkpoint,
     latest_checkpoint,
     list_checkpoints,
     prune_checkpoints,
@@ -41,6 +45,7 @@ from repro.service.ingest import IngestionService, LatencyWindow, ServiceStats
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "CheckpointCut",
     "ClientStats",
     "IngestionService",
     "LatencyWindow",
@@ -52,6 +57,7 @@ __all__ = [
     "checkpoint_index",
     "checkpoint_meta",
     "checkpoint_path",
+    "cut_checkpoint",
     "latest_checkpoint",
     "list_checkpoints",
     "prune_checkpoints",

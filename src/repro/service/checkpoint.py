@@ -27,22 +27,43 @@ and a trailing CRC-32 over everything before it. Corruption anywhere —
 header, meta, frames, or truncation — raises
 :class:`~repro.errors.CheckpointError`.
 
-Compaction before snapshot is what keeps this O(grids), not O(frames):
-the merge monoid folds each grid's accumulated reports into one, and
-because merging is associative and order-preserving (a left fold), the
-folded prefix plus post-restore arrivals reduces to exactly the same
-value — including float summation order — as the uninterrupted stream.
+Compaction before the snapshot keeps the frame count at one per grid,
+not one per received batch: the merge monoid folds each grid's
+accumulated reports into one, and because merging is associative and
+order-preserving (a left fold), the folded prefix plus post-restore
+arrivals reduces to exactly the same value — including float summation
+order — as the uninterrupted stream. The *bytes* still grow with the
+stream: per-user-row reports (OLH's seeds and buckets, GRR's values)
+keep every admitted row.
+
+A snapshot is therefore split in two. :func:`cut_checkpoint` is the
+consistent cut: it compacts, captures a reference to each grid's
+compacted report (flagging its arrays read-only — every merge already
+builds new arrays, so the captured ones never change) and renders the
+small meta document. Beyond the compaction, which still concatenates
+the rows of each grid with pending batches, it touches no row.
+Serializing the rows is the second half: :func:`write_checkpoint_file`
+streams a cut to disk part by part from
+:func:`~repro.wire.encode_report_parts` views, chaining every CRC over
+the same parts it writes, and :func:`save_checkpoint` joins the same
+parts into one byte string. Both produce the same bytes.
+
+Restore reads through a :class:`memoryview` of one immutable blob, so
+the restored reports are zero-copy views into it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
 import struct
+import threading
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import (Any, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -50,11 +71,15 @@ from repro.core.parallel import ExecutionStats
 from repro.core.streaming import StreamingCollector
 from repro.errors import CheckpointError, WireError
 from repro.robustness import IngestStats
-from repro.wire import decode_frame, encode_report, frame_length
+# encode_report is not called here; the repository benchmark wraps this
+# module's name to attribute frame encoding, so it stays importable.
+from repro.wire import (decode_frame, encode_report,  # noqa: F401
+                        encode_report_parts, frame_length)
 
-__all__ = ["CHECKPOINT_VERSION", "checkpoint_index", "checkpoint_meta",
-           "checkpoint_path", "latest_checkpoint", "list_checkpoints",
-           "prune_checkpoints", "restore_checkpoint", "save_checkpoint",
+__all__ = ["CHECKPOINT_VERSION", "CheckpointCut", "checkpoint_index",
+           "checkpoint_meta", "checkpoint_path", "cut_checkpoint",
+           "latest_checkpoint", "list_checkpoints", "prune_checkpoints",
+           "restore_checkpoint", "save_checkpoint",
            "write_checkpoint_file"]
 
 MAGIC = b"FLCK"
@@ -97,12 +122,95 @@ def _fingerprint(collector: StreamingCollector) -> Dict[str, Any]:
     }
 
 
+class CheckpointCut(NamedTuple):
+    """A consistent cut of a collector's streaming state, held by reference.
+
+    ``meta`` is the rendered meta document; ``frames`` pairs each
+    compacted report (its arrays flagged read-only) with the wire pin it
+    is framed under. Beyond the compaction that precedes it, building
+    one copies no report row; serializing it (:func:`write_checkpoint_file`,
+    :func:`save_checkpoint`) may happen later, on another thread, while
+    the collector keeps admitting.
+    """
+
+    meta: bytes
+    frames: Tuple[Tuple[object, Dict[str, Any]], ...]
+
+
+def _freeze(report) -> None:
+    """Flag every array of ``report`` read-only (the cut aliases them)."""
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
+def cut_checkpoint(collector: StreamingCollector, *,
+                   extra: Optional[Dict[str, Any]] = None) -> CheckpointCut:
+    """Cut the collector's state for a snapshot, holding it by reference.
+
+    Compacts first, so the cut carries at most one report per grid
+    regardless of how many batches have been observed (the compaction
+    concatenates the rows of each grid with pending batches; nothing
+    after it copies a row), then captures those reports by reference
+    and renders the meta document (plan fingerprint, accounting, stats,
+    RNG state, ``extra``). Later admissions and compactions build new
+    report objects and arrays, so the cut keeps describing this instant.
+    ``extra`` is as for :func:`save_checkpoint`.
+    """
+    collector.compact()
+    epsilon = collector.config.epsilon
+    frames = []
+    for plan in collector.plans:
+        for report in collector._batches[plan.key]:
+            _freeze(report)
+            frames.append((report, {"protocol": plan.protocol,
+                                    "epsilon": epsilon,
+                                    "num_cells": plan.num_cells,
+                                    "key": plan.key}))
+    meta = {
+        "format_version": CHECKPOINT_VERSION,
+        "fingerprint": _fingerprint(collector),
+        "observed": int(collector.observed),
+        "trusted_users": int(collector.trusted_users),
+        "group_sizes": [int(s) for s in collector._group_sizes],
+        "rng_state": _jsonable(collector._rng.bit_generator.state),
+        "ingest_stats": _jsonable(collector.ingest_stats.state_dict()),
+        "exec_stats": _jsonable(collector.exec_stats.state_dict()),
+    }
+    if extra is not None:
+        meta["extra"] = _jsonable(extra)
+    meta_bytes = json.dumps(meta, sort_keys=True,
+                            separators=(",", ":")).encode("utf-8")
+    return CheckpointCut(meta_bytes, tuple(frames))
+
+
+def _file_parts(cut: CheckpointCut) -> Iterator[Union[bytes, memoryview]]:
+    """The checkpoint file, part by part: the header, the meta document,
+    each frame's header and zero-copy payload parts, then the CRC
+    chained over every part before it."""
+    def body():
+        yield _HEADER.pack(MAGIC, CHECKPOINT_VERSION, len(cut.meta),
+                           len(cut.frames))
+        yield cut.meta
+        for report, pin in cut.frames:
+            header, payload = encode_report_parts(report, **pin)
+            yield header
+            yield from payload
+
+    crc = 0
+    for part in body():
+        crc = zlib.crc32(part, crc)
+        yield part
+    yield _CRC.pack(crc)
+
+
 def save_checkpoint(collector: StreamingCollector, *,
                     extra: Optional[Dict[str, Any]] = None) -> bytes:
     """Snapshot the collector's full streaming state into bytes.
 
-    Compacts first, so the result carries at most one frame per grid
-    regardless of how many batches have been observed.
+    The bytes are the parts of :func:`cut_checkpoint`'s cut joined —
+    the file :func:`write_checkpoint_file` writes from the same cut.
 
     ``extra`` is an optional JSON-serializable document stored verbatim
     in the checkpoint meta (readable back via :func:`checkpoint_meta`)
@@ -111,64 +219,47 @@ def save_checkpoint(collector: StreamingCollector, *,
     restored service resumes duplicate suppression exactly where the
     snapshot left off.
     """
-    collector.compact()
-    frames = []
-    for plan in collector.plans:
-        for report in collector._batches[plan.key]:
-            frames.append(encode_report(
-                report, protocol=plan.protocol,
-                epsilon=collector.config.epsilon,
-                num_cells=plan.num_cells, key=plan.key))
-    rng_state = collector._rng.bit_generator.state
-    meta = {
-        "format_version": CHECKPOINT_VERSION,
-        "fingerprint": _fingerprint(collector),
-        "observed": int(collector.observed),
-        "trusted_users": int(collector.trusted_users),
-        "group_sizes": [int(s) for s in collector._group_sizes],
-        "rng_state": _jsonable(rng_state),
-        "ingest_stats": _jsonable(collector.ingest_stats.state_dict()),
-        "exec_stats": _jsonable(collector.exec_stats.state_dict()),
-    }
-    if extra is not None:
-        meta["extra"] = _jsonable(extra)
-    meta_bytes = json.dumps(meta, sort_keys=True,
-                            separators=(",", ":")).encode("utf-8")
-    body = (_HEADER.pack(MAGIC, CHECKPOINT_VERSION, len(meta_bytes),
-                         len(frames))
-            + meta_bytes + b"".join(frames))
-    return body + _CRC.pack(zlib.crc32(body))
+    return b"".join(_file_parts(cut_checkpoint(collector, extra=extra)))
 
 
 def _parse(blob: bytes):
-    """Validate structure + CRC; return (meta, list-of-frame-bytes)."""
-    if len(blob) < _HEADER.size + _CRC.size:
+    """Validate structure + CRC; return (meta, list-of-frame-views).
+
+    Reads through a :class:`memoryview`, so the frames are views into
+    ``blob`` and the CRC pass copies nothing. Any buffer other than
+    ``bytes`` is copied once first: a mutable one could change under the
+    views (and the reports decoded from them) after validation.
+    """
+    if not isinstance(blob, bytes):
+        blob = bytes(blob)
+    view = memoryview(blob)
+    if len(view) < _HEADER.size + _CRC.size:
         raise CheckpointError(
-            f"checkpoint truncated: {len(blob)} bytes")
-    magic, version, meta_len, frame_count = _HEADER.unpack_from(blob, 0)
+            f"checkpoint truncated: {len(view)} bytes")
+    magic, version, meta_len, frame_count = _HEADER.unpack_from(view, 0)
     if magic != MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version} (supported: "
             f"{CHECKPOINT_VERSION})")
-    stored_crc = _CRC.unpack_from(blob, len(blob) - _CRC.size)[0]
-    if zlib.crc32(blob[:-_CRC.size]) != stored_crc:
+    end = len(view) - _CRC.size
+    stored_crc = _CRC.unpack_from(view, end)[0]
+    if zlib.crc32(view[:end]) != stored_crc:
         raise CheckpointError("checkpoint CRC mismatch (corrupted)")
     cursor = _HEADER.size
-    if cursor + meta_len > len(blob) - _CRC.size:
+    if cursor + meta_len > end:
         raise CheckpointError("checkpoint meta escapes the blob")
     try:
-        meta = json.loads(blob[cursor:cursor + meta_len].decode("utf-8"))
+        meta = json.loads(str(view[cursor:cursor + meta_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(
             f"checkpoint meta is not valid JSON: {exc}") from None
     cursor += meta_len
     frames = []
-    end = len(blob) - _CRC.size
     for index in range(frame_count):
         try:
-            length = frame_length(blob[cursor:cursor + 16])
+            length = frame_length(view[cursor:cursor + 16])
         except WireError as exc:
             raise CheckpointError(
                 f"checkpoint frame {index} is not a wire frame: "
@@ -176,7 +267,7 @@ def _parse(blob: bytes):
         if length is None or cursor + length > end:
             raise CheckpointError(
                 f"checkpoint frame {index} truncated")
-        frames.append(blob[cursor:cursor + length])
+        frames.append(view[cursor:cursor + length])
         cursor += length
     if cursor != end:
         raise CheckpointError(
@@ -313,22 +404,56 @@ def latest_checkpoint(checkpoint_dir: Union[str, Path]) -> Optional[Path]:
     return paths[-1] if paths else None
 
 
-def write_checkpoint_file(path: Union[str, Path], blob: bytes) -> Path:
-    """Durably write one checkpoint blob: temp file, fsync, rename.
+def _fsync_directory(directory: Path) -> None:
+    """Make a rename in ``directory`` durable: fsync the directory.
+
+    A no-op where directories cannot be opened as descriptors
+    (``os.O_DIRECTORY`` is missing, e.g. on Windows).
+    """
+    flag = getattr(os, "O_DIRECTORY", None)
+    if flag is None:
+        return
+    fd = os.open(directory, os.O_RDONLY | flag)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def write_checkpoint_file(path: Union[str, Path], cut: CheckpointCut, *,
+                          abandon: Optional[threading.Event] = None
+                          ) -> Optional[Path]:
+    """Durably write one checkpoint: temp file, fsync, rename, fsync dir.
+
+    The cut is streamed: each frame's header and zero-copy payload parts
+    are written as produced, the CRC is chained over the same parts, and
+    no whole-file buffer exists. The file is byte-for-byte
+    :func:`save_checkpoint` of the same state.
 
     The rename is atomic on POSIX, so a crash mid-write leaves either
     the previous set of checkpoints or the previous set plus a complete
     new one — never a truncated blob that :func:`restore_checkpoint`
-    would have to reject.
+    would have to reject. The directory is fsynced after the rename, so
+    the new name is on disk before the caller reports it durable.
+
+    ``abandon``, when set, stops the write between parts and before the
+    rename, leaving the temp file behind as a crash would; the call then
+    returns ``None`` instead of the path.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(path.name + ".tmp")
     with open(temp, "wb") as handle:
-        handle.write(blob)
+        for part in _file_parts(cut):
+            if abandon is not None and abandon.is_set():
+                return None
+            handle.write(part)
         handle.flush()
         os.fsync(handle.fileno())
+    if abandon is not None and abandon.is_set():
+        return None
     os.replace(temp, path)
+    _fsync_directory(path.parent)
     return path
 
 

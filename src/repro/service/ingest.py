@@ -34,14 +34,20 @@ Socket connections speak either protocol the first bytes announce:
   watermark drops the overlap (at-most-once).
 
 With ``checkpoint_dir`` set the service also drives durability itself:
-every ``checkpoint_every`` accepted frames the consumer snapshots the
-collector (:func:`~repro.service.checkpoint.save_checkpoint`, including
-the per-client watermarks) synchronously — cheap, O(grids) after
-compaction — and flushes the blob to disk off the consumer loop in a
-background thread, pruning to the newest ``keep_checkpoints`` files.
-:class:`ServiceStats` tracks the recovery-point lag (users accepted
-since the last durable snapshot — what a crash right now would need to
-replay) so operators can bound data-loss exposure.
+every ``checkpoint_every`` accepted frames the consumer cuts a snapshot
+(:func:`~repro.service.checkpoint.cut_checkpoint`, including the
+per-client watermarks) synchronously. The cut compacts, then holds each
+grid's compacted report by reference plus the small meta document.
+Beyond compaction its cost grows with the number of grids, not with the
+admitted rows; the compaction itself still concatenates every admitted
+OLH/GRR row of each grid with batches pending since the last one, so
+that part grows with the stream. A flush thread then streams the cut to
+disk (:func:`~repro.service.checkpoint.write_checkpoint_file`: frames
+serialized from zero-copy views, CRCs, fsync, rename, directory fsync)
+and prunes to the newest ``keep_checkpoints`` files, while the consumer
+keeps admitting. :class:`ServiceStats` tracks the recovery-point lag
+(users accepted since the last durable snapshot — what a crash right now
+would need to replay) so operators can bound data-loss exposure.
 
 Per-peer admission control (:class:`~repro.service.admission`) is off by
 default; pass ``limits=PeerLimits(...)`` to bound each peer's frame and
@@ -62,6 +68,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import threading
 import time
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
@@ -72,9 +79,12 @@ from repro.errors import IngestError, PayloadError, WireError
 from repro.robustness.faults import NetworkFaultInjector
 from repro.robustness.ingest import report_user_count
 from repro.service.admission import PeerAdmission, PeerLimits
-from repro.service.checkpoint import (checkpoint_index, checkpoint_path,
-                                      list_checkpoints, prune_checkpoints,
-                                      save_checkpoint,
+# save_checkpoint is not called here; the repository benchmark wraps
+# this module's name, so it stays importable.
+from repro.service.checkpoint import (CheckpointCut,  # noqa: F401
+                                      checkpoint_index, checkpoint_path,
+                                      cut_checkpoint, list_checkpoints,
+                                      prune_checkpoints, save_checkpoint,
                                       write_checkpoint_file)
 from repro.wire import (FrameDecoder, SequencedDecoder, WireFrame,
                         ack_line, decode_frame, parse_hello,
@@ -100,7 +110,7 @@ class _Pending(NamedTuple):
 
 
 class _Durable(NamedTuple):
-    """What the world looked like when a checkpoint blob was built."""
+    """What the world looked like when a checkpoint was cut."""
 
     peer_seqs: Dict[str, int]
     users_accepted: int
@@ -245,12 +255,12 @@ class IngestionService:
         disables periodic compaction.
     checkpoint_every, checkpoint_dir, keep_checkpoints:
         Service-driven durability. With ``checkpoint_dir`` set, the
-        consumer snapshots the collector every ``checkpoint_every``
-        accepted frames (``0``: only on :meth:`stop`), writes the blob
-        atomically off-loop, and prunes to the newest
-        ``keep_checkpoints`` files. Numbering continues from whatever
-        the directory already holds, so a restored service appends
-        rather than overwrites.
+        consumer cuts a snapshot of the collector every
+        ``checkpoint_every`` accepted frames (``0``: only on
+        :meth:`stop`); a flush thread writes it atomically and prunes
+        to the newest ``keep_checkpoints`` files. Numbering continues
+        from whatever the directory already holds, so a restored service
+        appends rather than overwrites.
     limits:
         Optional :class:`~repro.service.admission.PeerLimits` enabling
         per-peer admission control on socket connections.
@@ -331,6 +341,8 @@ class IngestionService:
         self._users_at_durable = 0
         self._frames_at_durable = 0
         self._ckpt_task: Optional[asyncio.Task] = None
+        # set by abort(): the flush thread stops before its rename
+        self._abandon = threading.Event()
         if self._checkpointing:
             existing = list_checkpoints(self.checkpoint_dir)
             self._ckpt_index = (checkpoint_index(existing[-1]) + 1
@@ -350,6 +362,7 @@ class IngestionService:
         if self._consumer is not None:
             raise RuntimeError("service already started")
         self._failure = None
+        self._abandon.clear()
         self._queue = asyncio.Queue(maxsize=self.max_pending)
         self._consumer = asyncio.create_task(self._run())
         return self
@@ -395,7 +408,10 @@ class IngestionService:
             self._ckpt_task = None
         if self._checkpointing and self._failure is None and \
                 self.stats.frames_accepted != self._frames_at_durable:
-            self._final_checkpoint()
+            self._begin_checkpoint()  # the final snapshot, same path
+            if self._ckpt_task is not None:
+                await self._ckpt_task
+                self._ckpt_task = None
         if self._failure is not None:
             raise self._failure
 
@@ -407,15 +423,23 @@ class IngestionService:
         after ``kill -9``. Recovery is the real path — restore a fresh
         collector from the latest on-disk checkpoint and let session
         clients replay past the durable watermark.
+
+        A checkpoint write in flight is abandoned before its rename,
+        leaving its temp file as a crash would. A thread cannot be
+        cancelled, so this waits for the writer to see the flag and
+        exit: once ``abort()`` returns, no write of this service can
+        still land in the directory a revived service takes over.
         """
+        self._abandon.set()
         await self._close_servers()
         for conn in list(self._connections):
             conn.close()
-        doomed = [t for t in (self._consumer, self._ckpt_task)
-                  if t is not None]
+        doomed = [self._consumer] if self._consumer is not None else []
         doomed.extend(self._handlers)
         for task in doomed:
             task.cancel()
+        if self._ckpt_task is not None:
+            doomed.append(self._ckpt_task)  # not cancelled: awaited
         if doomed:
             await asyncio.gather(*doomed, return_exceptions=True)
         self._consumer = None
@@ -699,32 +723,38 @@ class IngestionService:
         return {"peer_seqs": dict(self._peer_seqs)}
 
     def _begin_checkpoint(self) -> None:
-        """Snapshot now, flush to disk off the consumer loop.
+        """Cut a snapshot now; write it to disk off the consumer loop.
 
-        ``save_checkpoint`` runs synchronously here in the consumer —
-        after compaction it is O(grids), not O(frames) — so the blob is
-        a consistent cut of collector state and session watermarks. The
-        expensive part (fsync) happens in a worker thread while the
-        consumer keeps admitting.
+        The cut runs synchronously here in the consumer, between
+        batches, so it is consistent with the session watermarks it
+        records. It compacts, which recopies every admitted row of each
+        grid with batches pending since the last compaction; beyond
+        that it captures references and renders the meta document —
+        O(grids), no row copied or serialized. Serialization, CRCs,
+        fsync, rename, the directory fsync and pruning all run in the
+        flush thread while the consumer keeps admitting.
         """
-        blob = save_checkpoint(self.collector,
-                               extra=self._checkpoint_extra())
-        cut = _Durable(dict(self._peer_seqs), self.stats.users_accepted,
-                       self.stats.frames_accepted)
-        path = checkpoint_path(self.checkpoint_dir, self._ckpt_index)
+        try:
+            path = checkpoint_path(self.checkpoint_dir, self._ckpt_index)
+            cut = cut_checkpoint(self.collector,
+                                 extra=self._checkpoint_extra())
+        except Exception as exc:  # noqa: BLE001 — see _flush_checkpoint
+            self._failure = exc
+            return
+        durable = _Durable(dict(self._peer_seqs), self.stats.users_accepted,
+                           self.stats.frames_accepted)
         self._ckpt_index += 1
         self._since_checkpoint = 0
         self._ckpt_task = asyncio.create_task(
-            self._flush_checkpoint(path, blob, cut))
+            self._flush_checkpoint(path, cut, durable))
 
-    async def _flush_checkpoint(self, path: Path, blob: bytes,
-                                cut: _Durable) -> None:
+    async def _flush_checkpoint(self, path: Path, cut: CheckpointCut,
+                                durable: _Durable) -> None:
         try:
-            await asyncio.to_thread(write_checkpoint_file, path, blob)
-            await asyncio.to_thread(prune_checkpoints,
-                                    self.checkpoint_dir,
-                                    self.keep_checkpoints)
-            self._note_durable(blob, cut)
+            nbytes = await asyncio.to_thread(self._write_checkpoint, path,
+                                             cut)
+            if nbytes is not None:
+                self._note_durable(nbytes, durable)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 — broken disk is fatal
@@ -733,28 +763,23 @@ class IngestionService:
             # same way consumer failures surface.
             self._failure = exc
 
-    def _note_durable(self, blob: bytes, cut: _Durable) -> None:
-        self._durable_seqs = cut.peer_seqs
-        self._users_at_durable = cut.users_accepted
-        self._frames_at_durable = cut.frames_accepted
-        self.stats.checkpoints_written += 1
-        self.stats.last_checkpoint_bytes = len(blob)
-        self.stats.recovery_point_lag = (self.stats.users_accepted
-                                         - cut.users_accepted)
+    def _write_checkpoint(self, path: Path,
+                          cut: CheckpointCut) -> Optional[int]:
+        """Flush thread: write, prune; the file's size, None if aborted."""
+        if write_checkpoint_file(path, cut, abandon=self._abandon) is None:
+            return None
+        nbytes = path.stat().st_size
+        prune_checkpoints(self.checkpoint_dir, self.keep_checkpoints)
+        return nbytes
 
-    def _final_checkpoint(self) -> None:
-        try:
-            blob = save_checkpoint(self.collector,
-                                   extra=self._checkpoint_extra())
-            path = checkpoint_path(self.checkpoint_dir, self._ckpt_index)
-            self._ckpt_index += 1
-            write_checkpoint_file(path, blob)
-            prune_checkpoints(self.checkpoint_dir, self.keep_checkpoints)
-            self._note_durable(blob, _Durable(
-                dict(self._peer_seqs), self.stats.users_accepted,
-                self.stats.frames_accepted))
-        except Exception as exc:  # noqa: BLE001
-            self._failure = exc
+    def _note_durable(self, nbytes: int, durable: _Durable) -> None:
+        self._durable_seqs = durable.peer_seqs
+        self._users_at_durable = durable.users_accepted
+        self._frames_at_durable = durable.frames_accepted
+        self.stats.checkpoints_written += 1
+        self.stats.last_checkpoint_bytes = nbytes
+        self.stats.recovery_point_lag = (self.stats.users_accepted
+                                         - durable.users_accepted)
 
     def _durable_for(self, client_id: str, seq: int) -> int:
         """The durable watermark to advertise alongside ``seq``.

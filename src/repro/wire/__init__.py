@@ -18,6 +18,7 @@ from repro.wire.codec import (
     WireFrame,
     decode_frame,
     encode_report,
+    encode_report_parts,
     frame_length,
 )
 from repro.wire.session import (
@@ -43,6 +44,7 @@ __all__ = [
     "decode_frame",
     "encode_envelope",
     "encode_report",
+    "encode_report_parts",
     "frame_length",
     "hello_line",
     "parse_ack",

@@ -131,9 +131,20 @@ def _encode_name(name: str) -> bytes:
     return bytes([len(encoded)]) + encoded
 
 
-def encode_report(report, *, protocol: str, epsilon: float,
-                  num_cells: int, key: Tuple[int, ...]) -> bytes:
-    """Serialize one report into a self-contained wire frame.
+def encode_report_parts(report, *, protocol: str, epsilon: float,
+                        num_cells: int, key: Tuple[int, ...]
+                        ) -> Tuple[bytes, List[Union[bytes, memoryview]]]:
+    """Serialize one report as a frame header plus a zero-copy payload.
+
+    Returns ``(header, payload)``: ``header`` is the frame's first H
+    bytes (prologue, tables, header CRC, pad), and ``payload`` lists the
+    rest in order — zero-byte alignment pads and read-only byte views of
+    the report's arrays. ``header + b"".join(payload)`` is exactly the
+    frame :func:`encode_report` returns. The payload CRC in the header is
+    chained over those views, so building a frame reads each array once
+    and copies none of it; a writer can stream the parts straight to a
+    file or socket. The views alias the report, which must not change
+    until the parts are consumed.
 
     ``protocol``, ``epsilon``, ``num_cells`` and ``key`` are the
     :class:`~repro.robustness.ReportSpec` pin the receiving aggregator
@@ -183,29 +194,44 @@ def encode_report(report, *, protocol: str, epsilon: float,
             tables += b"f" + _F64.pack(float(value))
 
     header_len = _align8(_PROLOGUE.size + len(tables) + _CRC.size)
-    payload_offset = header_len
-    for slot, array in offset_slots:
-        payload_offset = _align8(payload_offset)
-        tables[slot:slot + 8] = _U64.pack(payload_offset)
-        payload_offset += array.nbytes
-    frame_len = payload_offset
-
-    frame = bytearray(frame_len)
+    payload: List[Union[bytes, memoryview]] = []
+    payload_crc = 0
     cursor = header_len
-    for _, array in arrays:
-        cursor = _align8(cursor)
-        frame[cursor:cursor + array.nbytes] = array.tobytes()
+    for slot, array in offset_slots:
+        pad = _align8(cursor) - cursor
+        if pad:
+            payload.append(bytes(pad))
+            payload_crc = zlib.crc32(payload[-1], payload_crc)
+            cursor += pad
+        tables[slot:slot + 8] = _U64.pack(cursor)
+        view = memoryview(array).cast("B").toreadonly()
+        payload.append(view)
+        payload_crc = zlib.crc32(view, payload_crc)
         cursor += array.nbytes
-    payload_crc = zlib.crc32(memoryview(frame)[header_len:])
+    frame_len = cursor
 
-    frame[:_PROLOGUE.size] = _PROLOGUE.pack(
+    header = bytearray(header_len)
+    header[:_PROLOGUE.size] = _PROLOGUE.pack(
         MAGIC, FRAME_VERSION, spec.wire_code, header_len, frame_len,
         float(epsilon), int(num_cells), payload_crc)
     table_end = _PROLOGUE.size + len(tables)
-    frame[_PROLOGUE.size:table_end] = tables
-    header_crc = zlib.crc32(memoryview(frame)[:header_len - _CRC.size])
-    frame[header_len - _CRC.size:header_len] = _CRC.pack(header_crc)
-    return bytes(frame)
+    header[_PROLOGUE.size:table_end] = tables
+    header_crc = zlib.crc32(memoryview(header)[:header_len - _CRC.size])
+    header[header_len - _CRC.size:] = _CRC.pack(header_crc)
+    return bytes(header), payload
+
+
+def encode_report(report, *, protocol: str, epsilon: float,
+                  num_cells: int, key: Tuple[int, ...]) -> bytes:
+    """Serialize one report into a self-contained wire frame.
+
+    The frame is :func:`encode_report_parts`' header and payload joined;
+    see there for the pin arguments.
+    """
+    header, payload = encode_report_parts(
+        report, protocol=protocol, epsilon=epsilon, num_cells=num_cells,
+        key=key)
+    return b"".join([header, *payload])
 
 
 class _Reader:

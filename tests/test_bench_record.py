@@ -3,7 +3,7 @@
 import json
 import os
 
-from benchmarks.record import main
+from benchmarks.record import host_header, main
 
 
 def _raw(*names):
@@ -50,6 +50,19 @@ def test_header_names_commit_and_effective_cores(tmp_path):
     assert record["machine"]["effective_cores"] == \
         len(os.sched_getaffinity(0))
     commit = record["commit"]
+    assert commit is None or len(commit.split("-")[0]) == 40
+
+
+def test_host_header_stamps_this_host_and_now():
+    """Records a benchmark writes itself (``BENCH_service.json``) carry
+    the same header as compacted ones."""
+    stamped = host_header()
+    assert set(stamped) == {"machine", "datetime", "commit"}
+    assert stamped["machine"]["effective_cores"] == \
+        len(os.sched_getaffinity(0))
+    assert stamped["machine"]["python"].count(".") == 2
+    assert stamped["datetime"].endswith("+00:00")
+    commit = stamped["commit"]
     assert commit is None or len(commit.split("-")[0]) == 40
 
 

@@ -1,7 +1,9 @@
 """Wire codec: round-trips for every registry report type, adversarial frames.
 
 Property-tested guarantees: (1) encode→decode is bit-identical for every
-wire-capable protocol's reports across drawn parameters, (2) *any*
+wire-capable protocol's reports across drawn parameters, and the frame
+is exactly :func:`~repro.wire.encode_report_parts`' header plus its
+zero-copy payload views joined, (2) *any*
 single-bit corruption or truncation of a frame raises
 :class:`~repro.errors.WireError` — never a crash, never a silently wrong
 report — and (3) the incremental :class:`~repro.wire.FrameDecoder`
@@ -24,12 +26,14 @@ from hypothesis import strategies as st
 from repro.errors import WireError
 from repro.fo.adaptive import make_oracle
 from repro.fo.grr import GRRReport
-from repro.fo.registry import get, spec_for_wire_code, wire_codes
+from repro.fo.registry import (ProtocolSpec, get, register,
+                               spec_for_wire_code, unregister, wire_codes)
 from repro.wire import (
     FRAME_VERSION,
     FrameDecoder,
     decode_frame,
     encode_report,
+    encode_report_parts,
     frame_length,
 )
 
@@ -92,6 +96,38 @@ class TestRoundTrip:
         assert decoded.nbytes == len(frame) == frame_length(frame)
         assert_reports_identical(report, decoded.report)
 
+    @pytest.mark.parametrize("protocol", WIRE_PROTOCOLS)
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_parts_join_to_the_frame_and_alias_the_report(self, protocol,
+                                                          data):
+        """``encode_report`` is the parts joined; the payload is pads
+        and read-only views of the report's own arrays (no copy)."""
+        epsilon = data.draw(st.sampled_from(EPSILONS))
+        num_cells = data.draw(st.integers(2, 24))
+        n = data.draw(st.integers(1, 96))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        key = tuple(data.draw(st.lists(
+            st.integers(-2**40, 2**40), max_size=4)))
+        oracle = oracle_for(protocol, epsilon, num_cells)
+        report = oracle.perturb(
+            np.random.default_rng(seed).integers(0, num_cells, size=n),
+            np.random.default_rng(seed + 1))
+        pin = dict(protocol=protocol, epsilon=epsilon,
+                   num_cells=num_cells, key=key)
+
+        header, payload = encode_report_parts(report, **pin)
+        assert encode_report(report, **pin) == header + b"".join(payload)
+        views = [part for part in payload if isinstance(part, memoryview)]
+        pads = [part for part in payload if not isinstance(part, memoryview)]
+        assert all(view.readonly for view in views)
+        assert all(len(pad) < 8 and not any(pad) for pad in pads)
+        for field in dataclasses.fields(report):
+            value = getattr(report, field.name)
+            if isinstance(value, np.ndarray) and value.nbytes:
+                assert any(np.shares_memory(value, np.frombuffer(
+                    view, dtype=np.uint8)) for view in views), field.name
+
     def test_zero_user_report(self):
         report = GRRReport(values=np.array([], dtype=np.int64),
                            domain_size=5)
@@ -105,6 +141,36 @@ class TestRoundTrip:
         assert decoded.values.base is not None  # a view, not a copy
         with pytest.raises((ValueError, RuntimeError)):
             decoded.values[0] = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class PaddedReport:
+    """A report whose first array leaves the second one unaligned (no
+    built-in report does: their arrays are 8-byte, or last)."""
+
+    flags: np.ndarray
+    values: np.ndarray
+
+
+class TestPayloadPads:
+    def test_unaligned_array_gets_a_zero_pad(self):
+        register(ProtocolSpec(name="padded", factory=lambda e, d: None,
+                              report_type=PaddedReport, mergeable=False,
+                              streamable=False, wire_code=250))
+        try:
+            report = PaddedReport(flags=np.arange(5, dtype=np.int8),
+                                  values=np.arange(3, dtype=np.int64))
+            pin = dict(protocol="padded", epsilon=1.0, num_cells=5,
+                       key=(1,))
+            header, payload = encode_report_parts(report, **pin)
+            assert len(header) % 8 == 0
+            assert [len(part) for part in payload] == [5, 3, 24]
+            assert payload[1] == bytes(3)
+            frame = encode_report(report, **pin)
+            assert frame == header + b"".join(payload)
+            assert_reports_identical(report, decode_frame(frame).report)
+        finally:
+            unregister("padded")
 
 
 class TestAdversarialFrames:
