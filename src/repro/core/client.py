@@ -73,7 +73,9 @@ class GroupReport:
     """One group's perturbed reports (``None`` when nothing to perturb).
 
     ``report`` is ``None`` for empty groups and for trivial single-cell
-    grids, whose frequency vector is known to be ``[1.0]`` a priori.
+    grids, whose frequency vector is known to be ``[1.0]`` a priori. A
+    streaming collector passes each grid's
+    :class:`~repro.fo.base.FoldedState` in its place.
     """
 
     planned: PlannedGrid

@@ -1,4 +1,4 @@
-"""Report merging shared by the batch, budget-split, and streaming paths.
+"""Report merging shared by the batch and budget-split paths.
 
 Every mergeable frequency-oracle report type is an associative monoid
 under concatenation of the underlying user batches: merging the reports
@@ -6,9 +6,11 @@ of two disjoint user sets yields exactly the report the oracle would have
 produced for the union (per-user-row types concatenate; sufficient-
 statistic types add). That associativity is what lets the sharded
 collection executor perturb ``(group, chunk)`` shards independently and
-reduce them in any grouping, and what lets
-:class:`~repro.core.streaming.StreamingCollector` accumulate batches over
-time — all three paths reduce through :func:`merge_reports`.
+reduce them in any grouping through :func:`merge_reports`. The same
+property makes :class:`~repro.core.streaming.StreamingCollector`'s folds
+exact, but the collector goes one step further: it reduces reports to
+per-grid sufficient statistics (:meth:`repro.fo.base.FrequencyOracle.fold`)
+instead of merging them.
 
 Which report types merge, and how, is the protocol registry's knowledge
 (:mod:`repro.fo.registry`): each :class:`~repro.fo.registry.ProtocolSpec`

@@ -47,6 +47,7 @@ from repro.estimation.response_matrix import (
 )
 from repro.fo import kernels as fo_kernels
 from repro.fo.adaptive import make_oracle
+from repro.fo.base import FoldedState
 from repro.optimizer import (
     AnswerNode,
     AnswerPlan,
@@ -223,8 +224,13 @@ class Aggregator:
             return estimator(group)
         oracle = make_oracle(planned.protocol, self._report_epsilon,
                              planned.num_cells)
-        return GridEstimate(grid=planned.grid,
-                            frequencies=oracle.estimate(group.report))
+        # A streaming collector hands over folded states; the batch
+        # collector, one merged report per group.
+        if isinstance(group.report, FoldedState):
+            frequencies = oracle.unbias(group.report)
+        else:
+            frequencies = oracle.estimate(group.report)
+        return GridEstimate(grid=planned.grid, frequencies=frequencies)
 
     # -- robustness --------------------------------------------------------------
 

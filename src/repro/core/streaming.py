@@ -8,9 +8,19 @@ aggregator can be finalized at any point — estimates simply sharpen as
 more users arrive. Each user still reports exactly once, so the privacy
 guarantee is unchanged.
 
-Cross-batch accumulation rides on :func:`repro.core.merge.merge_reports`
-(shared with the sharded batch executor), so any protocol whose registry
-spec is flagged ``streamable`` — every built-in except AHEAD — streams;
+Because every grid's cells are fixed at plan time, a grid's reports
+matter to its estimate only through a fixed-length sufficient statistic
+(:class:`repro.fo.base.FoldedState`: OLH support counts over the cells,
+a GRR histogram, HR's signed projections, or the sums a unary/histogram/
+square-wave report already carries). The collector therefore keeps one
+folded state per grid plus the reports admitted since the last fold.
+:meth:`StreamingCollector.compact` folds each grid's pending reports
+with one kernel call over their concatenation and drops them, so the
+retained state is O(Σ cells) plus at most one compaction interval of
+reports, and :meth:`StreamingCollector.finalize` only unbiases. Integer
+statistics add exactly and float sums keep one left fold, so where the
+folds happen never changes an estimate. Any protocol whose registry spec
+is flagged ``streamable`` — every built-in except AHEAD — streams;
 configurations that cannot (AHEAD's interactive refinement) are rejected
 at construction, not at :meth:`StreamingCollector.finalize`.
 
@@ -26,18 +36,21 @@ aggregator's ``robustness_report()``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.client import GroupReport, _TaskBuilder
 from repro.core.config import FelipConfig
+# merge_reports is re-exported here (see __all__); the collector folds
+# reports into per-grid states instead of merging them.
 from repro.core.merge import merge_reports, mergeable_protocol
 from repro.core.parallel import ExecutionStats, chunk_bounds, run_sharded
 from repro.core.planner import PlannedGrid, plan_grids
 from repro.core.server import Aggregator
 from repro.errors import ConfigurationError, ProtocolError
 from repro.fo.adaptive import make_oracle
+from repro.fo.base import FoldedState
 from repro.fo.registry import get as protocol_spec
 from repro.rng import RngLike, ensure_rng, spawn
 from repro.robustness.policy import (
@@ -111,8 +124,12 @@ class StreamingCollector:
         self._oracles = {
             p.key: make_oracle(p.protocol, config.epsilon, p.num_cells)
             for p in self.plans if p.num_cells >= 2}
-        self._batches: Dict[Tuple[int, ...], List[object]] = {
-            p.key: [] for p in self.plans}
+        #: per grid: the reports admitted since the last fold, and the
+        #: folded state of everything before them (None until the first)
+        self._pending: Dict[Tuple[int, ...], List[object]] = {
+            key: [] for key in self._oracles}
+        self._states: Dict[Tuple[int, ...], Optional[FoldedState]] = {
+            key: None for key in self._oracles}
         self._group_sizes = np.zeros(len(self.plans), dtype=np.int64)
         self.observed = 0
         #: users admitted without a report: members of trivial single-cell
@@ -141,8 +158,9 @@ class StreamingCollector:
         group's size, so ``finalize()``'s ``aggregator.n`` is exactly the
         population the accumulated reports describe. (Before this held,
         every dropped report still inflated ``n`` and biased all frequency
-        estimates low.) Returns the number of users admitted from this
-        batch.
+        estimates low.) The batch's reports are folded into the grid
+        states before this returns. Returns the number of users admitted
+        from this batch.
         """
         records = np.asarray(records)
         if records.ndim != 2 or records.shape[1] != len(self.schema):
@@ -178,15 +196,19 @@ class StreamingCollector:
             self._group_sizes[g] += users
             accepted += users
         self.observed += accepted
+        self.compact()
         return accepted
 
     def _admit(self, key: Tuple[int, ...], report,
                source: str = "local") -> int:
-        """Run one report through admission control; accumulate if valid.
+        """Run one report through admission control; queue it if valid.
 
-        Returns the number of users the accumulated (possibly
-        row-filtered) report carries — 0 when the whole report was
-        rejected.
+        Returns the number of users the queued (possibly row-filtered)
+        report carries — 0 when the whole report was rejected. A report
+        that carries no user is not queued: it would add nothing to the
+        user count, so it may add nothing to the statistics either (a
+        zero-user SHE report passes every feasibility test, whatever its
+        sums).
         """
         sanitized = sanitize_report(report, self.ingest_policy,
                                     self.ingest_stats,
@@ -194,8 +216,10 @@ class StreamingCollector:
                                     source=source)
         if sanitized is None:
             return 0
-        self._batches[key].append(sanitized)
-        return report_user_count(sanitized)
+        users = report_user_count(sanitized)
+        if users:
+            self._pending[key].append(sanitized)
+        return users
 
     def _admit_trivial(self, g: int, rows: int) -> int:
         """Account one group's users on a single-cell grid (no report)."""
@@ -223,10 +247,10 @@ class StreamingCollector:
         grid's group size.
         """
         key = tuple(key)
-        if key not in self._batches:
+        if key not in self._pending:
             raise ProtocolError(
-                f"no planned grid with key {key}; planned keys: "
-                f"{sorted(self._batches)}")
+                f"no planned grid takes reports under key {key}; such "
+                f"keys: {sorted(self._pending)}")
         if source is None:
             source = f"grid={key}"
         users = self._admit(key, report, source=source)
@@ -245,25 +269,47 @@ class StreamingCollector:
         restored state is the checkpoint's alone.
         """
         return not (self.observed or self.trusted_users
-                    or any(self._batches.values()))
+                    or any(self._pending.values())
+                    or any(s is not None for s in self._states.values()))
 
     def compact(self) -> None:
-        """Fold each grid's accumulated reports into one via the monoid.
+        """Fold each grid's pending reports into its state; drop them.
 
-        Merging is associative, so compaction never changes what
-        ``finalize()`` computes — it only bounds memory on long streams
-        (sufficient-statistic reports collapse to a single vector) and
-        keeps checkpoints small. The ingestion service calls this
-        periodically; it is safe at any point.
+        One :meth:`~repro.fo.base.FrequencyOracle.fold` per grid with
+        pending reports: a single kernel call over their concatenation
+        (or one left fold of their sums), added to the state. Folding is
+        exact in any grouping, so compaction never changes what
+        ``finalize()`` computes — it bounds the reports held to those
+        admitted since the last call. ``observe()``, checkpoints and
+        ``finalize()`` call it; the ingestion service also calls it every
+        ``compact_every`` frames. Safe at any point.
         """
-        for key, batch in self._batches.items():
-            if len(batch) > 1:
-                self._batches[key] = [merge_reports(batch)]
+        for key, pending in self._pending.items():
+            if pending:
+                self._states[key] = self._oracles[key].fold(
+                    self._states[key], pending)
+                self._pending[key] = []
+
+    def retained_bytes(self) -> int:
+        """Bytes of report data held: folded vectors plus pending reports.
+
+        After :meth:`compact` this is O(Σ cells), whatever the number of
+        users admitted.
+        """
+        total = sum(state.vector.nbytes for state in self._states.values()
+                    if state is not None)
+        for pending in self._pending.values():
+            for report in pending:
+                total += sum(value.nbytes for value in vars(report).values()
+                             if isinstance(value, np.ndarray))
+        return total
 
     def finalize(self) -> Aggregator:
         """Build a queryable aggregator from everything observed so far.
 
-        Can be called repeatedly; later calls include later batches.
+        Folds what is pending, then unbiases each grid's state: no
+        report row is revisited. Can be called repeatedly; later calls
+        include later batches.
         """
         if self.observed == 0:
             raise ConfigurationError("no users observed yet")
@@ -272,12 +318,11 @@ class StreamingCollector:
             f"admission accounting out of sync: observed={self.observed} "
             f"but accepted_users + trusted_users = {accepted}; a report "
             f"was counted without passing admission control")
-        reports = []
-        for g, plan in enumerate(self.plans):
-            merged = merge_reports(self._batches[plan.key])
-            reports.append(GroupReport(planned=plan, report=merged,
-                                       group_size=int(
-                                           self._group_sizes[g])))
+        self.compact()
+        reports = [GroupReport(planned=plan,
+                               report=self._states.get(plan.key),
+                               group_size=int(self._group_sizes[g]))
+                   for g, plan in enumerate(self.plans)]
         aggregator = Aggregator(self.schema, self.config)
         aggregator.n = self.observed
         aggregator.plans = self.plans

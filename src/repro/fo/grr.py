@@ -81,18 +81,27 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
             values=kernels.grr_apply(values, keep_uniforms, others, self.p),
             domain_size=self.domain_size)
 
-    def estimate(self, report: GRRReport) -> np.ndarray:
-        """Φ_GRR (paper Eq. 1): unbias the observed value counts."""
+    def _check_report(self, report: GRRReport) -> None:
         if report.domain_size != self.domain_size:
             raise ProtocolError(
                 f"report domain {report.domain_size} != oracle domain "
                 f"{self.domain_size}"
             )
-        n = len(report)
-        if n == 0:
-            raise ProtocolError("cannot estimate from zero reports")
-        counts = np.bincount(report.values, minlength=self.domain_size)
-        return (counts / n - self.q) / (self.p - self.q)
+
+    def _statistic(self, reports, prior):
+        """The histogram of the reports' concatenated values, plus
+        ``prior``."""
+        values = (reports[0].values if len(reports) == 1
+                  else np.concatenate([r.values for r in reports]))
+        counts = np.bincount(values, minlength=self.domain_size)
+        if prior is not None:
+            counts += prior
+        return counts
+
+    def unbias(self, state) -> np.ndarray:
+        """Φ_GRR (paper Eq. 1): unbias the observed value counts."""
+        self._check_users(state)
+        return (state.vector / state.n - self.q) / (self.p - self.q)
 
     def theoretical_variance(self, n: int) -> float:
         return grr_variance(self.epsilon, self.domain_size, n)

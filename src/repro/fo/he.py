@@ -56,6 +56,9 @@ class SummationHistogramEncoding(FrequencyOracle):
     """SHE frequency oracle over ``{0..d-1}``."""
 
     name = "she"
+    summed_field = "sums"
+    state_dtype = np.dtype(np.float64)
+    state_bounds = None  # Laplace noise: any finite sum
 
     _BLOCK = 16384
 
@@ -77,15 +80,16 @@ class SummationHistogramEncoding(FrequencyOracle):
             sums += kernels.he_sum_accumulate(noisy, block)
         return SHEReport(sums=sums, n=len(values))
 
-    def estimate(self, report: SHEReport) -> np.ndarray:
-        """Φ_SHE: the mean noisy histogram is already unbiased."""
+    def _check_report(self, report: SHEReport) -> None:
         if len(report.sums) != self.domain_size:
             raise ProtocolError(
                 f"report has {len(report.sums)} sums, oracle domain is "
                 f"{self.domain_size}")
-        if report.n == 0:
-            raise ProtocolError("cannot estimate from zero reports")
-        return report.sums / report.n
+
+    def unbias(self, state) -> np.ndarray:
+        """Φ_SHE: the mean noisy histogram is already unbiased."""
+        self._check_users(state)
+        return state.vector / state.n
 
     def theoretical_variance(self, n: int) -> float:
         """``2 (2/ε)² / n`` — the Laplace noise variance per coordinate."""
@@ -103,6 +107,7 @@ class ThresholdHistogramEncoding(FrequencyOracle):
     """
 
     name = "the"
+    summed_field = "supports"
 
     _BLOCK = 16384
 
@@ -154,19 +159,20 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         return THEReport(supports=supports, n=len(values),
                          threshold=self.threshold)
 
-    def estimate(self, report: THEReport) -> np.ndarray:
-        """Φ_THE: unbias the above-threshold counts."""
+    def _check_report(self, report: THEReport) -> None:
         if len(report.supports) != self.domain_size:
             raise ProtocolError(
                 f"report has {len(report.supports)} counters, oracle "
                 f"domain is {self.domain_size}")
-        if report.n == 0:
-            raise ProtocolError("cannot estimate from zero reports")
         if abs(report.threshold - self.threshold) > 1e-12:
             raise ProtocolError(
                 f"report threshold {report.threshold} != oracle's "
                 f"{self.threshold}")
-        return (report.supports / report.n - self.q) / (self.p - self.q)
+
+    def unbias(self, state) -> np.ndarray:
+        """Φ_THE: unbias the above-threshold counts."""
+        self._check_users(state)
+        return (state.vector / state.n - self.q) / (self.p - self.q)
 
     def theoretical_variance(self, n: int) -> float:
         """``q(1−q) / (n (p−q)²)``."""

@@ -20,8 +20,10 @@ independent of the domain size, like OLH (and never below it, since
 never change an existing protocol choice.
 
 This module is the complete integration surface of a new protocol: the
-oracle, its report type, the merge monoid, the ingestion sanitizer, the
-variance models, and one :func:`~repro.fo.registry.register` call. No
+oracle (including its fold into a fixed-length streaming state, the
+signed projections, and the one unbiasing formula applied to it), its
+report type, the merge monoid, the ingestion sanitizer, the variance
+models, and one :func:`~repro.fo.registry.register` call. No
 core/planner/merge/policy edits — batch, sharded, streaming, budget-split
 collection, robustness ingestion, and grid sizing all pick HR up through
 the registry.
@@ -123,6 +125,9 @@ class HadamardResponse(FrequencyOracle):
 
     name = "hr"
 
+    #: each user adds ±1 to every projection
+    state_bounds = (-1, 1)
+
     def __init__(self, epsilon: float, domain_size: int):
         super().__init__(epsilon, domain_size)
         #: Hadamard order; named ``g`` so the generic
@@ -146,13 +151,7 @@ class HadamardResponse(FrequencyOracle):
                         hadamard_order=self.g,
                         domain_size=self.domain_size)
 
-    def _supports(self, report: HRReport) -> np.ndarray:
-        """``Σ_i y_i · H(j_i, c_v)`` for every domain value ``v``."""
-        return kernels.hr_supports(report.rows, report.bits,
-                                   self.domain_size)
-
-    def estimate(self, report: HRReport) -> np.ndarray:
-        """Φ_HR: unbias the signed Hadamard projections."""
+    def _check_report(self, report: HRReport) -> None:
         if report.domain_size != self.domain_size:
             raise ProtocolError(
                 f"report domain {report.domain_size} != oracle domain "
@@ -161,10 +160,24 @@ class HadamardResponse(FrequencyOracle):
             raise ProtocolError(
                 f"report Hadamard order {report.hadamard_order} != "
                 f"oracle's {self.g}")
-        n = len(report)
-        if n == 0:
-            raise ProtocolError("cannot estimate from zero reports")
-        return self._supports(report) / (n * (2.0 * self.p - 1.0))
+
+    def _statistic(self, reports, prior):
+        """``Σ_i y_i · H(j_i, c_v)`` for every domain value ``v`` over the
+        reports' concatenated rows (one sweep), plus ``prior``."""
+        if len(reports) == 1:
+            rows, bits = reports[0].rows, reports[0].bits
+        else:
+            rows = np.concatenate([r.rows for r in reports])
+            bits = np.concatenate([r.bits for r in reports])
+        supports = kernels.hr_supports(rows, bits, self.domain_size)
+        if prior is not None:
+            supports += prior
+        return supports
+
+    def unbias(self, state) -> np.ndarray:
+        """Φ_HR: unbias the signed Hadamard projections."""
+        self._check_users(state)
+        return state.vector / (state.n * (2.0 * self.p - 1.0))
 
     def theoretical_variance(self, n: int) -> float:
         return hr_variance(self.epsilon, n)

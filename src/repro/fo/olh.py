@@ -142,8 +142,7 @@ class OptimizedLocalHashing(FrequencyOracle):
                 tile_bytes=self.tile_bytes)
         return cache[key].copy()
 
-    def estimate(self, report: OLHReport) -> np.ndarray:
-        """Φ_OLH: unbias the support counts."""
+    def _check_report(self, report: OLHReport) -> None:
         if report.domain_size != self.domain_size:
             raise ProtocolError(
                 f"report domain {report.domain_size} != oracle domain "
@@ -153,11 +152,27 @@ class OptimizedLocalHashing(FrequencyOracle):
             raise ProtocolError(
                 f"report hash range {report.hash_range} != oracle's {self.g}"
             )
-        n = len(report)
-        if n == 0:
-            raise ProtocolError("cannot estimate from zero reports")
-        counts = self.support_counts(report)
-        return (counts / n - 1.0 / self.g) / (self.p - 1.0 / self.g)
+
+    def _statistic(self, reports, prior):
+        """Support counts of the reports' concatenated rows (one sweep),
+        plus ``prior``. A lone report uses its memoized counts."""
+        if len(reports) == 1:
+            counts = self.support_counts(reports[0])
+        else:
+            counts = kernels.support_counts(
+                mix_seeds(np.concatenate([r.seeds for r in reports])),
+                np.concatenate([r.buckets for r in reports]), self.g,
+                np.arange(self.domain_size, dtype=np.uint64),
+                tile_bytes=self.tile_bytes)
+        if prior is not None:
+            counts += prior
+        return counts
+
+    def unbias(self, state) -> np.ndarray:
+        """Φ_OLH: unbias the support counts."""
+        self._check_users(state)
+        return ((state.vector / state.n - 1.0 / self.g)
+                / (self.p - 1.0 / self.g))
 
     def theoretical_variance(self, n: int) -> float:
         return olh_variance(self.epsilon, n)

@@ -44,6 +44,7 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     """OUE frequency oracle over ``{0..d-1}``."""
 
     name = "oue"
+    summed_field = "ones"
 
     #: rows perturbed per vectorized block (bounds peak memory at
     #: ``_BLOCK * d`` bits regardless of n)
@@ -70,16 +71,17 @@ class OptimizedUnaryEncoding(FrequencyOracle):
                                           self.p, self.q)
         return OUEReport(ones=ones, n=len(values))
 
-    def estimate(self, report: OUEReport) -> np.ndarray:
-        """Φ_OUE: unbias the per-value 1-bit counts."""
+    def _check_report(self, report: OUEReport) -> None:
         if len(report.ones) != self.domain_size:
             raise ProtocolError(
                 f"report has {len(report.ones)} counters, oracle domain is "
                 f"{self.domain_size}"
             )
-        if report.n == 0:
-            raise ProtocolError("cannot estimate from zero reports")
-        return (report.ones / report.n - self.q) / (self.p - self.q)
+
+    def unbias(self, state) -> np.ndarray:
+        """Φ_OUE: unbias the per-value 1-bit counts."""
+        self._check_users(state)
+        return (state.vector / state.n - self.q) / (self.p - self.q)
 
     def theoretical_variance(self, n: int) -> float:
         return oue_variance(self.epsilon, n)

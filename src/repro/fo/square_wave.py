@@ -80,6 +80,7 @@ class SquareWave(FrequencyOracle):
     """
 
     name = "sw"
+    summed_field = "counts"
 
     def __init__(self, epsilon: float, domain_size: int,
                  report_buckets: int = None, smoothing: bool = True,
@@ -155,19 +156,25 @@ class SquareWave(FrequencyOracle):
         total = smoothed.sum()
         return smoothed / total if total > 0 else smoothed
 
-    def estimate(self, report: SWReport) -> np.ndarray:
-        """Φ_SW: EM (with optional smoothing) deconvolution of the reports."""
+    @property
+    def state_length(self) -> int:
+        """The folded vector is the bucketed report histogram."""
+        return self.report_buckets
+
+    def _check_report(self, report: SWReport) -> None:
         if len(report.counts) != self.report_buckets:
             raise ProtocolError(
                 f"report has {len(report.counts)} buckets, oracle expects "
                 f"{self.report_buckets}")
-        if report.n == 0:
-            raise ProtocolError("cannot estimate from zero reports")
         if abs(report.wave_width - self.b) > 1e-12:
             raise ProtocolError(
                 f"report wave width {report.wave_width} != oracle's "
                 f"{self.b}")
-        counts = report.counts.astype(np.float64)
+
+    def unbias(self, state) -> np.ndarray:
+        """Φ_SW: EM (with optional smoothing) deconvolution of the reports."""
+        self._check_users(state)
+        counts = state.vector.astype(np.float64)
         freq = np.full(self.domain_size, 1.0 / self.domain_size)
         for _ in range(self.max_iters):
             mixture = self._transition @ freq
@@ -175,7 +182,7 @@ class SquareWave(FrequencyOracle):
             # E step: responsibility-weighted counts; M step: renormalize.
             posterior = (self._transition * freq[None, :]
                          / mixture[:, None])
-            new_freq = posterior.T @ (counts / report.n)
+            new_freq = posterior.T @ (counts / state.n)
             new_freq = np.maximum(new_freq, 0.0)
             total = new_freq.sum()
             if total > 0:

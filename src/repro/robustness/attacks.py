@@ -50,12 +50,14 @@ from repro.rng import RngLike, ensure_rng
 def forge_report(report_cls, **fields):
     """Construct a report instance without running its validation.
 
-    Real wire decoding does not run our dataclass ``__post_init__``; a
-    hostile client can ship any bytes it likes. This helper simulates
-    that: it allocates the report and sets fields directly, bypassing
-    ``__init__``. The ingestion sanitizers
-    (:func:`repro.robustness.sanitize_report`) are the layer that must
-    catch whatever comes out of here.
+    This simulates an in-process report that skipped its constructor:
+    it allocates the report and sets fields directly, bypassing
+    ``__init__`` and the dataclass ``__post_init__`` checks. Reports off
+    the wire cannot arrive this way — :func:`repro.wire.decode_frame`
+    builds every report through its validating constructor, and a frame
+    whose payload fails it is a :class:`~repro.errors.PayloadError`.
+    The ingestion sanitizers (:func:`repro.robustness.sanitize_report`)
+    are the layer that catches whatever comes out of here.
     """
     report = object.__new__(report_cls)
     for name, value in fields.items():

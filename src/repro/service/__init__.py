@@ -4,7 +4,7 @@
 it accepts :mod:`repro.wire` frames (directly or over a socket), applies
 backpressure through a bounded queue, validates every frame's header pin
 against the collection plan, and feeds the surviving reports through the
-:class:`~repro.core.StreamingCollector`'s sanitize→merge admission path.
+:class:`~repro.core.StreamingCollector`'s sanitize→fold admission path.
 Socket peers are subject to optional per-peer admission control
 (:class:`PeerLimits` / :class:`PeerAdmission`): token-bucket rate
 limits, connection quotas, and escalating bans fed by the collector's
@@ -16,23 +16,21 @@ delivery is effectively exactly-once across connection chaos and even
 across a service crash restored from its latest checkpoint.
 
 :func:`save_checkpoint` / :func:`restore_checkpoint` snapshot a
-collector's complete streaming state so a killed aggregator resumes
+collector's complete streaming state — its per-grid folded states plus
+accounting, a few kilobytes — so a killed aggregator resumes
 mid-collection with bit-identical final estimates; with
-``checkpoint_dir`` set, the service writes those snapshots itself — a
-:func:`cut_checkpoint` by reference on the consumer loop, then
-:func:`write_checkpoint_file` streaming the same bytes to disk from a
-flush thread, atomically, pruned to the newest few — and reports the
-recovery-point lag a crash would cost.
+``checkpoint_dir`` set, the service writes those snapshots itself — the
+blob rendered on the consumer loop, then :func:`write_checkpoint_file`
+putting it on disk from a flush thread, atomically, pruned to the newest
+few — and reports the recovery-point lag a crash would cost.
 """
 
 from repro.service.admission import PeerAdmission, PeerLimits, TokenBucket
 from repro.service.checkpoint import (
     CHECKPOINT_VERSION,
-    CheckpointCut,
     checkpoint_index,
     checkpoint_meta,
     checkpoint_path,
-    cut_checkpoint,
     latest_checkpoint,
     list_checkpoints,
     prune_checkpoints,
@@ -45,7 +43,6 @@ from repro.service.ingest import IngestionService, LatencyWindow, ServiceStats
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "CheckpointCut",
     "ClientStats",
     "IngestionService",
     "LatencyWindow",
@@ -57,7 +54,6 @@ __all__ = [
     "checkpoint_index",
     "checkpoint_meta",
     "checkpoint_path",
-    "cut_checkpoint",
     "latest_checkpoint",
     "list_checkpoints",
     "prune_checkpoints",

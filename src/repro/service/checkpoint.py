@@ -3,10 +3,10 @@
 A checkpoint is a single self-contained byte string capturing everything
 the collector's final estimates depend on:
 
-* the merged per-grid reports (compacted first, then re-encoded as
-  standard :mod:`repro.wire` frames — the checkpoint payload *is* the
-  wire format, so there is exactly one serialization of every report
-  type in the codebase);
+* each grid's folded state (:class:`~repro.fo.base.FoldedState`: its
+  user count ``n`` and one fixed-length vector — OLH support counts, a
+  GRR histogram, HR projections, or unary/histogram/square-wave sums),
+  taken after a compaction, so no report row is left to save;
 * the admission accounting (``observed``, ``trusted_users``, per-group
   sizes, the full :class:`~repro.robustness.IngestStats` and
   :class:`~repro.core.parallel.ExecutionStats` state), so
@@ -21,40 +21,31 @@ the collector's final estimates depend on:
   a checkpoint can never be replayed into a differently-configured
   collection.
 
-Layout: a fixed header (magic ``b"FLCK"``, version, meta length, frame
-count), a canonical-JSON meta document, the concatenated report frames,
-and a trailing CRC-32 over everything before it. Corruption anywhere —
-header, meta, frames, or truncation — raises
-:class:`~repro.errors.CheckpointError`.
+Layout (format version 2): a fixed header (magic ``b"FLCK"``, version,
+meta length, state count), a canonical-JSON meta document whose
+``states`` table names each vector's grid key, ``n``, dtype and length,
+the vectors' raw bytes in table order, and a trailing CRC-32 over
+everything before it. Its size is O(Σ cells) — kilobytes — however many
+users were admitted. Version 1 stored every admitted report row as wire
+frames; such a file raises :class:`~repro.errors.CheckpointError`, as
+does corruption anywhere — header, meta, vectors, or truncation.
 
-Compaction before the snapshot keeps the frame count at one per grid,
-not one per received batch: the merge monoid folds each grid's
-accumulated reports into one, and because merging is associative and
-order-preserving (a left fold), the folded prefix plus post-restore
-arrivals reduces to exactly the same value — including float summation
-order — as the uninterrupted stream. The *bytes* still grow with the
-stream: per-user-row reports (OLH's seeds and buckets, GRR's values)
-keep every admitted row.
+Folding is exact: integer statistics add, and float sums continue one
+left fold (the restored state, then the reports that arrive after), so
+the restored prefix plus post-restore arrivals reduces to exactly the
+value of the uninterrupted stream, float summation order included.
 
-A snapshot is therefore split in two. :func:`cut_checkpoint` is the
-consistent cut: it compacts, captures a reference to each grid's
-compacted report (flagging its arrays read-only — every merge already
-builds new arrays, so the captured ones never change) and renders the
-small meta document. Beyond the compaction, which still concatenates
-the rows of each grid with pending batches, it touches no row.
-Serializing the rows is the second half: :func:`write_checkpoint_file`
-streams a cut to disk part by part from
-:func:`~repro.wire.encode_report_parts` views, chaining every CRC over
-the same parts it writes, and :func:`save_checkpoint` joins the same
-parts into one byte string. Both produce the same bytes.
-
-Restore reads through a :class:`memoryview` of one immutable blob, so
-the restored reports are zero-copy views into it.
+:func:`save_checkpoint` renders the blob (it compacts first); the
+ingestion service calls it on its consumer loop, where the blob *is*
+the consistent cut, and hands the bytes to a flush thread for
+:func:`write_checkpoint_file`. Restore validates every field — each
+state against its grid's oracle (dtype, length, ``n``, count bounds)
+and against the recorded group size, and the accounting against
+``finalize()``'s invariant — before touching the target.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
@@ -62,34 +53,32 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import (Any, Dict, Iterator, List, NamedTuple, Optional,
-                    Tuple, Union)
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.parallel import ExecutionStats
 from repro.core.streaming import StreamingCollector
-from repro.errors import CheckpointError, WireError
+from repro.errors import CheckpointError, ProtocolError
+from repro.fo.base import FoldedState
 from repro.robustness import IngestStats
 # encode_report is not called here; the repository benchmark wraps this
 # module's name to attribute frame encoding, so it stays importable.
-from repro.wire import (decode_frame, encode_report,  # noqa: F401
-                        encode_report_parts, frame_length)
+from repro.wire import encode_report  # noqa: F401
 
-__all__ = ["CHECKPOINT_VERSION", "CheckpointCut", "checkpoint_index",
-           "checkpoint_meta", "checkpoint_path", "cut_checkpoint",
-           "latest_checkpoint", "list_checkpoints", "prune_checkpoints",
-           "restore_checkpoint", "save_checkpoint",
+__all__ = ["CHECKPOINT_VERSION", "checkpoint_index", "checkpoint_meta",
+           "checkpoint_path", "latest_checkpoint", "list_checkpoints",
+           "prune_checkpoints", "restore_checkpoint", "save_checkpoint",
            "write_checkpoint_file"]
 
 MAGIC = b"FLCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: filenames the service writes: a strictly increasing index, so the
 #: lexicographic and numeric orders agree and "latest" is well defined
 _CHECKPOINT_NAME = re.compile(r"^ckpt-(\d{10})\.flck$")
 
-#: magic, version, meta length (u64), frame count (u32)
+#: magic, version, meta length (u64), state count (u32)
 _HEADER = struct.Struct("<4sBQI")
 _CRC = struct.Struct("<I")
 
@@ -122,52 +111,33 @@ def _fingerprint(collector: StreamingCollector) -> Dict[str, Any]:
     }
 
 
-class CheckpointCut(NamedTuple):
-    """A consistent cut of a collector's streaming state, held by reference.
-
-    ``meta`` is the rendered meta document; ``frames`` pairs each
-    compacted report (its arrays flagged read-only) with the wire pin it
-    is framed under. Beyond the compaction that precedes it, building
-    one copies no report row; serializing it (:func:`write_checkpoint_file`,
-    :func:`save_checkpoint`) may happen later, on another thread, while
-    the collector keeps admitting.
-    """
-
-    meta: bytes
-    frames: Tuple[Tuple[object, Dict[str, Any]], ...]
+def _render(meta: Dict[str, Any], vectors: List[np.ndarray]) -> bytes:
+    """Header, canonical meta, the vectors' bytes, then the CRC."""
+    meta_bytes = json.dumps(meta, sort_keys=True,
+                            separators=(",", ":")).encode("utf-8")
+    body = b"".join([_HEADER.pack(MAGIC, CHECKPOINT_VERSION,
+                                  len(meta_bytes), len(vectors)),
+                     meta_bytes, *(v.tobytes() for v in vectors)])
+    return body + _CRC.pack(zlib.crc32(body))
 
 
-def _freeze(report) -> None:
-    """Flag every array of ``report`` read-only (the cut aliases them)."""
-    for field in dataclasses.fields(report):
-        value = getattr(report, field.name)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+def save_checkpoint(collector: StreamingCollector, *,
+                    extra: Optional[Dict[str, Any]] = None) -> bytes:
+    """Snapshot the collector's full streaming state into bytes.
 
+    Compacts first, so every admitted report is in a folded state and
+    the blob holds one vector per grid that has received reports.
 
-def cut_checkpoint(collector: StreamingCollector, *,
-                   extra: Optional[Dict[str, Any]] = None) -> CheckpointCut:
-    """Cut the collector's state for a snapshot, holding it by reference.
-
-    Compacts first, so the cut carries at most one report per grid
-    regardless of how many batches have been observed (the compaction
-    concatenates the rows of each grid with pending batches; nothing
-    after it copies a row), then captures those reports by reference
-    and renders the meta document (plan fingerprint, accounting, stats,
-    RNG state, ``extra``). Later admissions and compactions build new
-    report objects and arrays, so the cut keeps describing this instant.
-    ``extra`` is as for :func:`save_checkpoint`.
+    ``extra`` is an optional JSON-serializable document stored verbatim
+    in the checkpoint meta (readable back via :func:`checkpoint_meta`)
+    and ignored by :func:`restore_checkpoint` — the ingestion service
+    uses it to persist its per-client admitted-sequence watermarks, so a
+    restored service resumes duplicate suppression exactly where the
+    snapshot left off.
     """
     collector.compact()
-    epsilon = collector.config.epsilon
-    frames = []
-    for plan in collector.plans:
-        for report in collector._batches[plan.key]:
-            _freeze(report)
-            frames.append((report, {"protocol": plan.protocol,
-                                    "epsilon": epsilon,
-                                    "num_cells": plan.num_cells,
-                                    "key": plan.key}))
+    states = [(key, state) for key, state in collector._states.items()
+              if state is not None]
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "fingerprint": _fingerprint(collector),
@@ -177,66 +147,26 @@ def cut_checkpoint(collector: StreamingCollector, *,
         "rng_state": _jsonable(collector._rng.bit_generator.state),
         "ingest_stats": _jsonable(collector.ingest_stats.state_dict()),
         "exec_stats": _jsonable(collector.exec_stats.state_dict()),
+        "states": [{"key": [int(k) for k in key], "n": int(state.n),
+                    "dtype": state.vector.dtype.str,
+                    "length": len(state.vector)}
+                   for key, state in states],
     }
     if extra is not None:
         meta["extra"] = _jsonable(extra)
-    meta_bytes = json.dumps(meta, sort_keys=True,
-                            separators=(",", ":")).encode("utf-8")
-    return CheckpointCut(meta_bytes, tuple(frames))
+    return _render(meta, [state.vector for _, state in states])
 
 
-def _file_parts(cut: CheckpointCut) -> Iterator[Union[bytes, memoryview]]:
-    """The checkpoint file, part by part: the header, the meta document,
-    each frame's header and zero-copy payload parts, then the CRC
-    chained over every part before it."""
-    def body():
-        yield _HEADER.pack(MAGIC, CHECKPOINT_VERSION, len(cut.meta),
-                           len(cut.frames))
-        yield cut.meta
-        for report, pin in cut.frames:
-            header, payload = encode_report_parts(report, **pin)
-            yield header
-            yield from payload
+def _parse(blob: bytes) -> Tuple[Dict[str, Any], List[np.ndarray]]:
+    """Validate structure + CRC; return (meta, the state vectors).
 
-    crc = 0
-    for part in body():
-        crc = zlib.crc32(part, crc)
-        yield part
-    yield _CRC.pack(crc)
-
-
-def save_checkpoint(collector: StreamingCollector, *,
-                    extra: Optional[Dict[str, Any]] = None) -> bytes:
-    """Snapshot the collector's full streaming state into bytes.
-
-    The bytes are the parts of :func:`cut_checkpoint`'s cut joined —
-    the file :func:`write_checkpoint_file` writes from the same cut.
-
-    ``extra`` is an optional JSON-serializable document stored verbatim
-    in the checkpoint meta (readable back via :func:`checkpoint_meta`)
-    and ignored by :func:`restore_checkpoint` — the ingestion service
-    uses it to persist its per-client admitted-sequence watermarks, so a
-    restored service resumes duplicate suppression exactly where the
-    snapshot left off.
+    The vectors are copies, so nothing refers to ``blob`` afterwards.
     """
-    return b"".join(_file_parts(cut_checkpoint(collector, extra=extra)))
-
-
-def _parse(blob: bytes):
-    """Validate structure + CRC; return (meta, list-of-frame-views).
-
-    Reads through a :class:`memoryview`, so the frames are views into
-    ``blob`` and the CRC pass copies nothing. Any buffer other than
-    ``bytes`` is copied once first: a mutable one could change under the
-    views (and the reports decoded from them) after validation.
-    """
-    if not isinstance(blob, bytes):
-        blob = bytes(blob)
     view = memoryview(blob)
     if len(view) < _HEADER.size + _CRC.size:
         raise CheckpointError(
             f"checkpoint truncated: {len(view)} bytes")
-    magic, version, meta_len, frame_count = _HEADER.unpack_from(view, 0)
+    magic, version, meta_len, state_count = _HEADER.unpack_from(view, 0)
     if magic != MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
@@ -256,30 +186,78 @@ def _parse(blob: bytes):
         raise CheckpointError(
             f"checkpoint meta is not valid JSON: {exc}") from None
     cursor += meta_len
-    frames = []
-    for index in range(frame_count):
+    table = meta.get("states") if isinstance(meta, dict) else None
+    if not isinstance(table, list) or len(table) != state_count:
+        raise CheckpointError(
+            f"checkpoint state table does not list the {state_count} "
+            f"states its header declares")
+    vectors = []
+    for index, entry in enumerate(table):
         try:
-            length = frame_length(view[cursor:cursor + 16])
-        except WireError as exc:
+            dtype = np.dtype(entry["dtype"])
+            length = entry["length"]
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
-                f"checkpoint frame {index} is not a wire frame: "
-                f"{exc}") from None
-        if length is None or cursor + length > end:
+                f"checkpoint state {index} is malformed: {exc}") from None
+        if dtype.kind not in "iuf" or type(length) is not int \
+                or length < 0:
             raise CheckpointError(
-                f"checkpoint frame {index} truncated")
-        frames.append(view[cursor:cursor + length])
-        cursor += length
+                f"checkpoint state {index} declares {length!r} entries "
+                f"of dtype {dtype}")
+        nbytes = length * dtype.itemsize
+        if cursor + nbytes > end:
+            raise CheckpointError(f"checkpoint state {index} truncated")
+        vectors.append(np.frombuffer(view, dtype=dtype, count=length,
+                                     offset=cursor).copy())
+        cursor += nbytes
     if cursor != end:
         raise CheckpointError(
             f"{end - cursor} trailing bytes after the declared "
-            f"{frame_count} frames")
-    return meta, frames
+            f"{state_count} states")
+    return meta, vectors
 
 
 def checkpoint_meta(blob: bytes) -> Dict[str, Any]:
     """Decode and return a checkpoint's meta document (for inspection)."""
     meta, _ = _parse(blob)
     return meta
+
+
+def _restored_states(collector: StreamingCollector, table: list,
+                     vectors: List[np.ndarray],
+                     group_sizes: np.ndarray) -> Dict[tuple, FoldedState]:
+    """Each table entry as a validated state of a grid that takes
+    reports; its ``n`` must be the users its group admitted."""
+    states: Dict[tuple, FoldedState] = {}
+    for entry, vector in zip(table, vectors):
+        try:
+            key = tuple(int(k) for k in entry["key"])
+            n = entry["n"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint state table is malformed: {exc}") from None
+        oracle = collector._oracles.get(key)
+        if oracle is None or key in states:
+            raise CheckpointError(
+                f"checkpoint holds a state for grid {key}, which is not a "
+                f"planned grid taking reports (or is listed twice)")
+        state = FoldedState(n, vector)
+        try:
+            oracle.check_state(state)
+        except ProtocolError as exc:
+            raise CheckpointError(
+                f"checkpoint state for grid {key} is invalid: "
+                f"{exc}") from None
+        states[key] = state
+    for g, plan in enumerate(collector.plans):
+        if plan.key in collector._oracles:
+            state = states.get(plan.key)
+            folded = state.n if state is not None else 0
+            if folded != group_sizes[g]:
+                raise CheckpointError(
+                    f"checkpoint state for grid {plan.key} folds {folded} "
+                    f"users but its group admitted {group_sizes[g]}")
+    return states
 
 
 def restore_checkpoint(collector: StreamingCollector,
@@ -289,20 +267,20 @@ def restore_checkpoint(collector: StreamingCollector,
     The target must be empty (nothing observed) and configured
     identically to the collector that produced the checkpoint — same
     schema width, epsilon, ingest mode, and planned grids. Any mismatch,
-    truncation, or corruption raises
-    :class:`~repro.errors.CheckpointError`; on success the collector
-    continues the stream exactly where the snapshot left off.
+    truncation, corruption, or a state its grid's oracle could not have
+    folded raises :class:`~repro.errors.CheckpointError`; on success the
+    collector continues the stream exactly where the snapshot left off.
 
     Restore is atomic with respect to the target: *every* field of the
-    checkpoint — frames, RNG state, admission and executor stats — is
+    checkpoint — states, RNG state, admission and executor stats — is
     validated on scratch objects before the first collector attribute is
     touched, so a failing restore leaves the target exactly as fresh as
     it arrived (and therefore retryable with a good blob). Without this,
     a checkpoint whose stats document was corrupt would leave behind a
-    collector with a restored RNG but empty batches — a half-restored
+    collector with a restored RNG but no states — a half-restored
     hybrid that no longer looks fresh and silently diverges if used.
     """
-    meta, frame_blobs = _parse(blob)
+    meta, vectors = _parse(blob)
     if not collector.is_fresh():
         raise CheckpointError(
             "restore target must be a freshly constructed collector")
@@ -312,35 +290,10 @@ def restore_checkpoint(collector: StreamingCollector,
             f"checkpoint fingerprint does not match this collector's "
             f"plan: checkpoint {meta.get('fingerprint')!r} vs expected "
             f"{expected!r}")
-    sizes = meta["group_sizes"]
-    if len(sizes) != len(collector.plans):
-        raise CheckpointError(
-            f"checkpoint has {len(sizes)} group sizes for "
-            f"{len(collector.plans)} plans")
 
-    reports: Dict[tuple, list] = {p.key: [] for p in collector.plans}
-    plan_by_key = {p.key: p for p in collector.plans}
-    for index, frame_blob in enumerate(frame_blobs):
-        try:
-            frame = decode_frame(frame_blob)
-        except WireError as exc:
-            raise CheckpointError(
-                f"checkpoint frame {index} failed to decode: "
-                f"{exc}") from None
-        plan = plan_by_key.get(frame.key)
-        if plan is None or frame.protocol != plan.protocol or \
-                frame.num_cells != plan.num_cells or \
-                frame.epsilon != collector.config.epsilon:
-            raise CheckpointError(
-                f"checkpoint frame {index} pins "
-                f"({frame.protocol!r}, eps={frame.epsilon!r}, "
-                f"cells={frame.num_cells}, key={frame.key}) which "
-                f"matches no planned grid")
-        reports[frame.key].append(frame.report)
-
-    # Validate-then-mutate: every remaining field is rehearsed on
-    # scratch objects first, so a defect discovered here cannot leave
-    # the collector half-restored.
+    # Validate-then-mutate: every field is rehearsed on scratch objects
+    # first, so a defect discovered here cannot leave the collector
+    # half-restored.
     try:
         scratch_bg = type(collector._rng.bit_generator)()
         scratch_bg.state = meta["rng_state"]
@@ -349,14 +302,29 @@ def restore_checkpoint(collector: StreamingCollector,
             f"checkpoint RNG state does not fit this collector's "
             f"bit generator: {exc}") from None
     try:
-        IngestStats().load_state(meta["ingest_stats"])
+        ingest_stats = IngestStats()
+        ingest_stats.load_state(meta["ingest_stats"])
         ExecutionStats().load_state(meta["exec_stats"])
         observed = int(meta["observed"])
         trusted_users = int(meta["trusted_users"])
-        group_sizes = np.asarray(sizes, dtype=np.int64)
+        group_sizes = np.asarray(meta["group_sizes"], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"checkpoint stats document is malformed: {exc}") from None
+    if group_sizes.shape != (len(collector.plans),):
+        raise CheckpointError(
+            f"checkpoint has {group_sizes.size} group sizes for "
+            f"{len(collector.plans)} plans")
+    # finalize()'s accounting invariant, checked here so a bad document
+    # is a CheckpointError rather than a failed assertion later
+    if not observed == int(group_sizes.sum()) == \
+            ingest_stats.accepted_users + trusted_users:
+        raise CheckpointError(
+            f"checkpoint accounting disagrees: observed={observed}, group "
+            f"sizes sum to {int(group_sizes.sum())}, accepted + trusted "
+            f"users = {ingest_stats.accepted_users + trusted_users}")
+    states = _restored_states(collector, meta["states"], vectors,
+                              group_sizes)
 
     collector._rng.bit_generator.state = scratch_bg.state
     collector.ingest_stats.load_state(meta["ingest_stats"])
@@ -364,8 +332,7 @@ def restore_checkpoint(collector: StreamingCollector,
     collector.observed = observed
     collector.trusted_users = trusted_users
     collector._group_sizes[:] = group_sizes
-    for key, batch in reports.items():
-        collector._batches[key] = batch
+    collector._states.update(states)
     return collector
 
 
@@ -420,15 +387,10 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def write_checkpoint_file(path: Union[str, Path], cut: CheckpointCut, *,
+def write_checkpoint_file(path: Union[str, Path], blob: bytes, *,
                           abandon: Optional[threading.Event] = None
                           ) -> Optional[Path]:
     """Durably write one checkpoint: temp file, fsync, rename, fsync dir.
-
-    The cut is streamed: each frame's header and zero-copy payload parts
-    are written as produced, the CRC is chained over the same parts, and
-    no whole-file buffer exists. The file is byte-for-byte
-    :func:`save_checkpoint` of the same state.
 
     The rename is atomic on POSIX, so a crash mid-write leaves either
     the previous set of checkpoints or the previous set plus a complete
@@ -436,18 +398,15 @@ def write_checkpoint_file(path: Union[str, Path], cut: CheckpointCut, *,
     would have to reject. The directory is fsynced after the rename, so
     the new name is on disk before the caller reports it durable.
 
-    ``abandon``, when set, stops the write between parts and before the
-    rename, leaving the temp file behind as a crash would; the call then
-    returns ``None`` instead of the path.
+    ``abandon``, when set by the time the temp file is synced, skips the
+    rename and leaves the temp file behind as a crash would; the call
+    then returns ``None`` instead of the path.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(path.name + ".tmp")
     with open(temp, "wb") as handle:
-        for part in _file_parts(cut):
-            if abandon is not None and abandon.is_set():
-                return None
-            handle.write(part)
+        handle.write(blob)
         handle.flush()
         os.fsync(handle.fileno())
     if abandon is not None and abandon.is_set():

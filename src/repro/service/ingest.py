@@ -6,7 +6,7 @@
 single consumer task decodes nothing — frames are decoded at submission
 so malformed bytes are charged to the submitting peer — validates each
 frame's :class:`~repro.robustness.ReportSpec` pin against the collector's
-plan, and batches the reports through the existing sanitize→merge
+plan, and batches the reports through the existing sanitize→fold
 admission path.
 
 Backpressure is structural, not advisory: the pending-frame queue is a
@@ -34,20 +34,18 @@ Socket connections speak either protocol the first bytes announce:
   watermark drops the overlap (at-most-once).
 
 With ``checkpoint_dir`` set the service also drives durability itself:
-every ``checkpoint_every`` accepted frames the consumer cuts a snapshot
-(:func:`~repro.service.checkpoint.cut_checkpoint`, including the
-per-client watermarks) synchronously. The cut compacts, then holds each
-grid's compacted report by reference plus the small meta document.
-Beyond compaction its cost grows with the number of grids, not with the
-admitted rows; the compaction itself still concatenates every admitted
-OLH/GRR row of each grid with batches pending since the last one, so
-that part grows with the stream. A flush thread then streams the cut to
-disk (:func:`~repro.service.checkpoint.write_checkpoint_file`: frames
-serialized from zero-copy views, CRCs, fsync, rename, directory fsync)
-and prunes to the newest ``keep_checkpoints`` files, while the consumer
-keeps admitting. :class:`ServiceStats` tracks the recovery-point lag
-(users accepted since the last durable snapshot — what a crash right now
-would need to replay) so operators can bound data-loss exposure.
+every ``checkpoint_every`` accepted frames the consumer renders a
+snapshot (:func:`~repro.service.checkpoint.save_checkpoint`, including
+the per-client watermarks) synchronously, so the blob is the consistent
+cut. The collector keeps one folded state per grid plus the reports
+admitted since its last compaction (at most ``compact_every`` frames'
+worth), so rendering compacts that interval and serializes O(Σ cells)
+bytes — kilobytes, whatever the stream's length. A flush thread then
+writes the bytes (temp file, fsync, rename, directory fsync) and prunes
+to the newest ``keep_checkpoints`` files while the consumer keeps
+admitting. :class:`ServiceStats` tracks the recovery-point lag (users
+accepted since the last durable snapshot — what a crash right now would
+need to replay) so operators can bound data-loss exposure.
 
 Per-peer admission control (:class:`~repro.service.admission`) is off by
 default; pass ``limits=PeerLimits(...)`` to bound each peer's frame and
@@ -79,12 +77,9 @@ from repro.errors import IngestError, PayloadError, WireError
 from repro.robustness.faults import NetworkFaultInjector
 from repro.robustness.ingest import report_user_count
 from repro.service.admission import PeerAdmission, PeerLimits
-# save_checkpoint is not called here; the repository benchmark wraps
-# this module's name, so it stays importable.
-from repro.service.checkpoint import (CheckpointCut,  # noqa: F401
-                                      checkpoint_index, checkpoint_path,
-                                      cut_checkpoint, list_checkpoints,
-                                      prune_checkpoints, save_checkpoint,
+from repro.service.checkpoint import (checkpoint_index, checkpoint_path,
+                                      list_checkpoints, prune_checkpoints,
+                                      save_checkpoint,
                                       write_checkpoint_file)
 from repro.wire import (FrameDecoder, SequencedDecoder, WireFrame,
                         ack_line, decode_frame, parse_hello,
@@ -251,11 +246,14 @@ class IngestionService:
         a flood without interleaving overhead per frame).
     compact_every:
         Accepted-frame interval between
-        :meth:`~repro.core.StreamingCollector.compact` calls; ``0``
-        disables periodic compaction.
+        :meth:`~repro.core.StreamingCollector.compact` calls, which fold
+        the pending reports into the grid states. It bounds the report
+        rows the collector holds to this many frames' worth (plus what
+        arrives before the next checkpoint or ``finalize``, which also
+        compact); ``0`` disables periodic compaction.
     checkpoint_every, checkpoint_dir, keep_checkpoints:
         Service-driven durability. With ``checkpoint_dir`` set, the
-        consumer cuts a snapshot of the collector every
+        consumer renders a snapshot of the collector every
         ``checkpoint_every`` accepted frames (``0``: only on
         :meth:`stop`); a flush thread writes it atomically and prunes
         to the newest ``keep_checkpoints`` files. Numbering continues
@@ -723,21 +721,19 @@ class IngestionService:
         return {"peer_seqs": dict(self._peer_seqs)}
 
     def _begin_checkpoint(self) -> None:
-        """Cut a snapshot now; write it to disk off the consumer loop.
+        """Render a snapshot now; write it to disk off the consumer loop.
 
-        The cut runs synchronously here in the consumer, between
+        The blob is rendered synchronously here in the consumer, between
         batches, so it is consistent with the session watermarks it
-        records. It compacts, which recopies every admitted row of each
-        grid with batches pending since the last compaction; beyond
-        that it captures references and renders the meta document —
-        O(grids), no row copied or serialized. Serialization, CRCs,
-        fsync, rename, the directory fsync and pruning all run in the
+        records: it compacts the reports pending since the last
+        compaction and serializes the folded states, O(Σ cells) bytes.
+        The write, fsync, rename, directory fsync and pruning run in the
         flush thread while the consumer keeps admitting.
         """
         try:
             path = checkpoint_path(self.checkpoint_dir, self._ckpt_index)
-            cut = cut_checkpoint(self.collector,
-                                 extra=self._checkpoint_extra())
+            blob = save_checkpoint(self.collector,
+                                   extra=self._checkpoint_extra())
         except Exception as exc:  # noqa: BLE001 — see _flush_checkpoint
             self._failure = exc
             return
@@ -746,15 +742,15 @@ class IngestionService:
         self._ckpt_index += 1
         self._since_checkpoint = 0
         self._ckpt_task = asyncio.create_task(
-            self._flush_checkpoint(path, cut, durable))
+            self._flush_checkpoint(path, blob, durable))
 
-    async def _flush_checkpoint(self, path: Path, cut: CheckpointCut,
+    async def _flush_checkpoint(self, path: Path, blob: bytes,
                                 durable: _Durable) -> None:
         try:
-            nbytes = await asyncio.to_thread(self._write_checkpoint, path,
-                                             cut)
-            if nbytes is not None:
-                self._note_durable(nbytes, durable)
+            written = await asyncio.to_thread(self._write_checkpoint, path,
+                                              blob)
+            if written:
+                self._note_durable(len(blob), durable)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 — broken disk is fatal
@@ -763,14 +759,12 @@ class IngestionService:
             # same way consumer failures surface.
             self._failure = exc
 
-    def _write_checkpoint(self, path: Path,
-                          cut: CheckpointCut) -> Optional[int]:
-        """Flush thread: write, prune; the file's size, None if aborted."""
-        if write_checkpoint_file(path, cut, abandon=self._abandon) is None:
-            return None
-        nbytes = path.stat().st_size
+    def _write_checkpoint(self, path: Path, blob: bytes) -> bool:
+        """Flush thread: write, prune; False if the write was abandoned."""
+        if write_checkpoint_file(path, blob, abandon=self._abandon) is None:
+            return False
         prune_checkpoints(self.checkpoint_dir, self.keep_checkpoints)
-        return nbytes
+        return True
 
     def _note_durable(self, nbytes: int, durable: _Durable) -> None:
         self._durable_seqs = durable.peer_seqs

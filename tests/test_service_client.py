@@ -13,6 +13,7 @@ and the durable/acked watermark split bridging the crash.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import struct
 import zlib
@@ -567,12 +568,18 @@ class TestServiceLifecycle:
             await service.start()
             port = await serve_port(service)
             _, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(b"FLW1\x01")  # partial frame: handler blocks
-            await writer.drain()
-            await asyncio.sleep(0.05)
-            await asyncio.wait_for(service.stop(), timeout=5)
-            with pytest.raises((ConnectionError, OSError)):
-                await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(b"FLW1\x01")  # partial frame: handler blocks
+                await writer.drain()
+                await asyncio.sleep(0.05)
+                await asyncio.wait_for(service.stop(), timeout=5)
+                with pytest.raises((ConnectionError, OSError)):
+                    await asyncio.open_connection("127.0.0.1", port)
+            finally:
+                writer.close()
+                # the stopped server has reset the connection
+                with contextlib.suppress(ConnectionError, OSError):
+                    await writer.wait_closed()
 
         asyncio.run(run())
 
