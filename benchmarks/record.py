@@ -6,12 +6,14 @@ Usage::
     python benchmarks/record.py --check RAW_JSON RECORD_JSON
 
 ``RAW_JSON`` is the file produced by ``pytest --benchmark-json=...``; the
-output keeps only the stable per-benchmark statistics (seconds and ops/s)
-plus a provenance header — Python version, CPU model, effective core
-count (``len(os.sched_getaffinity(0))``: the CPUs this process may run
-on), recording time and the git commit (suffixed ``-dirty`` when
-tracked files differ from it; ``null`` without git) — so successive PRs
-can diff throughput without churn from host-specific noise fields.
+output keeps only the stable per-benchmark statistics (seconds and ops/s,
+and under ``extra`` what a benchmark put in its ``extra_info``, such as a
+mean sweep count) plus a provenance header — Python version, CPU model,
+effective core count (``len(os.sched_getaffinity(0))``: the CPUs this
+process may run on), recording time and the git commit (suffixed
+``-dirty`` when tracked files differ from it; ``null`` without git) — so
+successive PRs can diff throughput without churn from host-specific
+noise fields.
 
 A recording replaces the header and the whole ``benchmarks`` map: every
 row in the output comes from this run, so a benchmark deleted from the
@@ -122,6 +124,8 @@ def compact(raw: dict, commit: Optional[str], cores: int) -> dict:
             "rounds": stats.get("rounds"),
             "ops_per_s": (1.0 / mean) if mean else None,
         }
+        if bench.get("extra_info"):
+            out["benchmarks"][bench["name"]]["extra"] = bench["extra_info"]
     return out
 
 

@@ -1,7 +1,8 @@
 """Benchmarks of the vectorized answering engine.
 
-Tracks the layers the engine optimizes: materializing a pair's
-response matrix (Algorithm 3 IPF), summed-area rectangle lookups, one
+Tracks the layers the engine optimizes: materializing every pair's
+response matrix (Algorithm 3 IPF) at two shapes, with the mean sweeps per
+pair recorded, summed-area rectangle lookups, one
 ten-query λ ≥ 3 batch, and the batched workload path against one
 ``answer`` call per query on a 6-attribute, 1000-query mixed-λ
 workload. ``make bench-answers`` records the results in
@@ -53,9 +54,20 @@ def workload(bench_dataset):
     return queries
 
 
-def test_pair_matrix_materialize(benchmark, fitted):
-    """Eager build of all C(6, 2) = 15 response matrices + SATs."""
-    agg = fitted.aggregator
+@pytest.fixture(scope="module")
+def fitted_d256():
+    """The perfbench batch-fit shape at 10^6 users: numerical domain 256,
+    categorical 16, ε = 4 (256 x 256 pairs of 152 x 152 atoms)."""
+    data = normal_dataset(1_000_000, num_numerical=4, num_categorical=2,
+                          numerical_domain=256, categorical_domain=16,
+                          rng=2023)
+    return Felip.ohg(data.schema, epsilon=4.0).fit(data, rng=2024)
+
+
+def _time_materialize(benchmark, model):
+    """Time the eager build of all C(6, 2) = 15 response matrices + SATs
+    and record the mean Algorithm 3 sweeps per pair."""
+    agg = model.aggregator
 
     def setup():
         agg._matrices.clear()
@@ -65,6 +77,19 @@ def test_pair_matrix_materialize(benchmark, fitted):
 
     benchmark.pedantic(agg.materialize, setup=setup, rounds=3,
                        iterations=1)
+    diags = agg.fit_diagnostics()["response_matrices"].values()
+    benchmark.extra_info["sweeps_mean"] = float(
+        np.mean([diag["sweeps"] for diag in diags]))
+
+
+def test_pair_matrix_materialize(benchmark, fitted):
+    """Materialize at n = 60 000, domain 64, ε = 1."""
+    _time_materialize(benchmark, fitted)
+
+
+def test_pair_matrix_materialize_d256(benchmark, fitted_d256):
+    """Materialize at batch-fit's shape, where Algorithm 3 dominates."""
+    _time_materialize(benchmark, fitted_d256)
 
 
 def test_sat_rectangle_lookups(benchmark):

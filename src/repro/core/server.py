@@ -436,9 +436,13 @@ class Aggregator:
             raise QueryError(
                 f"prior shape {matrix.shape} does not match domains "
                 f"{expected}")
-        if (matrix < 0).any() or matrix.sum() <= 0:
-            raise QueryError("prior must be non-negative with positive mass")
-        self._priors[(i, j)] = matrix / matrix.sum()
+        with np.errstate(over="ignore"):  # an overflowing sum is refused
+            total = matrix.sum()
+        if not (np.isfinite(matrix).all() and (matrix >= 0).all()
+                and 0.0 < total < np.inf):
+            raise QueryError("prior must be finite and non-negative with "
+                             "a positive, finite total mass")
+        self._priors[(i, j)] = matrix / total
         self._matrices.pop((i, j), None)
         self._matrix_diags.pop((i, j), None)
         self._sats.pop((i, j), None)

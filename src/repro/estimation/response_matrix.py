@@ -32,10 +32,32 @@ tiles one axis and spans the other). Because the rectangles never overlap,
 applying the grid's constraints one by one touches disjoint blocks — so the
 whole grid can be applied as ONE fused update: per-cell block sums via
 ``np.add.reduceat`` along each axis, a per-cell scale factor, and a single
-elementwise multiply through the grid's precomputed row/column cell-id maps.
-That turns a sweep from O(cells) Python iterations into one fused multiply
-per grid, with results identical to the sequential constraint-by-constraint
-loop (the reference kept with the tests, property-tested against).
+multiply by the scales expanded back with ``np.repeat``.
+
+The sweep runs on *atoms*, not values. The union of every related grid's
+row edges, and that of their column edges, cut the matrix into atoms:
+blocks that each lie inside exactly one cell of every grid (152 x 152 atoms
+for a 256 x 256 pair of a 4 M-user OHG fit at ε = 4). Every update scales
+all values of an atom by one factor, so inside an atom the matrix keeps the
+shape it started with, and the fit keeps one mass per atom: the same
+sweeps, stop rule, residual and refill, on the atom masses, then one
+expansion to ``d_i x d_j``. Each value gets its atom's mass divided by the
+atom's area (the uniform start), or under a prior the prior's share of its
+atom's mass. That equals the value-level fit up to rounding, and so does
+the movement: inside an atom the per-value changes share one sign, so they
+add up to the change of the atom's mass.
+
+The zero-mass refill is the one update that changes a shape: it spreads a
+cell's target over the cell's values uniformly, which is over its atoms by
+area, so a refilled atom stays uniform from then on (one boolean per atom;
+without a prior every atom is uniform from the start). Hence the one edge
+case: in the sweep in which a refill first turns a prior-shaped atom
+uniform, its values move by more than its mass does, so that sweep counts
+those atoms' movement value by value (prior-shaped before, uniform after).
+
+The sequential constraint-by-constraint loop on the values stays with the
+tests as the reference: the fit must match it within 1e-12 and stop on the
+same sweep, refills and priors included.
 """
 
 from __future__ import annotations
@@ -110,78 +132,82 @@ def _warn_non_convergence(what: str, diag: IPFDiagnostics) -> None:
 
 
 class _GridPartition:
-    """One related grid's constraints as a partition of the matrix.
+    """One related grid's constraints as a partition of the pair's atoms.
 
-    Precomputed once per fit: the ``reduceat`` offsets that produce the
-    per-cell block sums, the flat row/column → cell-id maps that expand a
-    per-cell scale array back over the matrix, and the target cell masses.
+    Precomputed once per fit from the grid's cell edges as atom indices:
+    the ``reduceat`` offsets that produce the per-cell block sums, the
+    atoms per cell along each axis (the ``np.repeat`` counts that expand a
+    per-cell array over the atoms) and the target cell masses.
     """
 
-    def __init__(self, row_edges: np.ndarray, col_edges: np.ndarray,
+    def __init__(self, rows: np.ndarray, cols: np.ndarray,
                  targets: np.ndarray):
         #: reduceat offsets along each axis (edges without the terminator)
-        self.row_offsets = np.ascontiguousarray(row_edges[:-1])
-        self.col_offsets = np.ascontiguousarray(col_edges[:-1])
-        #: flat cell-id maps: row r of the matrix lies in x-cell row_cell[r]
-        self.row_cell = np.repeat(np.arange(len(row_edges) - 1),
-                                  np.diff(row_edges))
-        self.col_cell = np.repeat(np.arange(len(col_edges) - 1),
-                                  np.diff(col_edges))
+        self.row_offsets = rows[:-1]
+        self.col_offsets = cols[:-1]
+        #: atoms per cell: cell c spans row_atoms[c] rows of atoms
+        self.row_atoms = rows[1:] - rows[:-1]
+        self.col_atoms = cols[1:] - cols[:-1]
         self.targets = np.asarray(targets, dtype=np.float64)
-        widths_r = np.diff(row_edges)[:, None]
-        widths_c = np.diff(col_edges)[None, :]
-        #: per-cell block areas (for the zero-total repopulation rule)
-        self.sizes = (widths_r * widths_c).astype(np.float64)
 
-    @property
-    def spans_all_rows(self) -> bool:
-        return len(self.row_offsets) == 1
-
-    @property
-    def spans_all_cols(self) -> bool:
-        return len(self.col_offsets) == 1
-
-    def block_sums(self, m: np.ndarray) -> np.ndarray:
-        """Per-cell block sums of ``m`` — one reduceat per axis."""
-        sums = np.add.reduceat(m, self.row_offsets, axis=0)
+    def block_sums(self, mass: np.ndarray) -> np.ndarray:
+        """Per-cell block sums of ``mass`` — one reduceat per axis."""
+        sums = np.add.reduceat(mass, self.row_offsets, axis=0)
         return np.add.reduceat(sums, self.col_offsets, axis=1)
 
     def expand(self, cells: np.ndarray) -> np.ndarray:
-        """Gather a per-cell array out to the full matrix shape."""
-        return cells[self.row_cell[:, None], self.col_cell]
+        """Repeat a per-cell array out over the atoms; an axis the grid
+        spans with one cell stays length 1 and broadcasts."""
+        if len(self.row_atoms) > 1:
+            cells = np.repeat(cells, self.row_atoms, axis=0)
+        if len(self.col_atoms) > 1:
+            cells = np.repeat(cells, self.col_atoms, axis=1)
+        return cells
 
-    def apply(self, m: np.ndarray) -> float:
+    def apply(self, mass: np.ndarray, areas: np.ndarray,
+              uniform: Optional[np.ndarray]) -> np.ndarray:
         """One fused weighted-update of this grid's constraints, in place.
 
-        Returns the constraint set's contribution to the sweep residual
-        (``sum |target - total|`` over positive-mass cells plus the target
-        mass poured into repopulated zero-mass cells) — identical to the
-        sequential reference because the cells are disjoint.
+        Scales every positive-mass cell to its target; a zero-mass cell
+        with a positive target is refilled, its target spread over its
+        atoms by area (each value gets target / cell area), and its atoms
+        are marked in ``uniform`` (None: every atom is uniform already).
+        Returns the block sums the update started from, for
+        :meth:`residual`.
         """
-        sums = self.block_sums(m)
+        sums = self.block_sums(mass)
         pos = sums > 0.0
-        scale = np.divide(self.targets, sums, out=np.ones_like(sums),
-                          where=pos)
-        change = float(np.abs(self.targets - sums)[pos].sum())
-        if self.spans_all_cols:
-            m *= scale[self.row_cell, :]
-        elif self.spans_all_rows:
-            m *= scale[:, self.col_cell]
-        else:
-            m *= scale[self.row_cell[:, None], self.col_cell]
+        if pos.all():
+            mass *= self.expand(self.targets / sums)
+            return sums
+        mass *= self.expand(np.divide(self.targets, sums,
+                                      out=np.ones_like(sums), where=pos))
         refill = (~pos) & (self.targets > 0.0)
         if refill.any():
-            change += float(self.targets[refill].sum())
-            per_value = np.zeros_like(sums)
-            per_value[refill] = self.targets[refill] / self.sizes[refill]
-            mask = self.expand(refill)
-            m[mask] = self.expand(per_value)[mask]
-        return change
+            atoms = np.broadcast_to(self.expand(refill), mass.shape)
+            per_value = self.targets / self.block_sums(areas)
+            np.copyto(mass, self.expand(per_value) * areas, where=atoms)
+            if uniform is not None:
+                uniform |= atoms
+        return sums
+
+    def residual(self, sums: np.ndarray) -> float:
+        """The constraint set's share of a sweep's residual, given the
+        block sums :meth:`apply` started from: ``sum |target - total|``
+        over positive-mass cells plus the target mass poured into
+        repopulated zero-mass cells — identical to the sequential
+        reference because the cells are disjoint."""
+        pos = sums > 0.0
+        refill = (~pos) & (self.targets > 0.0)
+        return float(np.abs(self.targets - sums)[pos].sum()
+                     + self.targets[refill].sum())
 
 
-def _partition_for(estimate: GridEstimate, attr_i: int, attr_j: int,
-                   di: int, dj: int) -> _GridPartition:
-    """Build the fused-sweep partition of one related grid estimate."""
+def _oriented_cells(estimate: GridEstimate, attr_i: int, attr_j: int,
+                    di: int, dj: int
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One related grid's cells on the ``(i, j)`` matrix: its row edges,
+    column edges and target masses shaped (row cells, column cells)."""
     grid = estimate.grid
     full_rows = np.array([0, di], dtype=np.int64)
     full_cols = np.array([0, dj], dtype=np.int64)
@@ -189,9 +215,9 @@ def _partition_for(estimate: GridEstimate, attr_i: int, attr_j: int,
         edges = grid.binning.edges
         freqs = estimate.frequencies
         if grid.attr_index == attr_i:
-            return _GridPartition(edges, full_cols, freqs[:, None])
+            return edges, full_cols, freqs[:, None]
         if grid.attr_index == attr_j:
-            return _GridPartition(full_rows, edges, freqs[None, :])
+            return full_rows, edges, freqs[None, :]
         raise EstimationError(
             f"1-D grid over attribute {grid.attr_index} unrelated "
             f"to pair ({attr_i}, {attr_j})"
@@ -199,11 +225,10 @@ def _partition_for(estimate: GridEstimate, attr_i: int, attr_j: int,
     if not isinstance(grid, Grid2D):
         raise EstimationError(f"unsupported grid type {type(grid).__name__}")
     if grid.attr_index_x == attr_i and grid.attr_index_y == attr_j:
-        return _GridPartition(grid.binning_x.edges, grid.binning_y.edges,
-                              estimate.matrix())
+        return grid.binning_x.edges, grid.binning_y.edges, estimate.matrix()
     if grid.attr_index_x == attr_j and grid.attr_index_y == attr_i:
-        return _GridPartition(grid.binning_y.edges, grid.binning_x.edges,
-                              estimate.matrix().T)
+        return (grid.binning_y.edges, grid.binning_x.edges,
+                estimate.matrix().T)
     raise EstimationError(
         f"2-D grid over {grid.key} unrelated to pair "
         f"({attr_i}, {attr_j})"
@@ -226,16 +251,18 @@ def _validate_fit_inputs(related: Sequence[GridEstimate], di: int, dj: int,
         if prior.shape != (di, dj):
             raise EstimationError(
                 f"prior shape {prior.shape} != domain shape ({di}, {dj})")
-        if (prior < 0).any() or prior.sum() <= 0:
+        with np.errstate(over="ignore"):  # an overflowing sum is refused
+            total = prior.sum()
+        if not (np.isfinite(prior).all() and (prior >= 0).all()
+                and 0.0 < total < np.inf):
             raise EstimationError(
-                "prior must be non-negative with positive total mass")
+                "prior must be finite and non-negative with a positive, "
+                "finite total mass")
     return prior
 
 
-def _initial_matrix(di: int, dj: int,
-                    prior: Optional[np.ndarray]) -> np.ndarray:
-    if prior is None:
-        return np.full((di, dj), 1.0 / (di * dj))
+def _prior_start(prior: np.ndarray, di: int, dj: int) -> np.ndarray:
+    """The value-level start a prior gives the fit."""
     # Keep a tiny uniform floor so cells the prior zeroes out can
     # still absorb mass the collected grids put there.
     return (prior / prior.sum()) * (1.0 - 1e-6) + 1e-6 / (di * dj)
@@ -254,6 +281,30 @@ def _trivial_fast_path(related: Sequence[GridEstimate], attr_i: int,
             return matrix.copy()
         return matrix.T.copy()
     return None
+
+
+def _refine(edge_sets: Sequence[np.ndarray], d: int
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """The common refinement of some cell edges over ``0..d``: the atom
+    edges (their union), and each value edge's atom index."""
+    is_edge = np.zeros(d + 1, dtype=bool)
+    for edges in edge_sets:
+        is_edge[edges] = True
+    return np.flatnonzero(is_edge), np.cumsum(is_edge) - 1
+
+
+def _block_sums(values: np.ndarray, atom_rows: np.ndarray,
+                atom_cols: np.ndarray) -> np.ndarray:
+    """Per-atom sums of a ``d_i x d_j`` matrix."""
+    sums = np.add.reduceat(values, atom_rows[:-1], axis=0)
+    return np.add.reduceat(sums, atom_cols[:-1], axis=1)
+
+
+def _to_values(atoms: np.ndarray, row_widths: np.ndarray,
+               col_widths: np.ndarray) -> np.ndarray:
+    """Repeat a per-atom array out to the ``d_i x d_j`` values."""
+    return np.repeat(np.repeat(atoms, row_widths, axis=0), col_widths,
+                     axis=1)
 
 
 def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
@@ -289,6 +340,9 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
     The fitted matrix plus the sweep's :class:`IPFDiagnostics`. A
     :class:`~repro.errors.ConvergenceWarning` is emitted when the matrix
     still moves by τ or more at ``max_iters``.
+
+    The sweeps run on the masses of the atoms the grids' edges cut the
+    matrix into (see the module docstring); the matrix is expanded once.
     """
     prior = _validate_fit_inputs(related, di, dj, tolerance, prior)
 
@@ -298,28 +352,65 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
                                     final_change=0.0, threshold=tolerance,
                                     residual=0.0)
 
-    partitions = [_partition_for(estimate, attr_i, attr_j, di, dj)
-                  for estimate in related]
-    m = _initial_matrix(di, dj, prior)
-    before = np.empty_like(m)
+    cells = [_oriented_cells(estimate, attr_i, attr_j, di, dj)
+             for estimate in related]
+    atom_rows, row_index = _refine([rows for rows, _, _ in cells], di)
+    atom_cols, col_index = _refine([cols for _, cols, _ in cells], dj)
+    partitions = [_GridPartition(row_index[rows], col_index[cols], targets)
+                  for rows, cols, targets in cells]
+    row_widths = atom_rows[1:] - atom_rows[:-1]
+    col_widths = atom_cols[1:] - atom_cols[:-1]
+    # values per atom
+    areas = row_widths[:, None] * col_widths.astype(np.float64)
+    if prior is None:
+        start = uniform = None
+        mass = areas / (di * dj)
+    else:
+        start = _prior_start(prior, di, dj)
+        start_mass = _block_sums(start, atom_rows, atom_cols)
+        mass = start_mass.copy()
+        uniform = np.zeros(mass.shape, dtype=bool)
+    before = np.empty_like(mass)
     movement = residual = float("inf")
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
-        np.copyto(before, m)
-        residual = 0.0
-        for partition in partitions:
-            residual += partition.apply(m)
-        # before := |m - before|, in place: the sweep's net movement.
-        movement = float(np.abs(np.subtract(m, before, out=before),
-                                out=before).sum())
+        np.copyto(before, mass)
+        was_uniform = None if uniform is None else uniform.copy()
+        started_from = [partition.apply(mass, areas, uniform)
+                        for partition in partitions]
+        reshaped = None
+        if uniform is not None and (uniform != was_uniform).any():
+            # Prior-shaped at the sweep's start, uniform at its end: these
+            # atoms' values moved by more than their mass did.
+            reshaped = uniform & ~was_uniform
+            value_moves = _block_sums(np.abs(
+                _to_values(mass / areas, row_widths, col_widths)
+                - start * _to_values(before / start_mass, row_widths,
+                                     col_widths)), atom_rows, atom_cols)
+        # before := |mass - before|, in place: each atom's net movement.
+        moved = np.abs(np.subtract(mass, before, out=before), out=before)
+        if reshaped is not None:
+            moved[reshaped] = value_moves[reshaped]
+        movement = float(moved.sum())
         if movement < tolerance:
             break
+    if sweeps:
+        residual = sum(partition.residual(sums) for partition, sums
+                       in zip(partitions, started_from))
     diag = IPFDiagnostics(sweeps=sweeps, converged=movement < tolerance,
                           final_change=movement, threshold=tolerance,
                           residual=residual)
     _warn_non_convergence(
         f"response matrix for pair ({attr_i}, {attr_j})", diag)
-    return m, diag
+
+    if start is None:
+        return _to_values(mass / areas, row_widths, col_widths), diag
+    # The start is spent: scale it in place to the prior-shaped values.
+    start *= _to_values(mass / start_mass, row_widths, col_widths)
+    if uniform.any():
+        np.copyto(start, _to_values(mass / areas, row_widths, col_widths),
+                  where=_to_values(uniform, row_widths, col_widths))
+    return start, diag
 
 
 def build_response_matrix(related: Sequence[GridEstimate], attr_i: int,

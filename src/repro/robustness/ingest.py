@@ -29,6 +29,16 @@ from repro.errors import IngestError
 #: admission modes, in decreasing strictness
 INGEST_MODES = ("strict", "drop", "quarantine")
 
+#: Most rejection sources :class:`IngestStats` counts by name. A wire
+#: source is ``peer=<host>:<port>``, one per connection, and a checkpoint
+#: carries every key, so past this many the rejections of any new source
+#: count under :data:`OTHER_SOURCES`: the total stays exact, the map
+#: bounded.
+MAX_SOURCE_KEYS = 64
+
+#: The catch-all key of the sources beyond :data:`MAX_SOURCE_KEYS`.
+OTHER_SOURCES = "<other>"
+
 
 @dataclass(frozen=True)
 class IngestPolicy:
@@ -73,7 +83,12 @@ class IngestPolicy:
 
 
 class IngestStats:
-    """Thread-safe admission accounting; shared across shards and batches."""
+    """Thread-safe admission accounting; shared across shards and batches.
+
+    ``sources`` counts rejections per source (a grid key, ``local`` or a
+    wire peer) under at most :data:`MAX_SOURCE_KEYS` names plus the
+    :data:`OTHER_SOURCES` catch-all.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -122,12 +137,20 @@ class IngestStats:
             if whole_report:
                 self.dropped_reports += 1
             if source:
-                self.sources[source] = self.sources.get(source, 0) + 1
+                self._count_source(source, 1)
             if (policy.mode == "quarantine"
                     and len(self.quarantine) < policy.quarantine_capacity):
                 self.quarantine.append(
                     {"reason": reason, "users": int(users),
                      "detail": detail, "source": source})
+
+    def _count_source(self, source: str, count: int) -> None:
+        """Add ``count`` rejections to ``source`` (caller holds the lock);
+        a new source past the cap counts under :data:`OTHER_SOURCES`."""
+        named = len(self.sources) - (OTHER_SOURCES in self.sources)
+        if source not in self.sources and named >= MAX_SOURCE_KEYS:
+            source = OTHER_SOURCES
+        self.sources[source] = self.sources.get(source, 0) + count
 
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
@@ -163,8 +186,9 @@ class IngestStats:
             self.dropped_users = int(state["dropped_users"])
             self.reasons = {str(k): int(v)
                             for k, v in state["reasons"].items()}
-            self.sources = {str(k): int(v)
-                            for k, v in state.get("sources", {}).items()}
+            self.sources = {}
+            for key, count in state.get("sources", {}).items():
+                self._count_source(str(key), int(count))
             self.quarantine = [dict(entry)
                                for entry in state.get("quarantine", [])]
 

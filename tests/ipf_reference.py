@@ -1,11 +1,12 @@
 """Sequential reference implementations of Algorithms 3 and 4.
 
 Oracles for the property tests: the fused sweeps in
-:mod:`repro.estimation` apply a whole grid (Algorithm 3) or a whole pair
-(Algorithm 4) at once, these loops apply one constraint at a time. Both
-stop on the same rule — the first sweep whose movement (L1 norm of the
-net change to the iterate) is below ``tolerance`` — so the tests can
-require equal results *and* equal sweep counts.
+:mod:`repro.estimation` apply a whole grid (Algorithm 3, on the masses of
+the atoms its grids' edges cut the matrix into) or a whole pair
+(Algorithm 4) at once, these loops apply one constraint at a time to
+every value. Both stop on the same rule — the first sweep whose movement
+(L1 norm of the net change to the iterate) is below ``tolerance`` — so
+the tests can require equal results *and* equal sweep counts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.errors import EstimationError
 from repro.estimation import PairAnswers
 from repro.estimation.lambda_query import _validate_pair_answers
 from repro.estimation.response_matrix import (
-    _initial_matrix,
+    _prior_start,
     _trivial_fast_path,
     _validate_fit_inputs,
 )
@@ -90,7 +91,8 @@ def build_response_matrix_reference(related: Sequence[GridEstimate],
         constraints.extend(
             _constraints_for(estimate, attr_i, attr_j, di, dj))
 
-    m = _initial_matrix(di, dj, prior)
+    m = (np.full((di, dj), 1.0 / (di * dj)) if prior is None
+         else _prior_start(prior, di, dj))
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
         before = m.copy()

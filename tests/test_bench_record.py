@@ -45,6 +45,15 @@ def test_recording_replaces_rows_and_keeps_foreign_sections(tmp_path):
     assert record["datetime"] == "2026-01-01T00:00:00"
 
 
+def test_extra_info_is_kept_under_extra(tmp_path):
+    raw = _raw("test_counted", "test_plain")
+    raw["benchmarks"][0]["extra_info"] = {"sweeps_mean": 29.7}
+    raw["benchmarks"][1]["extra_info"] = {}
+    rows = _record(tmp_path, raw)["benchmarks"]
+    assert rows["test_counted"]["extra"] == {"sweeps_mean": 29.7}
+    assert "extra" not in rows["test_plain"]
+
+
 def test_header_names_commit_and_effective_cores(tmp_path):
     record = _record(tmp_path, _raw("test_row"))
     assert record["machine"]["effective_cores"] == \

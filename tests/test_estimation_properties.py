@@ -32,10 +32,38 @@ from tests.ipf_reference import (
 )
 
 
-def _random_grid_estimate(di, dj, lx, ly, frequencies):
-    grid = Grid2D(0, 1, numerical("x", di), numerical("y", dj),
-                  Binning(di, lx), Binning(dj, ly))
+def _random_grid_estimate(di, dj, lx, ly, frequencies, transposed=False):
+    """A 2-D grid over the pair (0, 1); ``transposed`` stores it as (1, 0)
+    with ``frequencies`` laid out ``(ly, lx)``."""
+    x, y = numerical("x", di), numerical("y", dj)
+    if transposed:
+        grid = Grid2D(1, 0, y, x, Binning(dj, ly), Binning(di, lx))
+    else:
+        grid = Grid2D(0, 1, x, y, Binning(di, lx), Binning(dj, ly))
     return GridEstimate(grid=grid, frequencies=np.asarray(frequencies))
+
+
+def _random_targets(rng, size, with_zeros):
+    """Dirichlet cell masses; ``with_zeros`` zeroes about a third of the
+    cells exactly (keeping one positive), which makes the fit refill."""
+    freqs = rng.dirichlet(np.ones(size))
+    if with_zeros:
+        zero = rng.random(size) < 0.35
+        zero[rng.integers(size)] = False
+        freqs[zero] = 0.0
+        freqs /= freqs.sum()
+    return freqs
+
+
+def _random_1d_estimate(rng, attr_index, domain, with_zeros):
+    """A 1-D grid with random (irregular) cell edges over ``domain``."""
+    cells = int(rng.integers(1, domain + 1))
+    inner = np.sort(rng.choice(np.arange(1, domain), cells - 1,
+                               replace=False))
+    binning = Binning.from_edges(np.concatenate(([0], inner, [domain])))
+    grid = Grid1D(attr_index, numerical(f"a{attr_index}", domain), binning)
+    return GridEstimate(grid=grid, frequencies=_random_targets(
+        rng, cells, with_zeros))
 
 
 grid_shapes = st.tuples(st.integers(2, 16), st.integers(2, 16)).flatmap(
@@ -120,29 +148,36 @@ class TestVectorizedMatchesReference:
     """The fused kernels must reproduce the reference loops.
 
     The vectorized Algorithm 3 sweep applies every constraint of one grid
-    simultaneously; the reference applies them one by one. The two are
-    equal (not just close) because one grid's cells partition the matrix —
-    no entry is touched twice within a grid — so only float round-off of
-    the block sums separates the paths. Same argument for the four sign
-    blocks of one pair in Algorithm 4. Both stop on the same movement
-    rule, so they must also stop at the same sweep.
+    simultaneously, to the masses of the atoms the grids' edges cut the
+    matrix into; the reference applies them one by one, to the values.
+    The two are equal (not just close) because one grid's cells partition
+    the matrix — no entry is touched twice within a grid — and every
+    update scales all values of an atom by one factor, so only float
+    round-off separates the paths. Same argument for the four sign blocks
+    of one pair in Algorithm 4. Both stop on the same movement rule, so
+    they must also stop at the same sweep.
     """
 
-    @given(grid_shapes, st.booleans(), st.booleans(),
+    @given(grid_shapes, st.sampled_from([(), (0,), (1,), (0, 1)]),
+           st.booleans(), st.booleans(), st.booleans(),
            st.randoms(use_true_random=False))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
-    def test_response_matrix_matches_reference(self, shape, with_1d,
+    def test_response_matrix_matches_reference(self, shape, one_d_axes,
+                                               transposed, with_zeros,
                                                with_prior, random):
+        """1-D grids on neither, either or both axes, the 2-D grid in
+        either orientation, targets with exact zeros (so some fits refill
+        zero-mass cells), with and without a prior, in a random order."""
         di, dj, lx, ly = shape
         rng = np.random.default_rng(random.randint(0, 2**31))
         related = [_random_grid_estimate(
-            di, dj, lx, ly, rng.dirichlet(np.ones(lx * ly)))]
-        if with_1d:
-            cells = int(rng.integers(1, di + 1))
-            grid = Grid1D(0, numerical("x", di), Binning(di, cells))
-            related.append(GridEstimate(
-                grid=grid, frequencies=rng.dirichlet(np.ones(cells))))
+            di, dj, lx, ly, _random_targets(rng, lx * ly, with_zeros),
+            transposed)]
+        for axis in one_d_axes:
+            related.append(_random_1d_estimate(
+                rng, axis, (di, dj)[axis], with_zeros))
+        related = [related[k] for k in rng.permutation(len(related))]
         prior = (rng.dirichlet(np.ones(di * dj)).reshape(di, dj)
                  if with_prior else None)
         vectorized, diag = fit_response_matrix(
@@ -154,6 +189,32 @@ class TestVectorizedMatchesReference:
         np.testing.assert_allclose(vectorized, reference, rtol=0,
                                    atol=1e-12)
         assert diag.sweeps == sweeps
+
+    def test_refill_reshaping_a_prior_atom_counts_every_value(self):
+        """The sweep in which a refill first makes a prior-shaped block
+        uniform moves its values by more than its mass changes.
+
+        The 1-D grid zeroes row 0 and the 2-D grid refills it uniformly
+        with the mass it had, so row 0's mass never changes but its
+        values do, once: the fit must take a second sweep, as the
+        reference does.
+        """
+        x, y = numerical("x", 2), numerical("y", 2)
+        prior = np.array([[0.1, 0.3], [0.2, 0.4]])
+        zeroing = GridEstimate(grid=Grid1D(0, x, Binning(2, 2)),
+                               frequencies=np.array([0.0, 1.0]))
+        refilling = GridEstimate(
+            grid=Grid2D(0, 1, x, y, Binning(2, 2), Binning(2, 1)),
+            frequencies=np.array([0.4, 0.6]))
+        related = [zeroing, refilling]
+        matrix, diag = fit_response_matrix(related, 0, 1, 2, 2,
+                                           tolerance=1e-3, prior=prior)
+        reference, sweeps = build_response_matrix_reference(
+            related, 0, 1, 2, 2, tolerance=1e-3, prior=prior)
+        assert diag.sweeps == sweeps == 2
+        np.testing.assert_allclose(matrix, reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(matrix[0], [0.2, 0.2], rtol=0,
+                                   atol=1e-12)
 
     @given(st.integers(2, 6), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)

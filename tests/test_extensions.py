@@ -115,6 +115,16 @@ class TestPriors:
         with pytest.raises(QueryError):
             model.set_prior("num_0", "num_1", -np.ones((32, 32)))
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, np.finfo(float).max])
+    def test_non_finite_prior_rejected(self, dataset, bad):
+        """NaN or inf entries, or finite ones whose total overflows."""
+        model = Felip.ohg(dataset.schema)
+        prior = np.ones((32, 32))
+        prior[3:5, 5] = bad
+        with pytest.raises(QueryError):
+            model.set_prior("num_0", "num_1", prior)
+
     def test_prior_accepts_transposed_orientation(self, dataset):
         model = Felip.ohg(dataset.schema)
         prior = np.full((32, 32), 1 / (32 * 32))

@@ -126,6 +126,18 @@ class TestValidation:
             build_response_matrix([pair, other], 0, 1, 4, 4,
                                   tolerance=1e-9)
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, np.finfo(float).max])
+    def test_non_finite_prior_rejected(self, bad):
+        """NaN or inf entries, or finite ones whose total overflows."""
+        x, y = numerical("x", 4), numerical("y", 4)
+        pair = _grid2d((x, y), (0, 1), (2, 2), [0.25] * 4)
+        prior = np.ones((4, 4))
+        prior[1:3, 2] = bad
+        with pytest.raises(EstimationError):
+            build_response_matrix([pair], 0, 1, 4, 4, tolerance=1e-9,
+                                  prior=prior)
+
     def test_invalid_tolerance(self):
         x, y = numerical("x", 4), numerical("y", 4)
         pair = _grid2d((x, y), (0, 1), (2, 2), [0.25] * 4)

@@ -7,6 +7,8 @@ payloads are built with :func:`forge_report`, which bypasses constructor
 validation the way a hostile wire client would.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from repro.robustness import (
     sanitize_report,
     sanitize_reports,
 )
+from repro.robustness.ingest import MAX_SOURCE_KEYS, OTHER_SOURCES
 
 pytestmark = pytest.mark.faults
 
@@ -57,6 +60,49 @@ class TestIngestPolicy:
             FelipConfig(shard_retries=-1)
         assert FelipConfig(detectors=("range", "l1")).detectors == \
             ("range", "l1")
+
+
+class TestSourceCap:
+    """Rejections are counted per source under a bounded set of keys."""
+
+    @staticmethod
+    def _rejected_from(sources):
+        stats = IngestStats()
+        policy = IngestPolicy(mode="drop")
+        for source in sources:
+            stats.record_reject("bad-frame", 1, policy, source=source)
+        return stats
+
+    def test_many_sources_keep_the_total_under_a_bounded_map(self):
+        peers = [f"peer=10.0.{k // 256}.{k % 256}:{5000 + k}"
+                 for k in range(200)]
+        stats = self._rejected_from(peers + peers[:3])
+        by_source = stats.as_dict()["rejected_by_source"]
+        assert len(by_source) <= MAX_SOURCE_KEYS + 1
+        assert sum(by_source.values()) == 203 == stats.reasons["bad-frame"]
+        # The sources seen first keep their own keys and go on counting.
+        assert by_source[peers[0]] == 2
+        assert by_source[OTHER_SOURCES] == 200 - MAX_SOURCE_KEYS
+
+    def test_capped_map_round_trips(self):
+        stats = self._rejected_from(f"peer=h:{k}" for k in range(200))
+        # A checkpoint stores the state as JSON with sorted keys.
+        state = json.loads(json.dumps(stats.state_dict(), sort_keys=True))
+        restored = IngestStats()
+        restored.load_state(state)
+        assert restored.sources == stats.sources
+        restored.record_reject("bad-frame", 1, IngestPolicy(mode="drop"),
+                               source="peer=h:9999")
+        assert restored.sources[OTHER_SOURCES] == \
+            stats.sources[OTHER_SOURCES] + 1
+
+    def test_loading_an_uncapped_map_folds_the_excess(self):
+        state = IngestStats().state_dict()
+        state["sources"] = {f"peer=h:{k}": 2 for k in range(100)}
+        restored = IngestStats()
+        restored.load_state(state)
+        assert len(restored.sources) == MAX_SOURCE_KEYS + 1
+        assert sum(restored.sources.values()) == 200
 
 
 class TestRowLevelSanitizers:
