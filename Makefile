@@ -30,10 +30,14 @@ test-faults:
 	$(PY) -m pytest -m faults -q
 
 # Deployment slice: ingestion service, resilient wire client, per-peer
-# admission, incremental checkpoints, and the chaos kill/restore
-# recovery suites (also part of the default `test` run).
+# admission, checkpoints, and the chaos kill/restore recovery suites
+# (also part of the default `test` run). Dev mode, with a leaked socket
+# (ResourceWarning) or an unraisable exception such as a StreamWriter
+# collected unclosed failing the run.
 test-service:
-	$(PY) -m pytest tests/test_service.py tests/test_service_client.py -q
+	$(PY) -X dev -m pytest tests/test_service.py tests/test_service_client.py \
+	    tests/test_service_checkpoint.py -q -W error::ResourceWarning \
+	    -W error::pytest.PytestUnraisableExceptionWarning
 
 # Micro-primitive benchmarks (tiled OLH kernel, perturb/estimate, HIO
 # answer throughput). Writes BENCH_kernels.json so PRs can diff kernel
@@ -72,8 +76,8 @@ bench-answers:
 	@rm -f .bench_raw.json
 
 # Ingestion-service soak: 10^6 wire clients through the asyncio front
-# door (frame decode → pin check → sanitize → merge with periodic
-# compaction), plus a checkpoint save/restore cycle verified
+# door (frame decode → pin check → sanitize → fold into the per-grid
+# states at each compaction), plus a checkpoint save/restore cycle verified
 # bit-identical, plus a chaos soak (faulted links, mid-stream service
 # kill restored from the latest incremental checkpoint). The tests
 # merge their records into BENCH_service.json themselves (throughput,

@@ -35,10 +35,11 @@ stream the failed attempt consumed — a collection that loses any shard
 once and retries it is bit-identical to the fault-free run.
 
 Ingestion hardening: when an ``ingest`` policy is passed, every shard's
-report is sanitized (``repro.robustness``) before reduction, with
-expectations pinned to the planning oracle's parameters — so a malformed
-or forged shard either fails loudly (``strict``) or is dropped/quarantined
-with its users accounted in ``ingest_stats``.
+report is checked (``repro.robustness``) against the planning oracle's
+parameters before reduction — so a shard that disagrees with its plan
+either fails loudly (``strict``) or is dropped/quarantined with its users
+accounted in ``ingest_stats``. Structure needs no check here: every
+report was built by its validating constructor.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ class _TaskBuilder:
     ``tasks[i]`` is the zero-argument closure :func:`run_sharded` runs;
     ``task_group[i]`` is the group its report reduces into and
     ``task_spec[i]`` the oracle parameters the report is sanitized
-    against (``None`` when no ingest policy is configured).
+    against (``None`` when no ingest policy is configured, and for
+    interactive backends, whose fitted models have no sanitizer).
     """
 
     def __init__(self, ingest: Optional[IngestPolicy]):

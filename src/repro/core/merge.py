@@ -54,8 +54,7 @@ def mergeable_protocol(protocol: str) -> bool:
             and protocol in mergeable_protocol_names())
 
 
-def merge_reports(reports: List[object], *, policy=None, stats=None,
-                  expected=None) -> Optional[object]:
+def merge_reports(reports: List[object]) -> Optional[object]:
     """Combine report batches of the same protocol and parameters.
 
     The merge is associative and order-insensitive up to report-internal
@@ -64,17 +63,9 @@ def merge_reports(reports: List[object], *, policy=None, stats=None,
     ``None`` for an empty list, so accumulators need no empty-group
     special case.
 
-    When ``policy`` (a :class:`repro.robustness.IngestPolicy`) is given,
-    every report is sanitized before merging — invalid rows or infeasible
-    aggregates are rejected per the policy, with the accounting recorded
-    in ``stats`` and parameter expectations taken from ``expected`` (a
-    :class:`repro.robustness.ReportSpec`). This is the untrusted-ingestion
-    entry point: a forged shard can then, at worst, remove itself.
+    Untrusted reports are checked against their plan first, with
+    :func:`repro.robustness.sanitize_reports`; merge its survivors.
     """
-    if policy is not None:
-        from repro.robustness.policy import sanitize_reports
-        reports = sanitize_reports(reports, policy, stats,
-                                   expected=expected)
     reports = [r for r in reports if r is not None]
     if not reports:
         return None

@@ -203,8 +203,8 @@ class StreamingCollector:
                source: str = "local") -> int:
         """Run one report through admission control; queue it if valid.
 
-        Returns the number of users the queued (possibly row-filtered)
-        report carries — 0 when the whole report was rejected. A report
+        Returns the number of users the queued report carries — 0 when
+        the report was rejected. A report
         that carries no user is not queued: it would add nothing to the
         user count, so it may add nothing to the statistics either (a
         zero-user SHE report passes every feasibility test, whatever its
@@ -231,10 +231,11 @@ class StreamingCollector:
         """Admit one externally produced report for the grid ``key``.
 
         This is the wire-facing entry point: the report was *not*
-        perturbed by this collector, so nothing about it is trusted. It
-        passes through the same admission control as locally observed
-        batches — sanitized against the plan's oracle parameters, with
-        rejections raising :class:`~repro.errors.IngestError` (``strict``)
+        perturbed by this collector, so nothing it declares is trusted.
+        Its constructor has checked its structure; it then passes
+        through the same admission control as locally observed batches —
+        checked against the plan's oracle parameters, with rejections
+        raising :class:`~repro.errors.IngestError` (``strict``)
         or counted in ``ingest_stats`` (``drop``/``quarantine``).
 
         ``source`` names the report's origin for the audit trail — the
@@ -242,9 +243,8 @@ class StreamingCollector:
         target grid key, so every quarantine entry is actionable even for
         direct calls.
 
-        Returns True when the (possibly row-filtered) report was
-        accumulated; accepted users count toward ``observed`` and the
-        grid's group size.
+        Returns True when the report was accumulated; accepted users
+        count toward ``observed`` and the grid's group size.
         """
         key = tuple(key)
         if key not in self._pending:

@@ -45,6 +45,67 @@ def validate_epsilon(epsilon: float) -> float:
     return epsilon
 
 
+# ---------------------------------------------------------------------------
+# Structural checks of the report constructors. A report is built from
+# whatever a client sent (the wire decoder calls the constructor), so each
+# raises ProtocolError on anything a well-formed report cannot hold.
+# ---------------------------------------------------------------------------
+
+
+def row_array(rows, name: str) -> np.ndarray:
+    """``rows`` as a 1-D array of an integer dtype: one entry per user."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1:
+        raise ProtocolError(f"{name} must be 1-D, got shape {rows.shape}")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ProtocolError(
+            f"{name} must be integers, got dtype {rows.dtype}")
+    return rows
+
+
+def user_count(n) -> int:
+    """A report's declared user count, as an ``int`` >= 0."""
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != n or count < 0:
+        raise ProtocolError(f"n must be an integer >= 0, got {n!r}")
+    return count
+
+
+def sum_array(sums, name: str) -> np.ndarray:
+    """``sums`` as a finite 1-D ``float64`` vector."""
+    sums = np.asarray(sums)
+    if sums.ndim != 1:
+        raise ProtocolError(f"{name} must be 1-D, got shape {sums.shape}")
+    if sums.dtype.kind not in "iuf":
+        raise ProtocolError(f"{name} must be numeric, got dtype "
+                            f"{sums.dtype}")
+    if sums.dtype.kind == "f" and not np.isfinite(sums).all():
+        raise ProtocolError(f"{name} has NaN or inf entries")
+    return sums.astype(np.float64, copy=False)
+
+
+def counter_array(counts, name: str, n: int) -> np.ndarray:
+    """``counts`` as a 1-D ``int64`` vector of integral counts in
+    ``[0, n]``: how many of ``n`` users set each entry."""
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.dtype.kind not in "iuf":
+        raise ProtocolError(f"{name} must be a 1-D numeric vector, got "
+                            f"{counts.dtype} of shape {counts.shape}")
+    if counts.dtype.kind == "f" and not np.isfinite(counts).all():
+        raise ProtocolError(f"{name} has NaN or inf entries")
+    if len(counts) and (counts.min() < 0 or counts.max() > n):
+        raise ProtocolError(
+            f"{name} must lie in [0, n={n}], got range "
+            f"[{counts.min()}, {counts.max()}]")
+    as_int = counts.astype(np.int64, copy=False)
+    if as_int is not counts and not np.array_equal(as_int, counts):
+        raise ProtocolError(f"{name} must be integral counts")
+    return as_int
+
+
 @dataclass(frozen=True)
 class FoldedState:
     """``n`` users' reports folded into one fixed-length vector.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fo import kernels
-from repro.fo.base import FrequencyOracle
+from repro.fo.base import FrequencyOracle, row_array
 from repro.fo.variance import grr_variance
 from repro.errors import ProtocolError
 from repro.rng import RngLike, ensure_rng
@@ -24,24 +24,18 @@ class GRRReport:
     """Batch of GRR reports: one perturbed value per user.
 
     Invariants enforced at construction (mirroring :class:`OLHReport`):
-    every value in ``[0, domain_size)``. ``values`` is normalized to
-    ``int64`` so estimation's ``bincount`` never re-casts.
+    integer values, every one in ``[0, domain_size)``. ``values`` is
+    normalized to ``int64`` so estimation's ``bincount`` never re-casts.
     """
 
     values: np.ndarray
     domain_size: int
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values)
-        if values.ndim != 1:
-            raise ProtocolError(
-                f"values must be 1-D, got shape {values.shape}")
+        values = row_array(self.values, "values")
         if self.domain_size < 1:
             raise ProtocolError(
                 f"domain size must be >= 1, got {self.domain_size}")
-        if not np.issubdtype(values.dtype, np.integer):
-            raise ProtocolError(
-                f"values must be integers, got dtype {values.dtype}")
         if len(values) and (values.min() < 0
                             or values.max() >= self.domain_size):
             raise ProtocolError(

@@ -25,16 +25,25 @@ from scipy import stats
 
 from repro.errors import ProtocolError
 from repro.fo import kernels
-from repro.fo.base import FrequencyOracle
+from repro.fo.base import (FrequencyOracle, counter_array, sum_array,
+                           user_count)
 from repro.rng import RngLike, ensure_rng
 
 
 @dataclass(frozen=True)
 class SHEReport:
-    """Coordinate sums of the users' noisy one-hot histograms."""
+    """Coordinate sums of the users' noisy one-hot histograms.
+
+    Invariants enforced at construction: ``n`` is an integer >= 0, and
+    ``sums`` is a finite 1-D vector, normalized to ``float64``.
+    """
 
     sums: np.ndarray
     n: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", user_count(self.n))
+        object.__setattr__(self, "sums", sum_array(self.sums, "sums"))
 
     def __len__(self) -> int:
         return self.n
@@ -42,11 +51,26 @@ class SHEReport:
 
 @dataclass(frozen=True)
 class THEReport:
-    """Above-threshold coordinate counts of the noisy histograms."""
+    """Above-threshold coordinate counts of the noisy histograms.
+
+    Invariants enforced at construction: ``n`` is an integer >= 0,
+    ``supports`` a 1-D vector of integral counts in ``[0, n]``
+    (normalized to ``int64``), and θ finite.
+    """
 
     supports: np.ndarray
     n: int
     threshold: float
+
+    def __post_init__(self) -> None:
+        n = user_count(self.n)
+        if not np.isfinite(self.threshold):
+            raise ProtocolError(
+                f"threshold must be finite, got {self.threshold}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "supports",
+                           counter_array(self.supports, "supports", n))
+        object.__setattr__(self, "threshold", float(self.threshold))
 
     def __len__(self) -> int:
         return self.n

@@ -33,22 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import IngestError, ProtocolError
+from repro.errors import ProtocolError
 from repro.fo import kernels
-from repro.fo.base import FrequencyOracle
+from repro.fo.base import FrequencyOracle, row_array
 from repro.fo.registry import ProtocolSpec, register
 from repro.rng import RngLike, ensure_rng
-from repro.robustness.ingest import (
-    IngestPolicy,
-    IngestStats,
-    Reject,
-    ReportSpec,
-    check_int_rows,
-)
+from repro.robustness.ingest import Reject, ReportSpec
 
 
 def hadamard_order(domain_size: int) -> int:
@@ -78,8 +72,9 @@ class HRReport:
     """Batch of HR reports: one Hadamard row index and one ±1 bit per user.
 
     Invariants enforced at construction (mirroring :class:`OLHReport`):
-    one bit per row, rows in ``[0, hadamard_order)``, bits in ``{−1, +1}``.
-    ``rows`` is normalized to ``int64`` and ``bits`` to ``int8``.
+    integer rows and bits, one bit per row, rows in
+    ``[0, hadamard_order)``, bits in ``{−1, +1}``. ``rows`` is normalized
+    to ``int64`` and ``bits`` to ``int8``.
     """
 
     rows: np.ndarray
@@ -88,12 +83,8 @@ class HRReport:
     domain_size: int
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows)
-        bits = np.asarray(self.bits)
-        if rows.ndim != 1 or bits.ndim != 1:
-            raise ProtocolError(
-                f"rows and bits must be 1-D, got shapes {rows.shape} and "
-                f"{bits.shape}")
+        rows = row_array(self.rows, "rows")
+        bits = row_array(self.bits, "bits")
         if len(rows) != len(bits):
             raise ProtocolError(
                 f"{len(rows)} rows vs {len(bits)} bits")
@@ -195,42 +186,16 @@ def _merge_hr(reports: Sequence[HRReport]) -> HRReport:
         domain_size=first.domain_size)
 
 
-def _sanitize_hr(report: HRReport, policy: IngestPolicy,
-                 stats: IngestStats, spec: Optional[ReportSpec]):
-    rows = check_int_rows(report.rows, "rows")
-    bits = check_int_rows(report.bits, "bits")
-    if len(rows) != len(bits):
-        raise Reject("row-bit-mismatch",
-                     f"{len(rows)} rows vs {len(bits)} bits")
-    order = spec.hash_range if spec and spec.hash_range else \
-        int(report.hadamard_order)
-    if spec and spec.hash_range and \
-            report.hadamard_order != spec.hash_range:
+def _sanitize_hr(report: HRReport, expected: ReportSpec) -> None:
+    # The Hadamard order is HR's hash-range-like parameter (``g``).
+    if report.hadamard_order != expected.hash_range:
         raise Reject("hadamard-order-mismatch",
                      f"declared {report.hadamard_order}, expected "
-                     f"{spec.hash_range}")
-    if spec and spec.domain_size and report.domain_size != spec.domain_size:
+                     f"{expected.hash_range}")
+    if report.domain_size != expected.domain_size:
         raise Reject("domain-mismatch",
                      f"declared {report.domain_size}, "
-                     f"expected {spec.domain_size}")
-    valid = (rows >= 0) & (rows < order) & ((bits == 1) | (bits == -1))
-    bad = int(len(rows) - valid.sum())
-    if bad == 0:
-        return HRReport(rows=rows, bits=bits, hadamard_order=order,
-                        domain_size=report.domain_size), len(rows)
-    if policy.mode == "strict":
-        stats.record_reject("invalid-hr-rows", bad, policy,
-                            f"{bad}/{len(rows)} rows")
-        raise IngestError(
-            f"HR report carries {bad} rows outside [0, {order}) or bits "
-            f"outside {{-1, +1}}; strict ingest policy rejects it")
-    stats.record_reject("invalid-hr-rows", bad, policy,
-                        f"{bad}/{len(rows)} rows", whole_report=False)
-    if not valid.any():
-        return None, 0
-    return HRReport(rows=rows[valid], bits=bits[valid],
-                    hadamard_order=order,
-                    domain_size=report.domain_size), int(valid.sum())
+                     f"expected {expected.domain_size}")
 
 
 def _hr_analytic(epsilon: float, num_cells: int, n: int) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.fo import kernels
-from repro.fo.base import FrequencyOracle
+from repro.fo.base import FrequencyOracle, row_array
 from repro.fo.hashing import (
     DEFAULT_TILE_BYTES,
     chain_hash,
@@ -45,9 +45,10 @@ def optimal_hash_range(epsilon: float) -> int:
 class OLHReport:
     """Batch of OLH reports: per-user hash seed and perturbed bucket.
 
-    Invariants enforced at construction: one bucket per seed, and every
-    bucket in ``[0, hash_range)``. ``seeds`` and ``buckets`` are normalized
-    to ``uint64`` so estimation never re-casts inside the hot path.
+    Invariants enforced at construction: integer seeds and buckets, one
+    bucket per seed, and every bucket in ``[0, hash_range)``. ``seeds``
+    and ``buckets`` are normalized to ``uint64`` so estimation never
+    re-casts inside the hot path.
     """
 
     seeds: np.ndarray
@@ -56,8 +57,9 @@ class OLHReport:
     domain_size: int
 
     def __post_init__(self) -> None:
-        seeds = np.asarray(self.seeds, dtype=np.uint64)
-        buckets = np.asarray(self.buckets)
+        seeds = row_array(self.seeds, "seeds").astype(np.uint64,
+                                                      copy=False)
+        buckets = row_array(self.buckets, "buckets")
         if len(seeds) != len(buckets):
             raise ProtocolError(
                 f"{len(seeds)} seeds vs {len(buckets)} buckets"

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.fo import kernels
-from repro.fo.base import FrequencyOracle
+from repro.fo.base import FrequencyOracle, counter_array, user_count
 from repro.fo.variance import oue_variance
 from repro.rng import RngLike, ensure_rng
 
@@ -30,11 +30,20 @@ class OUEReport:
     """Aggregated OUE reports: per-value 1-bit counts over ``n`` users.
 
     Storing the column sums (rather than the full ``n x d`` bit matrix) is
-    lossless for estimation and keeps memory linear in ``d``.
+    lossless for estimation and keeps memory linear in ``d``. Invariants
+    enforced at construction: ``n`` is an integer >= 0, and ``ones`` is
+    a 1-D vector of integral counts in ``[0, n]``, normalized to
+    ``int64``.
     """
 
     ones: np.ndarray
     n: int
+
+    def __post_init__(self) -> None:
+        n = user_count(self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ones",
+                           counter_array(self.ones, "ones", n))
 
     def __len__(self) -> int:
         return self.n

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, IngestError, ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.fo import kernels as fo_kernels
 from repro.fo.base import FrequencyOracle
 from repro.fo.grr import GeneralizedRandomizedResponse, GRRReport
@@ -58,16 +58,7 @@ from repro.fo.oue import OptimizedUnaryEncoding, OUEReport
 from repro.fo.square_wave import SquareWave, SWReport
 from repro.fo.sue import SymmetricUnaryEncoding
 from repro.fo.variance import grr_variance, olh_variance
-from repro.robustness.ingest import (
-    IngestPolicy,
-    IngestStats,
-    Reject,
-    ReportSpec,
-    check_feasible_total,
-    check_int_rows,
-    check_n,
-    check_vector,
-)
+from repro.robustness.ingest import Reject, ReportSpec, check_feasible_total
 
 
 @dataclass(frozen=True)
@@ -91,12 +82,13 @@ class ProtocolSpec:
         must be associative and raise
         :class:`~repro.errors.ProtocolError` on parameter disagreement.
     sanitizer:
-        ``(report, IngestPolicy, IngestStats, Optional[ReportSpec]) ->
-        (report | None, users)`` validating one untrusted report; raises
-        :class:`~repro.robustness.ingest.Reject` (whole-report) or
-        row-filters per the policy. ``None`` means reports of this
-        protocol pass through admission control unchecked (trusted
-        in-process payloads only).
+        ``(report, ReportSpec) -> None`` comparing one untrusted report
+        with the plan: raises :class:`~repro.robustness.ingest.Reject`
+        when a declared parameter differs from the
+        :class:`~repro.robustness.ReportSpec` or a total is infeasible.
+        The report's structure is its constructor's to check. ``None``
+        means reports of this protocol pass through admission control
+        unchecked (trusted in-process payloads only).
     analytic_variance:
         ``(epsilon, num_cells, n) -> float``: per-value estimation
         variance from ``n`` reports. Drives the adaptive choice and the
@@ -143,7 +135,7 @@ class ProtocolSpec:
     factory: Optional[Callable[[float, int], FrequencyOracle]] = None
     report_type: Optional[type] = None
     merger: Optional[Callable[[Sequence], object]] = None
-    sanitizer: Optional[Callable[..., tuple]] = None
+    sanitizer: Optional[Callable[[object, ReportSpec], None]] = None
     analytic_variance: Optional[Callable[[float, int, int], float]] = None
     cell_variance: Optional[Callable[[object, int], float]] = None
     variance_grows_with_cells: bool = False
@@ -400,160 +392,79 @@ def _merge_sw(reports: Sequence[SWReport]) -> SWReport:
 
 
 # ---------------------------------------------------------------------------
-# Ingestion sanitizers of the built-in report types (moved from
-# robustness/policy.py; the dispatch driver stays there). Per-user-row
-# types are filtered row-wise in drop mode; aggregate sufficient
-# statistics are all-or-nothing, with k-sigma feasibility tests where the
-# protocol admits one.
+# Ingestion sanitizers of the built-in report types (dispatched by
+# repro.robustness.policy.sanitize_report). A report's constructor has
+# already checked its structure, so a sanitizer only compares what the
+# report declares with the plan's ReportSpec, and its totals with the
+# k-sigma band an honest batch falls in.
 # ---------------------------------------------------------------------------
 
 
-def _sanitize_grr(report: GRRReport, policy: IngestPolicy,
-                  stats: IngestStats, spec: Optional[ReportSpec]):
-    values = check_int_rows(report.values, "values")
-    domain = spec.domain_size if spec and spec.domain_size else \
-        int(report.domain_size)
-    if spec and spec.domain_size and report.domain_size != spec.domain_size:
+def _check_domain(report, expected: ReportSpec) -> None:
+    if report.domain_size != expected.domain_size:
         raise Reject("domain-mismatch",
                      f"declared {report.domain_size}, "
-                     f"expected {spec.domain_size}")
-    valid = (values >= 0) & (values < domain)
-    bad = int(len(values) - valid.sum())
-    if bad == 0:
-        return GRRReport(values=values, domain_size=domain), len(values)
-    if policy.mode == "strict":
-        stats.record_reject("out-of-domain-values", bad, policy,
-                            f"{bad}/{len(values)} rows")
-        raise IngestError(
-            f"GRR report carries {bad} out-of-domain values "
-            f"(domain [0, {domain})); strict ingest policy rejects it")
-    stats.record_reject("out-of-domain-values", bad, policy,
-                        f"{bad}/{len(values)} rows", whole_report=False)
-    kept = values[valid]
-    if len(kept) == 0:
-        return None, 0
-    return GRRReport(values=kept, domain_size=domain), len(kept)
+                     f"expected {expected.domain_size}")
 
 
-def _sanitize_olh(report: OLHReport, policy: IngestPolicy,
-                  stats: IngestStats, spec: Optional[ReportSpec]):
-    seeds = np.asarray(report.seeds)
-    buckets = check_int_rows(report.buckets, "buckets")
-    if seeds.ndim != 1 or len(seeds) != len(buckets):
-        raise Reject("seed-bucket-mismatch",
-                     f"{seeds.shape} seeds vs {len(buckets)} buckets")
-    g = spec.hash_range if spec and spec.hash_range else \
-        int(report.hash_range)
-    if spec and spec.hash_range and report.hash_range != spec.hash_range:
+def _check_length(vector: np.ndarray, name: str, length: int) -> None:
+    if len(vector) != length:
+        raise Reject(f"{name}-wrong-shape",
+                     f"length {len(vector)}, expected {length}")
+
+
+def _check_unary_total(n: int, counts: np.ndarray,
+                       expected: ReportSpec) -> None:
+    """Honest total one-bits: Binomial(n, p) + Binomial(n(d-1), q)."""
+    if n:
+        p, q, d = expected.p, expected.q, len(counts)
+        check_feasible_total(float(counts.sum()), n * (p + q * (d - 1)),
+                             n * p * (1 - p) + n * (d - 1) * q * (1 - q))
+
+
+def _sanitize_grr(report: GRRReport, expected: ReportSpec) -> None:
+    _check_domain(report, expected)
+
+
+def _sanitize_olh(report: OLHReport, expected: ReportSpec) -> None:
+    if report.hash_range != expected.hash_range:
         raise Reject("hash-range-mismatch",
                      f"declared {report.hash_range}, expected "
-                     f"{spec.hash_range}")
-    if spec and spec.domain_size and report.domain_size != spec.domain_size:
-        raise Reject("domain-mismatch",
-                     f"declared {report.domain_size}, "
-                     f"expected {spec.domain_size}")
-    valid = (buckets >= 0) & (buckets < g)
-    bad = int(len(buckets) - valid.sum())
-    if bad == 0:
-        return OLHReport(seeds=seeds.astype(np.uint64, copy=False),
-                         buckets=buckets, hash_range=g,
-                         domain_size=report.domain_size), len(buckets)
-    if policy.mode == "strict":
-        stats.record_reject("out-of-range-buckets", bad, policy,
-                            f"{bad}/{len(buckets)} rows")
-        raise IngestError(
-            f"OLH report carries {bad} buckets outside [0, {g}); strict "
-            f"ingest policy rejects it")
-    stats.record_reject("out-of-range-buckets", bad, policy,
-                        f"{bad}/{len(buckets)} rows", whole_report=False)
-    if not valid.any():
-        return None, 0
-    return OLHReport(seeds=seeds[valid].astype(np.uint64, copy=False),
-                     buckets=buckets[valid], hash_range=g,
-                     domain_size=report.domain_size), int(valid.sum())
+                     f"{expected.hash_range}")
+    _check_domain(report, expected)
 
 
-def _sanitize_oue(report: OUEReport, policy: IngestPolicy,
-                  stats: IngestStats, spec: Optional[ReportSpec]):
-    n = check_n(report.n)
-    d = spec.domain_size if spec and spec.domain_size else len(
-        np.atleast_1d(np.asarray(report.ones)))
-    ones = check_vector(report.ones, "ones", d)
-    if (ones < 0).any() or (ones > n).any():
-        raise Reject("counter-out-of-bounds",
-                     f"per-value 1-counts must lie in [0, n={n}]")
-    if spec and spec.p is not None and spec.q is not None and n > 0:
-        # Honest total one-bits: Binomial(n, p) + Binomial(n(d-1), q).
-        mean = n * (spec.p + spec.q * (d - 1))
-        var = (n * spec.p * (1 - spec.p)
-               + n * (d - 1) * spec.q * (1 - spec.q))
-        check_feasible_total(float(ones.sum()), mean, var,
-                             policy.feasibility_sigmas)
-    return OUEReport(ones=ones.astype(np.int64), n=n), n
+def _sanitize_oue(report: OUEReport, expected: ReportSpec) -> None:
+    _check_length(report.ones, "ones", expected.domain_size)
+    _check_unary_total(report.n, report.ones, expected)
 
 
-def _sanitize_she(report: SHEReport, policy: IngestPolicy,
-                  stats: IngestStats, spec: Optional[ReportSpec]):
-    n = check_n(report.n)
-    d = spec.domain_size if spec and spec.domain_size else len(
-        np.atleast_1d(np.asarray(report.sums)))
-    sums = check_vector(report.sums, "sums", d)
-    if spec and spec.scale is not None and n > 0:
+def _sanitize_she(report: SHEReport, expected: ReportSpec) -> None:
+    _check_length(report.sums, "sums", expected.domain_size)
+    if report.n:
         # Each honest user contributes exactly one one-hot unit plus
         # zero-mean Laplace(scale) noise on every coordinate, so the
         # grand total is n ± noise with variance n·d·2·scale².
-        var = n * d * 2.0 * spec.scale ** 2
-        check_feasible_total(float(sums.sum()), float(n), var,
-                             policy.feasibility_sigmas)
-    return SHEReport(sums=sums, n=n), n
+        check_feasible_total(
+            float(report.sums.sum()), float(report.n),
+            report.n * len(report.sums) * 2.0 * expected.scale ** 2)
 
 
-def _sanitize_the(report: THEReport, policy: IngestPolicy,
-                  stats: IngestStats, spec: Optional[ReportSpec]):
-    n = check_n(report.n)
-    d = spec.domain_size if spec and spec.domain_size else len(
-        np.atleast_1d(np.asarray(report.supports)))
-    supports = check_vector(report.supports, "supports", d)
-    if (supports < 0).any() or (supports > n).any():
-        raise Reject("counter-out-of-bounds",
-                     f"support counts must lie in [0, n={n}]")
-    if not np.isfinite(report.threshold):
-        raise Reject("threshold-not-finite", f"θ={report.threshold}")
-    if spec and spec.threshold is not None and \
-            abs(report.threshold - spec.threshold) > 1e-9:
+def _sanitize_the(report: THEReport, expected: ReportSpec) -> None:
+    _check_length(report.supports, "supports", expected.domain_size)
+    if abs(report.threshold - expected.threshold) > 1e-9:
         raise Reject("threshold-mismatch",
                      f"declared θ={report.threshold}, expected "
-                     f"{spec.threshold}")
-    if spec and spec.p is not None and spec.q is not None and n > 0:
-        mean = n * (spec.p + spec.q * (d - 1))
-        var = (n * spec.p * (1 - spec.p)
-               + n * (d - 1) * spec.q * (1 - spec.q))
-        check_feasible_total(float(supports.sum()), mean, var,
-                             policy.feasibility_sigmas)
-    return THEReport(supports=supports.astype(np.int64), n=n,
-                     threshold=float(report.threshold)), n
+                     f"{expected.threshold}")
+    _check_unary_total(report.n, report.supports, expected)
 
 
-def _sanitize_sw(report: SWReport, policy: IngestPolicy,
-                 stats: IngestStats, spec: Optional[ReportSpec]):
-    n = check_n(report.n)
-    buckets = spec.report_buckets if spec and spec.report_buckets else len(
-        np.atleast_1d(np.asarray(report.counts)))
-    counts = check_vector(report.counts, "counts", buckets)
-    if (counts < 0).any():
-        raise Reject("negative-counts", "SW bucket counts must be >= 0")
-    if int(counts.sum()) != n:
-        raise Reject("support-mismatch",
-                     f"counts sum to {int(counts.sum())}, declared n={n}")
-    if not np.isfinite(report.wave_width) or report.wave_width <= 0:
-        raise Reject("wave-width-invalid", f"b={report.wave_width}")
-    if spec and spec.wave_width is not None and \
-            abs(report.wave_width - spec.wave_width) > 1e-9:
+def _sanitize_sw(report: SWReport, expected: ReportSpec) -> None:
+    _check_length(report.counts, "counts", expected.report_buckets)
+    if abs(report.wave_width - expected.wave_width) > 1e-9:
         raise Reject("wave-width-mismatch",
                      f"declared b={report.wave_width}, expected "
-                     f"{spec.wave_width}")
-    return SWReport(counts=counts.astype(np.int64), n=n,
-                    wave_width=float(report.wave_width)), n
+                     f"{expected.wave_width}")
 
 
 # ---------------------------------------------------------------------------

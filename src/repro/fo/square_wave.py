@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.fo import kernels
-from repro.fo.base import FrequencyOracle
+from repro.fo.base import FrequencyOracle, counter_array, user_count
 from repro.rng import RngLike, ensure_rng
 
 
@@ -50,11 +50,30 @@ def optimal_wave_width(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class SWReport:
-    """Bucketed SW reports over the padded domain ``[−b, 1 + b]``."""
+    """Bucketed SW reports over the padded domain ``[−b, 1 + b]``.
+
+    Invariants enforced at construction: ``n`` is an integer >= 0,
+    ``counts`` a 1-D vector of integral counts >= 0 that sum to ``n``
+    (normalized to ``int64``), and the wave width finite and > 0.
+    """
 
     counts: np.ndarray
     n: int
     wave_width: float
+
+    def __post_init__(self) -> None:
+        n = user_count(self.n)
+        counts = counter_array(self.counts, "counts", n)
+        if int(counts.sum()) != n:
+            raise ProtocolError(
+                f"counts sum to {int(counts.sum())}, declared n={n}")
+        if not (np.isfinite(self.wave_width) and self.wave_width > 0):
+            raise ProtocolError(
+                f"wave width must be finite and > 0, got "
+                f"{self.wave_width}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "wave_width", float(self.wave_width))
 
     def __len__(self) -> int:
         return self.n

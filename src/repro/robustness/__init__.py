@@ -2,11 +2,12 @@
 
 Three layers, composed through the collection pipeline:
 
-* **Ingestion policies** (:mod:`repro.robustness.policy`) — per-report-type
-  vectorized sanitizers behind a configurable
+* **Ingestion policies** (:mod:`repro.robustness.policy`) — per-protocol
+  sanitizers that compare a report with its plan, behind a configurable
   :class:`IngestPolicy` (``strict`` raise / ``drop`` / ``quarantine``
-  with counters), threaded through ``collect_reports``,
-  ``StreamingCollector.observe`` and ``merge_reports``.
+  with counters), threaded through ``collect_reports`` and
+  ``StreamingCollector``. A report's structure is its constructor's to
+  check.
 * **Attack simulation** (:mod:`repro.robustness.attacks`) — random-value,
   random-report, and maximal-gain poisoning adversaries that forge
   mergeable reports for a target cell.

@@ -22,9 +22,9 @@ systems):
 Forged reports are returned as ordinary report objects, mergeable with the
 honest batch through :func:`repro.core.merge.merge_reports` — exactly how
 they would enter a real aggregator. :func:`forge_report` builds report
-instances *bypassing constructor validation*, simulating a hostile client
-that does not run our client library; use it to exercise the ingestion
-sanitizers with structurally invalid payloads.
+instances *bypassing constructor validation*, modelling a hostile client
+that does not run our client library: encoding what it builds gives the
+frame that client sends.
 """
 
 from __future__ import annotations
@@ -50,14 +50,16 @@ from repro.rng import RngLike, ensure_rng
 def forge_report(report_cls, **fields):
     """Construct a report instance without running its validation.
 
-    This simulates an in-process report that skipped its constructor:
-    it allocates the report and sets fields directly, bypassing
-    ``__init__`` and the dataclass ``__post_init__`` checks. Reports off
-    the wire cannot arrive this way — :func:`repro.wire.decode_frame`
-    builds every report through its validating constructor, and a frame
-    whose payload fails it is a :class:`~repro.errors.PayloadError`.
-    The ingestion sanitizers (:func:`repro.robustness.sanitize_report`)
-    are the layer that catches whatever comes out of here.
+    This models a hostile client, which fills a report's fields with
+    whatever it likes: the report is allocated and its fields set
+    directly, bypassing ``__init__`` and the dataclass ``__post_init__``
+    checks. Encoding the result (:func:`repro.wire.encode_report`) gives
+    the frame that client sends. The aggregator never ingests such an
+    object as is: :func:`repro.wire.decode_frame` builds every report
+    through its validating constructor, so a structurally invalid
+    payload is a :class:`~repro.errors.PayloadError`, and a well-formed
+    one that lies about its parameters is rejected by the ingestion
+    sanitizers (:func:`repro.robustness.sanitize_report`).
     """
     report = object.__new__(report_cls)
     for name, value in fields.items():

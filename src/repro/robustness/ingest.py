@@ -4,21 +4,23 @@ This module holds everything about report ingestion that does *not* depend
 on any particular frequency-oracle protocol: the :class:`IngestPolicy`
 admission modes, the thread-safe :class:`IngestStats` accounting, the
 :class:`ReportSpec` parameter expectations, the :class:`Reject` control
-signal, and the reusable structural validators (integer rows, finite
-vectors, user counts, k-sigma feasibility bands).
+signal, and the k-sigma feasibility band.
 
-Per-protocol sanitizers live next to their protocol's
+A report's structure (shapes, dtypes, finiteness, row and counter bounds)
+is checked once, by its constructor, which the wire decoder runs on every
+frame. What is left for admission control is the plan: per-protocol
+sanitizers live next to their protocol's
 :class:`~repro.fo.registry.ProtocolSpec` (see :mod:`repro.fo.registry`)
-and are built from these helpers; the dispatch driver that routes a report
-to its sanitizer is :func:`repro.robustness.policy.sanitize_report`.
-Keeping this module free of ``repro.fo`` imports is what lets the protocol
-registry reference the helpers without an import cycle.
+and compare a report's declared parameters and totals with the
+:class:`ReportSpec`; :func:`repro.robustness.policy.sanitize_report`
+routes a report to its sanitizer. Keeping this module free of
+``repro.fo`` imports is what lets the protocol registry reference it
+without an import cycle.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -39,6 +41,13 @@ MAX_SOURCE_KEYS = 64
 #: The catch-all key of the sources beyond :data:`MAX_SOURCE_KEYS`.
 OTHER_SOURCES = "<other>"
 
+#: Width of the aggregate-feasibility acceptance band, in standard
+#: deviations of the honest-batch total. Honest batches fail a k-sigma
+#: test with probability ≲ exp(-k²/2), so 6 makes false rejections
+#: astronomically unlikely while still catching grossly forged
+#: sufficient statistics.
+FEASIBILITY_SIGMAS = 6.0
+
 
 @dataclass(frozen=True)
 class IngestPolicy:
@@ -49,22 +58,15 @@ class IngestPolicy:
     mode:
         ``strict`` — raise :class:`IngestError` (fail the collection: the
         right default for trusted pipelines where an invalid report means
-        a bug, not an attacker). ``drop`` — discard invalid rows/reports,
+        a bug, not an attacker). ``drop`` — discard invalid reports,
         counting them in :class:`IngestStats`. ``quarantine`` — like
         ``drop`` but additionally retains up to ``quarantine_capacity``
         rejected payload summaries for audit.
-    feasibility_sigmas:
-        Width of the aggregate-feasibility acceptance band, in standard
-        deviations of the honest-batch total. Honest batches fail a
-        k-sigma test with probability ≲ exp(-k²/2); the default 6 makes
-        false rejections astronomically unlikely while still catching
-        grossly forged sufficient statistics.
     quarantine_capacity:
         Maximum retained audit entries (counters keep counting past it).
     """
 
     mode: str = "strict"
-    feasibility_sigmas: float = 6.0
     quarantine_capacity: int = 64
 
     def __post_init__(self) -> None:
@@ -72,10 +74,6 @@ class IngestPolicy:
             raise IngestError(
                 f"ingest mode must be one of {INGEST_MODES}, "
                 f"got {self.mode!r}")
-        if self.feasibility_sigmas <= 0:
-            raise IngestError(
-                f"feasibility_sigmas must be positive, got "
-                f"{self.feasibility_sigmas}")
         if self.quarantine_capacity < 0:
             raise IngestError(
                 f"quarantine_capacity must be >= 0, got "
@@ -92,7 +90,6 @@ class IngestStats:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._local = threading.local()
         self.accepted_reports = 0
         self.accepted_users = 0
         self.dropped_reports = 0
@@ -101,25 +98,6 @@ class IngestStats:
         self.sources: Dict[str, int] = {}
         self.quarantine: List[Dict[str, Any]] = []
 
-    @contextmanager
-    def attributing(self, source: str):
-        """Attribute rejections in this block to ``source``.
-
-        The per-protocol sanitizers call :meth:`record_reject` themselves
-        (row filtering), so the ingestion source — a grid key or a wire
-        peer id — cannot travel through their signatures without breaking
-        every registered :attr:`~repro.fo.registry.ProtocolSpec.sanitizer`.
-        Instead the dispatch driver wraps the sanitizer call in this
-        context manager, and :meth:`record_reject` falls back to the
-        thread-local source when its explicit ``source`` is empty.
-        """
-        previous = getattr(self._local, "source", "")
-        self._local.source = source or previous
-        try:
-            yield self
-        finally:
-            self._local.source = previous
-
     def record_accept(self, users: int) -> None:
         with self._lock:
             self.accepted_reports += 1
@@ -127,15 +105,13 @@ class IngestStats:
 
     def record_reject(self, reason: str, users: int,
                       policy: IngestPolicy,
-                      detail: str = "", whole_report: bool = True,
-                      source: str = "") -> None:
-        """Count one rejection; retain an audit entry under quarantine."""
-        source = source or getattr(self._local, "source", "")
+                      detail: str = "", source: str = "") -> None:
+        """Count one rejected report; retain an audit entry under
+        quarantine."""
         with self._lock:
             self.reasons[reason] = self.reasons.get(reason, 0) + 1
             self.dropped_users += int(users)
-            if whole_report:
-                self.dropped_reports += 1
+            self.dropped_reports += 1
             if source:
                 self._count_source(source, 1)
             if (policy.mode == "quarantine"
@@ -205,10 +181,8 @@ class ReportSpec:
 
     Built from the oracle that planned the collection
     (:meth:`ReportSpec.from_oracle`); fields not applicable to the
-    protocol stay ``None`` and are not checked. Without a spec the
-    sanitizers fall back to the report's self-declared parameters, which
-    still catches internal inconsistencies (out-of-range rows, NaNs,
-    negative counters) but not parameter forgery.
+    protocol stay ``None``. A protocol's sanitizer reads the fields it
+    needs and rejects a report whose declared parameters differ.
     """
 
     protocol: str = ""
@@ -237,7 +211,7 @@ class ReportSpec:
 
 
 class Reject(Exception):
-    """Control signal: this report (or these rows) failed validation.
+    """Control signal: this report disagrees with its plan.
 
     Raised inside per-protocol sanitizers, caught by the
     :func:`repro.robustness.policy.sanitize_report` driver, which turns it
@@ -250,58 +224,10 @@ class Reject(Exception):
         self.detail = detail
 
 
-def check_int_rows(array, name: str) -> np.ndarray:
-    """Validate a 1-D integer row array (finite, integral); returns int64."""
-    rows = np.asarray(array)
-    if rows.ndim != 1:
-        raise Reject(f"{name}-not-1d", f"shape {rows.shape}")
-    if rows.dtype == object or np.issubdtype(rows.dtype, np.floating):
-        if rows.size and not np.all(np.isfinite(
-                rows.astype(np.float64, copy=False))):
-            raise Reject(f"{name}-not-finite", "NaN or inf entries")
-        as_int = rows.astype(np.int64, copy=False) \
-            if rows.dtype != object else None
-        if as_int is None or (rows.size and not np.array_equal(
-                rows.astype(np.float64), as_int.astype(np.float64))):
-            raise Reject(f"{name}-not-integer", f"dtype {rows.dtype}")
-        return as_int
-    if np.issubdtype(rows.dtype, np.bool_):
-        return rows.astype(np.int64)
-    if not np.issubdtype(rows.dtype, np.integer):
-        raise Reject(f"{name}-not-integer", f"dtype {rows.dtype}")
-    return rows
-
-
-def check_vector(array, name: str, length: Optional[int]) -> np.ndarray:
-    """Validate a finite 1-D float vector of the expected length."""
-    vec = np.asarray(array, dtype=np.float64)
-    if vec.ndim != 1:
-        raise Reject(f"{name}-not-1d", f"shape {vec.shape}")
-    if length is not None and len(vec) != length:
-        raise Reject(f"{name}-wrong-shape",
-                     f"length {len(vec)}, expected {length}")
-    if vec.size and not np.all(np.isfinite(vec)):
-        raise Reject(f"{name}-not-finite", "NaN or inf entries")
-    return vec
-
-
-def check_n(n, declared_rows: Optional[int] = None) -> int:
-    """Validate a declared user count (non-negative, matches rows)."""
-    try:
-        n = int(n)
-    except (TypeError, ValueError):
-        raise Reject("n-not-integer", f"n={n!r}") from None
-    if n < 0:
-        raise Reject("n-negative", f"n={n}")
-    if declared_rows is not None and n != declared_rows:
-        raise Reject("n-mismatch", f"n={n} vs {declared_rows} rows")
-    return n
-
-
-def check_feasible_total(total: float, mean: float, var: float,
-                         sigmas: float) -> None:
-    """k-sigma acceptance band around the honest-batch expectation."""
-    band = sigmas * np.sqrt(max(var, 0.0)) + 1e-9
+def check_feasible_total(total: float, mean: float, var: float) -> None:
+    """:data:`FEASIBILITY_SIGMAS`-sigma acceptance band around the
+    honest-batch expectation."""
+    band = FEASIBILITY_SIGMAS * np.sqrt(max(var, 0.0)) + 1e-9
     if abs(total - mean) > band:
         raise Reject(
             "infeasible-total",

@@ -1,34 +1,37 @@
-"""Ingestion policies: sanitize untrusted reports before they are merged.
+"""Ingestion policies: check untrusted reports against the plan.
 
 A deployed aggregator receives perturbed reports from clients it does not
 control. Nothing stops a faulty or adversarial client from sending values
 outside the protocol's domain, buckets outside the hash range, mis-shaped
-bit vectors, or NaN-laden sufficient statistics — and a single such report
-must neither crash the collection nor silently corrupt every downstream
-estimate. This module is the aggregator's admission control:
+bit vectors, NaN-laden sufficient statistics, or a well-formed report that
+lies about its parameters — and a single such report must neither crash
+the collection nor silently corrupt every downstream estimate. Two checks
+stand between a client and the estimates, each made once:
 
-* :class:`IngestPolicy` — what to do with an invalid report: ``strict``
-  (raise :class:`~repro.errors.IngestError`), ``drop`` (discard and
-  count), or ``quarantine`` (discard, count, and retain a bounded audit
-  trail). Defined in :mod:`repro.robustness.ingest` together with
-  :class:`IngestStats`, :class:`ReportSpec`, and the reusable structural
-  validators; re-exported here for the public API.
-* :func:`sanitize_report` — the dispatch driver. The per-report-type
-  sanitizers themselves live with their protocol's
-  :class:`~repro.fo.registry.ProtocolSpec`, so a newly registered
-  protocol's reports are validated here with zero edits to this module.
-  Report types carrying per-user rows (e.g. GRR values, OLH seed/bucket
-  pairs) are filtered row-wise — the valid rows survive; aggregate
-  types carrying sufficient statistics (e.g. OUE counters) are
-  all-or-nothing, since a single forged counter poisons the whole batch.
+* **Structure** — a report's constructor. Every report type validates its
+  own shapes, dtypes, finiteness and row/counter bounds, and the wire
+  decoder (:func:`repro.wire.decode_frame`) builds every report through
+  it, so a structurally invalid frame is a
+  :class:`~repro.errors.PayloadError` that never reaches this module.
+* **The plan** — the frame's header pin (checked by the ingestion
+  service) and :func:`sanitize_report` here. Each protocol's sanitizer
+  lives with its :class:`~repro.fo.registry.ProtocolSpec`, so a newly
+  registered protocol is checked here with zero edits to this module. It
+  compares the report's declared parameters (domain, hash range,
+  Hadamard order, θ, wave width, vector length) with the expected
+  :class:`ReportSpec` and applies a *feasibility* test where the
+  protocol admits one: the total weight of an honest batch concentrates
+  tightly around its expectation (e.g. an OUE batch of ``n`` users
+  carries ``n·(p + q(d-1))`` one-bits in expectation), so an aggregate
+  report whose totals sit many standard deviations away cannot have been
+  produced by honest clients and is rejected as infeasible.
 
-Validation is structural (shape, dtype, finiteness, domain/range bounds,
-parameter agreement with the expected :class:`ReportSpec`) plus, where the
-protocol admits one, a *feasibility* test: the total weight of an honest
-batch concentrates tightly around its expectation (e.g. an OUE batch of
-``n`` users carries ``n·(p + q(d-1))`` one-bits in expectation), so an
-aggregate report whose totals sit many standard deviations away cannot
-have been produced by honest clients and is rejected as infeasible.
+:class:`IngestPolicy` decides what a rejection does: ``strict`` (raise
+:class:`~repro.errors.IngestError`), ``drop`` (discard and count), or
+``quarantine`` (discard, count, and retain a bounded audit trail). It is
+defined in :mod:`repro.robustness.ingest` together with
+:class:`IngestStats` and :class:`ReportSpec`, and re-exported here for
+the public API.
 """
 
 from __future__ import annotations
@@ -57,14 +60,13 @@ __all__ = [
 
 
 def sanitize_report(report, policy: IngestPolicy,
-                    stats: Optional[IngestStats] = None,
-                    expected: Optional[ReportSpec] = None,
-                    source: str = ""):
-    """Validate one untrusted report under ``policy``.
+                    stats: Optional[IngestStats] = None, *,
+                    expected: ReportSpec, source: str = ""):
+    """Check one untrusted report against its plan under ``policy``.
 
-    Returns the sanitized report (row-filtered for per-user-row types,
-    re-normalized dtypes otherwise), or ``None`` when the whole report was
-    rejected under ``drop``/``quarantine``. ``strict`` mode raises
+    Returns ``report`` itself when it agrees with ``expected`` (the
+    plan's :class:`ReportSpec`), or ``None`` when it was rejected under
+    ``drop``/``quarantine``; ``strict`` mode raises
     :class:`~repro.errors.IngestError` instead of returning ``None``.
     The sanitizer is looked up from the report type's registered
     :class:`~repro.fo.registry.ProtocolSpec`; report types without one
@@ -73,28 +75,22 @@ def sanitize_report(report, policy: IngestPolicy,
 
     ``source`` names where the report came from — a grid key for local
     batches, a wire peer id for the ingestion service — and is attributed
-    to every rejection this call records (quarantine audit entries and the
+    to the rejection this call records (quarantine audit entries and the
     per-source counters in :meth:`IngestStats.as_dict`).
 
     Every rejection is accounted in ``stats`` — there is no code path
     that discards data without either raising or incrementing a counter.
     """
-    if report is None:
-        return None
     stats = stats if stats is not None else IngestStats()
     # Local import: repro.fo.registry imports this package's ingest
     # helpers at module load, so the registry lookup resolves lazily.
     from repro.fo.registry import spec_for_report
     spec = spec_for_report(type(report))
-    sanitizer = spec.sanitizer if spec is not None else None
-    if sanitizer is None:
-        stats.record_accept(report_user_count(report))
-        return report
-    with stats.attributing(source):
+    users = report_user_count(report)
+    if spec is not None and spec.sanitizer is not None:
         try:
-            sanitized, users = sanitizer(report, policy, stats, expected)
+            spec.sanitizer(report, expected)
         except Reject as reject:
-            users = report_user_count(report)
             stats.record_reject(reject.reason, users, policy,
                                 reject.detail, source=source)
             if policy.mode == "strict":
@@ -102,19 +98,14 @@ def sanitize_report(report, policy: IngestPolicy,
                     f"{type(report).__name__} rejected at ingestion "
                     f"({reject.reason}): {reject.detail}") from None
             return None
-    if sanitized is not None:
-        stats.record_accept(users)
-    return sanitized
+    stats.record_accept(users)
+    return report
 
 
 def sanitize_reports(reports, policy: IngestPolicy,
-                     stats: Optional[IngestStats] = None,
-                     expected: Optional[ReportSpec] = None) -> list:
+                     stats: Optional[IngestStats] = None, *,
+                     expected: ReportSpec) -> list:
     """Sanitize a batch, keeping only the survivors (order preserved)."""
-    out = []
-    for report in reports:
-        sanitized = sanitize_report(report, policy, stats,
-                                    expected=expected)
-        if sanitized is not None:
-            out.append(sanitized)
-    return out
+    return [report for report in reports
+            if sanitize_report(report, policy, stats,
+                               expected=expected) is not None]

@@ -19,19 +19,27 @@ any exception it meets — expected admission failures and surprises
 alike — is captured, the queue keeps draining, and the failure re-raises
 from :meth:`stop` and from every subsequent :meth:`submit`.
 
-Socket connections speak either protocol the first bytes announce:
+Socket connections speak one protocol: a **session** opened by a
+``FELIP-SESSION`` hello (:mod:`repro.wire.session`). Every frame arrives
+in a sequence envelope, the service replies with the client's admitted
+and durable watermarks, acks each processed frame, and suppresses
+duplicates by per-``client_id`` last-seen sequence — checked *at
+admission time* in the consumer, so the watermark a checkpoint persists
+is exactly consistent with the collector state it snapshots. This is
+what makes delivery effectively exactly-once across arbitrary
+reconnects: the client retries everything unacked (at-least-once) and
+the admission watermark drops the overlap (at-most-once). A connection
+whose first line is not a hello is charged as a malformed frame, sent an
+``ERR`` line, and closed.
 
-* a raw ``FLW1`` frame stream (the legacy fire-and-forget producer), or
-* a **session** opened by a ``FELIP-SESSION`` hello
-  (:mod:`repro.wire.session`): every frame arrives in a sequence
-  envelope, the service replies with the client's admitted and durable
-  watermarks, acks each processed frame, and suppresses duplicates by
-  per-``client_id`` last-seen sequence — checked *at admission time* in
-  the consumer, so the watermark a checkpoint persists is exactly
-  consistent with the collector state it snapshots. This is what makes
-  delivery effectively exactly-once across arbitrary reconnects: the
-  client retries everything unacked (at-least-once) and the admission
-  watermark drops the overlap (at-most-once).
+A frame is checked for two different things, each once. Its structure
+is checked at decode: :func:`~repro.wire.decode_frame` builds the report
+through its validating constructor, so a payload no honest client can
+send is a :class:`~repro.errors.PayloadError` — in a session, a poison
+frame charged to its peer and acked in sequence. Its plan is checked by
+the header pin here and by the collector's sanitizer, which compares the
+report's declared parameters with the planned
+:class:`~repro.robustness.ReportSpec`.
 
 With ``checkpoint_dir`` set the service also drives durability itself:
 every ``checkpoint_every`` accepted frames the consumer renders a
@@ -81,10 +89,9 @@ from repro.service.checkpoint import (checkpoint_index, checkpoint_path,
                                       list_checkpoints, prune_checkpoints,
                                       save_checkpoint,
                                       write_checkpoint_file)
-from repro.wire import (FrameDecoder, SequencedDecoder, WireFrame,
-                        ack_line, decode_frame, parse_hello,
-                        refusal_line, session_reply)
-from repro.wire.session import HELLO_PREFIX
+from repro.wire import (SequencedDecoder, WireFrame, ack_line,
+                        decode_frame, parse_hello, refusal_line,
+                        session_reply)
 
 __all__ = ["IngestionService", "LatencyWindow", "ServiceStats"]
 
@@ -98,8 +105,8 @@ class _Pending(NamedTuple):
     frame: Union[WireFrame, PayloadError]  # error: a session poison frame
     source: str
     peer: Optional[str]          # admission-control key (remote host)
-    client_id: Optional[str]     # session identity; None for legacy
-    seq: int                     # session sequence; 0 for legacy
+    client_id: Optional[str]     # session identity; None for submit()
+    seq: int                     # session sequence; 0 for submit()
     ack: Optional[Callable[[int], None]]
     submitted_at: float
 
@@ -167,8 +174,8 @@ class ServiceStats:
     ``recovery_point_lag`` is the durability exposure: users accepted
     since the newest on-disk checkpoint, i.e. how much work a crash at
     this instant would force session clients to replay (and lose
-    entirely for legacy fire-and-forget senders). Zero whenever
-    checkpointing is disabled or a snapshot just landed;
+    entirely for in-process :meth:`IngestionService.submit` callers).
+    Zero whenever checkpointing is disabled or a snapshot just landed;
     ``recovery_lag_high_watermark`` keeps the worst value seen.
     """
 
@@ -469,15 +476,16 @@ class IngestionService:
     # ------------------------------------------------------------------
     # submission
 
-    async def submit(self, frame: Union[bytes, bytearray, WireFrame],
+    async def submit(self, frame: Union[bytes, bytearray],
                      source: str = "wire") -> bool:
-        """Enqueue one frame; awaits under backpressure.
+        """Enqueue one encoded frame in process; awaits under
+        backpressure.
 
-        Accepts either encoded bytes or an already-decoded
-        :class:`~repro.wire.WireFrame` (the socket handler decodes
-        incrementally). Malformed bytes never reach the queue: they are
-        counted against ``source`` and — matching the sanitizer contract
-        — raise :class:`~repro.errors.WireError` only under ``strict``.
+        The frame is decoded here, so malformed bytes — corrupt, or a
+        payload its report constructor refuses — never reach the queue:
+        they are counted against ``source`` and — matching the sanitizer
+        contract — raise :class:`~repro.errors.WireError` only under
+        ``strict``.
 
         Returns ``True`` when the frame was enqueued.
         """
@@ -486,19 +494,18 @@ class IngestionService:
         if self._failure is not None:
             raise self._failure
         submitted_at = time.monotonic()
-        if not isinstance(frame, WireFrame):
-            nbytes = len(frame)
-            try:
-                frame = decode_frame(bytes(frame))
-            except WireError as exc:
-                self._reject_malformed(nbytes, str(exc), source)
-                if self.collector.ingest_policy.mode == "strict":
-                    raise
-                return False
-        await self._submit_entry(frame, source, submitted_at=submitted_at)
+        try:
+            decoded = decode_frame(bytes(frame))
+        except WireError as exc:
+            self._reject_malformed(len(frame), str(exc), source)
+            if self.collector.ingest_policy.mode == "strict":
+                raise
+            return False
+        await self._submit_entry(decoded, source, submitted_at=submitted_at)
         return True
 
-    async def _submit_entry(self, frame: WireFrame, source: str, *,
+    async def _submit_entry(self, frame: Union[WireFrame, PayloadError],
+                            source: str, *,
                             peer: Optional[str] = None,
                             client_id: Optional[str] = None,
                             seq: int = 0,
@@ -792,19 +799,20 @@ class IngestionService:
     async def serve(self, host: str = "127.0.0.1", port: int = 0, *,
                     fault_injector: Optional[NetworkFaultInjector] = None
                     ) -> "asyncio.AbstractServer":
-        """Listen for frame streams; returns the started server.
+        """Listen for sequenced sessions; returns the started server.
 
-        Each connection speaks whichever protocol its first bytes
-        announce: a raw ``FLW1`` frame stream, or a sequenced session
-        opened by a ``FELIP-SESSION`` hello. Either way the connection
+        Each connection opens with a ``FELIP-SESSION`` hello line and
         gets its own decoder and a ``peer=host:port`` source label, so
-        quarantine entries name the misbehaving sender. A structurally
-        invalid stream (garbage between frames, a CRC mismatch) cannot
-        be resynchronized, so the connection is dropped after the
-        rejection is recorded — with the undecodable bytes charged, not
-        zero. A session frame that is intact but does not decode to a
-        valid report is instead rejected in sequence and acked, so one
-        poison frame never costs the frames behind it.
+        quarantine entries name the misbehaving sender. Any other first
+        line — or one that overruns the stream's line limit — is charged
+        to the peer as ``malformed-frame`` at its actual size, answered
+        with an ``ERR`` line, and closed. A structurally invalid stream
+        (garbage between frames, a CRC mismatch) cannot be
+        resynchronized, so the connection is dropped after the rejection
+        is recorded — with the undecodable bytes charged, not zero. A
+        frame that is intact but does not decode to a valid report is
+        instead rejected in sequence and acked, so one poison frame
+        never costs the frames behind it.
 
         ``fault_injector`` (a
         :class:`~repro.robustness.NetworkFaultInjector`) makes the
@@ -848,20 +856,8 @@ class IngestionService:
                     return
                 admitted_conn = True
             self.stats.connections_opened += 1
-            head = b""
-            while len(head) < 4:
-                chunk = await reader.read(4 - len(head))
-                if not chunk:
-                    break
-                head += chunk
-            if not head:
-                return
-            if head.startswith(HELLO_PREFIX[:4]):
-                await self._serve_session(reader, writer, head, host,
-                                          source, fault_injector)
-            else:
-                await self._serve_legacy(reader, writer, head, host,
-                                         source, fault_injector)
+            await self._serve_session(reader, writer, host, source,
+                                      fault_injector)
         except (IngestError, WireError):
             pass  # strict-mode failure; surfaces via stop()
         except (ConnectionError, OSError):
@@ -901,44 +897,24 @@ class IngestionService:
         return (fault_injector is not None
                 and fault_injector.server_should_disconnect(index))
 
-    async def _serve_legacy(
-            self, reader: asyncio.StreamReader,
-            writer: asyncio.StreamWriter, initial: bytes, host: str,
-            source: str,
-            fault_injector: Optional[NetworkFaultInjector]) -> None:
-        decoder = FrameDecoder()
-        chunk = initial
-        while chunk:
-            try:
-                for frame in decoder.feed(chunk):
-                    if not await self._gate_frame(host, frame.nbytes):
-                        return
-                    await self.submit(frame, source=source)
-                    if self._served_frame_disconnects(fault_injector):
-                        return
-            except WireError as exc:
-                self._reject_malformed(decoder.pending_bytes, str(exc),
-                                       source, peer=host,
-                                       submitted=False)
-                return
-            chunk = await reader.read(1 << 16)
-
     async def _serve_session(
             self, reader: asyncio.StreamReader,
-            writer: asyncio.StreamWriter, head: bytes, host: str,
-            source: str,
+            writer: asyncio.StreamWriter, host: str, source: str,
             fault_injector: Optional[NetworkFaultInjector]) -> None:
         try:
-            line = head + await reader.readline()
-        except ValueError:  # line blew the stream's buffer limit
-            self._reject_malformed(0, "oversized session hello", source,
-                                   peer=host, submitted=False)
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:  # EOF before a newline
+            line = exc.partial
+            if not line:
+                return  # the peer sent nothing: nothing to charge
+        except asyncio.LimitOverrunError as exc:
+            await self._refuse(writer, exc.consumed,
+                               "oversized session hello", source, host)
             return
         try:
             client_id = parse_hello(line)
         except WireError as exc:
-            self._reject_malformed(len(line), str(exc), source,
-                                   peer=host, submitted=False)
+            await self._refuse(writer, len(line), str(exc), source, host)
             return
         last = self._peer_seqs.get(client_id, 0)
         writer.write(session_reply(last, self._durable_for(client_id,
@@ -977,6 +953,16 @@ class IngestionService:
                                        source, peer=host,
                                        submitted=False)
                 return
+
+    async def _refuse(self, writer: asyncio.StreamWriter, nbytes: int,
+                      detail: str, source: str, host: str) -> None:
+        """Charge a connection that did not open a session, and tell it
+        so with an ``ERR`` line before the handler closes it."""
+        self._reject_malformed(nbytes, detail, source, peer=host,
+                               submitted=False)
+        writer.write(refusal_line("expected a session hello"))
+        with contextlib.suppress(ConnectionError, OSError):
+            await writer.drain()
 
     def _send_ack(self, writer: asyncio.StreamWriter, client_id: str,
                   seq: int) -> None:

@@ -14,7 +14,6 @@ frames into :class:`~repro.core.StreamingCollector`.
 
 from repro.wire.codec import (
     FRAME_VERSION,
-    FrameDecoder,
     WireFrame,
     decode_frame,
     encode_report,
@@ -36,7 +35,6 @@ from repro.wire.session import (
 
 __all__ = [
     "FRAME_VERSION",
-    "FrameDecoder",
     "SESSION_VERSION",
     "SequencedDecoder",
     "WireFrame",

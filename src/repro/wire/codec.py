@@ -42,13 +42,19 @@ Versioning rules
 * Any change to the prologue layout, CRC coverage, or table encodings is
   a new version byte. Wire codes are never recycled across protocols.
 
-Corruption and forgery are different failures: a frame that is truncated,
-bit-flipped, or structurally nonsensical raises
+Structure and plan are checked in different places, each once. A frame
+that is truncated, bit-flipped, or structurally nonsensical raises
 :class:`~repro.errors.WireError` here (both CRCs must match, every offset
-must be in bounds), while a frame that *decodes* cleanly but lies about
-its parameters is handed to the ingestion sanitizers, which check the
-decoded pin against the collector's planned
+must be in bounds), and :func:`decode_frame` builds the report through
+its type's validating constructor, so a payload no honest client can
+send (a row outside its range, a fractional count, a NaN sum) raises the
+:class:`~repro.errors.PayloadError` subclass. A frame that decodes
+cleanly but lies about its plan — its header pin, or the parameters its
+report declares — is caught downstream, by the ingestion service's pin
+check and the sanitizers, which compare it with the collector's planned
 :class:`~repro.robustness.ReportSpec` and apply the configured policy.
+Byte streams of frames are split by the session layer's
+:class:`~repro.wire.SequencedDecoder`.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ import dataclasses
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -295,8 +301,9 @@ def decode_frame(data: Union[bytes, bytearray, memoryview]) -> WireFrame:
     rejects. Defects found after both CRCs match (everything from the
     wire code on) raise the :class:`~repro.errors.PayloadError`
     subclass: the frame is intact, only its content is bad. A clean
-    decode guarantees nothing about honesty: the caller must still pass
-    ``report`` through the ingestion sanitizers with the frame's pin.
+    decode guarantees a well-formed report, nothing about honesty: the
+    caller must still check the frame's pin and pass ``report`` through
+    the ingestion sanitizers against the plan.
     """
     view = memoryview(data)
     if isinstance(data, (bytearray, memoryview)) and not view.readonly:
@@ -394,43 +401,3 @@ def decode_frame(data: Union[bytes, bytearray, memoryview]) -> WireFrame:
     return WireFrame(protocol=spec.name, epsilon=epsilon,
                      num_cells=num_cells, key=key, report=report,
                      nbytes=frame_len)
-
-
-class FrameDecoder:
-    """Incremental splitter for a byte stream of concatenated frames.
-
-    Feed arbitrary chunks (as a socket delivers them); complete frames
-    come out decoded, partial ones wait for more bytes. A structurally
-    invalid prefix raises :class:`~repro.errors.WireError` immediately —
-    there is no way to resynchronize a binary stream after garbage, so
-    the connection should be dropped.
-    """
-
-    def __init__(self, max_frame_bytes: int = 1 << 28):
-        self._buffer = bytearray()
-        self.max_frame_bytes = max_frame_bytes
-
-    def feed(self, data: bytes) -> Iterator[WireFrame]:
-        """Absorb ``data``; yield every frame it completes."""
-        self._buffer += data
-        while True:
-            length = frame_length(self._buffer)
-            if length is None:
-                return
-            if length > self.max_frame_bytes:
-                raise WireError(
-                    f"declared frame length {length} exceeds the "
-                    f"{self.max_frame_bytes}-byte limit")
-            if len(self._buffer) < length:
-                return
-            # bytes() detaches the frame from the reusable buffer so the
-            # decoded report's zero-copy views stay valid after the next
-            # feed().
-            frame = decode_frame(bytes(self._buffer[:length]))
-            del self._buffer[:length]
-            yield frame
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward the next (incomplete) frame."""
-        return len(self._buffer)

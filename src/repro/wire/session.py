@@ -59,7 +59,6 @@ __all__ = [
 
 SEQ_MAGIC = b"FSEQ"
 SESSION_VERSION = 1
-HELLO_PREFIX = b"FELIP-SESSION"
 
 #: envelope: magic + u64 sequence number
 ENVELOPE = struct.Struct("<4sQ")
@@ -70,6 +69,10 @@ _CLIENT_ID = re.compile(r"^[A-Za-z0-9._:\-]{1,64}$")
 
 #: ceiling on line length accepted from the peer before we call it abuse
 MAX_LINE_BYTES = 256
+
+#: ceiling on one frame's declared length: a larger claim is refused from
+#: its 16-byte prologue, before the decoder buffers toward it
+MAX_FRAME_BYTES = 1 << 28
 
 
 def _validate_client_id(client_id: str) -> str:
@@ -172,14 +175,16 @@ def _watermarks(last_raw: str, durable_raw: str,
 class SequencedDecoder:
     """Incremental splitter for a stream of envelope-wrapped frames.
 
-    The sequenced sibling of :class:`~repro.wire.FrameDecoder`: feed
-    arbitrary chunks, get back ``(seq, frame, wire_bytes)`` triples where
-    ``wire_bytes`` counts the envelope too (so byte accounting charges
-    what actually crossed the socket). Structural garbage — a bad
-    envelope magic, a corrupt frame — raises
-    :class:`~repro.errors.WireError` immediately; the buffered bytes
-    (:attr:`pending_bytes`) are the undecodable remainder the caller
-    should charge to the peer before dropping the connection.
+    Feed arbitrary chunks (as a socket delivers them), get back
+    ``(seq, frame, wire_bytes)`` triples where ``wire_bytes`` counts the
+    envelope too (so byte accounting charges what actually crossed the
+    socket); partial frames wait for more bytes. Structural garbage — a
+    bad envelope magic, a corrupt frame, a declared length over
+    :data:`MAX_FRAME_BYTES` — raises :class:`~repro.errors.WireError`
+    immediately: a binary stream cannot be resynchronized after it, so
+    the buffered bytes (:attr:`pending_bytes`) are the undecodable
+    remainder the caller should charge to the peer before dropping the
+    connection.
 
     A *poison* frame — envelope and both CRCs intact, content not a
     valid report — is consumed instead: its triple carries the
@@ -187,9 +192,8 @@ class SequencedDecoder:
     caller can reject that one sequence number and keep the stream.
     """
 
-    def __init__(self, max_frame_bytes: int = 1 << 28):
+    def __init__(self):
         self._buffer = bytearray()
-        self.max_frame_bytes = max_frame_bytes
 
     def feed(self, data: Union[bytes, bytearray]
              ) -> Iterator[Tuple[int, Union[WireFrame, PayloadError], int]]:
@@ -209,10 +213,10 @@ class SequencedDecoder:
             length = frame_length(head)
             if length is None:
                 return
-            if length > self.max_frame_bytes:
+            if length > MAX_FRAME_BYTES:
                 raise WireError(
                     f"declared frame length {length} exceeds the "
-                    f"{self.max_frame_bytes}-byte limit")
+                    f"{MAX_FRAME_BYTES}-byte limit")
             total = ENVELOPE.size + length
             if len(self._buffer) < total:
                 return

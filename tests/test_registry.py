@@ -8,8 +8,6 @@ to its flags — and the regression locking pinned SUE/SHE/THE
 configurations into the full pipeline via the registry variance models.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -212,21 +210,18 @@ class TestCapabilityMatrix:
         stats = IngestStats()
         accepted = sanitize_report(report, IngestPolicy(mode="strict"),
                                    stats, expected=expected)
-        assert accepted is not None
+        assert accepted is report
         assert stats.accepted_reports == 1
-        # A structurally mangled report (2-D where 1-D is required) must
-        # be rejected by every sanitizer.
-        broken = copy.copy(report)
-        for attr, value in vars(report).items():
-            if isinstance(value, np.ndarray):
-                object.__setattr__(broken, attr,
-                                   np.atleast_2d(value))
-                break
+        # A well-formed report planned for another domain disagrees with
+        # this plan, and every sanitizer rejects it. (Structural damage
+        # is the constructor's: tests/test_report_structure.py.)
+        other = spec.factory(1.0, 16).perturb(
+            np.random.default_rng(13).integers(0, 16, size=400), 17)
         with pytest.raises(IngestError):
-            sanitize_report(broken, IngestPolicy(mode="strict"),
+            sanitize_report(other, IngestPolicy(mode="strict"),
                             IngestStats(), expected=expected)
         drop_stats = IngestStats()
-        assert sanitize_report(broken, IngestPolicy(mode="drop"),
+        assert sanitize_report(other, IngestPolicy(mode="drop"),
                                drop_stats, expected=expected) is None
         assert drop_stats.dropped_reports == 1
 

@@ -2,9 +2,12 @@
 
 Every rejection path must either raise a typed
 :class:`~repro.errors.IngestError` (strict) or increment a counter in
-:class:`IngestStats` (drop/quarantine) — no silent discard, ever. Forged
-payloads are built with :func:`forge_report`, which bypasses constructor
-validation the way a hostile wire client would.
+:class:`IngestStats` (drop/quarantine) — no silent discard, ever. The
+reports here are well formed (built by their constructors) but disagree
+with their plan: a declared domain or hash range that is not the
+planned one, a vector of the wrong length, an infeasible total.
+Structurally invalid payloads never reach a sanitizer; their tests are in
+``tests/test_report_structure.py``.
 """
 
 import json
@@ -14,7 +17,6 @@ import pytest
 
 from repro import Felip, FelipConfig
 from repro.core import StreamingCollector
-from repro.core.merge import merge_reports
 from repro.data import uniform_dataset
 from repro.errors import ConfigurationError, IngestError, ProtocolError
 from repro.fo.adaptive import make_oracle
@@ -29,7 +31,6 @@ from repro.robustness import (
     forge_report,
     report_user_count,
     sanitize_report,
-    sanitize_reports,
 )
 from repro.robustness.ingest import MAX_SOURCE_KEYS, OTHER_SOURCES
 
@@ -45,8 +46,6 @@ class TestIngestPolicy:
     def test_invalid_params_raise_typed_errors(self):
         with pytest.raises(IngestError):
             IngestPolicy(mode="lenient")
-        with pytest.raises(IngestError):
-            IngestPolicy(feasibility_sigmas=0.0)
         with pytest.raises(IngestError):
             IngestPolicy(quarantine_capacity=-1)
 
@@ -106,81 +105,57 @@ class TestSourceCap:
 
 
 class TestRowLevelSanitizers:
+    """Per-user-row reports (GRR, OLH): the constructor owns the rows, so
+    a sanitizer passes an agreeing report on as it is and rejects one
+    whose declared parameters differ from the plan."""
+
     def test_clean_grr_passes_value_identical(self):
         oracle = make_oracle("grr", 1.0, 8)
         report = oracle.perturb(np.arange(8), np.random.default_rng(3))
         out = sanitize_report(report, IngestPolicy(mode="strict"),
                               expected=ReportSpec.from_oracle(oracle))
+        assert out is report
         np.testing.assert_array_equal(out.values, report.values)
 
-    def test_grr_out_of_domain_rows_filtered_under_drop(self):
-        forged = forge_report(GRRReport,
-                              values=np.array([0, 1, 99, -2, 3]),
-                              domain_size=8)
-        stats = IngestStats()
-        out = sanitize_report(forged, IngestPolicy(mode="drop"), stats,
-                              expected=ReportSpec(protocol="grr",
-                                                  domain_size=8))
-        np.testing.assert_array_equal(out.values, [0, 1, 3])
-        assert stats.dropped_users == 2
-        assert stats.reasons == {"out-of-domain-values": 1}
-
     def test_grr_out_of_domain_strict_raises(self):
-        forged = forge_report(GRRReport, values=np.array([0, 99]),
-                              domain_size=8)
-        with pytest.raises(IngestError):
-            sanitize_report(forged, IngestPolicy(mode="strict"),
-                            IngestStats())
+        # Well-formed for the domain it declares (16), out of the
+        # planned one (8).
+        report = GRRReport(values=np.array([0, 12]), domain_size=16)
+        with pytest.raises(IngestError, match="domain-mismatch"):
+            sanitize_report(report, IngestPolicy(mode="strict"),
+                            IngestStats(),
+                            expected=ReportSpec(protocol="grr",
+                                                domain_size=8))
 
-    def test_olh_bucket_rows_filtered_and_param_forgery_rejected(self):
+    def test_olh_param_forgery_rejected(self):
         oracle = make_oracle("olh", 1.0, 8)
         spec = ReportSpec.from_oracle(oracle)
-        forged = forge_report(
-            OLHReport,
-            seeds=np.arange(4, dtype=np.uint64),
-            buckets=np.array([0, 1, oracle.g + 5, 1]),
-            hash_range=oracle.g, domain_size=8)
         stats = IngestStats()
-        out = sanitize_report(forged, IngestPolicy(mode="drop"), stats,
-                              expected=spec)
-        assert len(out.buckets) == 3
-        assert stats.dropped_users == 1
         # Declaring a different hash range than planned is forgery.
-        lied = forge_report(
-            OLHReport, seeds=np.arange(4, dtype=np.uint64),
-            buckets=np.zeros(4, dtype=np.uint64),
-            hash_range=oracle.g * 2, domain_size=8)
+        lied = OLHReport(seeds=np.arange(4, dtype=np.uint64),
+                         buckets=np.zeros(4, dtype=np.uint64),
+                         hash_range=oracle.g * 2, domain_size=8)
         assert sanitize_report(lied, IngestPolicy(mode="drop"),
                                stats, expected=spec) is None
-        assert stats.reasons["hash-range-mismatch"] == 1
-
-    def test_all_rows_invalid_drops_whole_report(self):
-        forged = forge_report(GRRReport, values=np.array([50, 60]),
-                              domain_size=8)
-        stats = IngestStats()
-        out = sanitize_report(forged, IngestPolicy(mode="drop"), stats,
-                              expected=ReportSpec(protocol="grr",
-                                                  domain_size=8))
-        assert out is None
-        assert stats.dropped_users == 2
+        # So is declaring a different domain.
+        other = OLHReport(seeds=np.arange(4, dtype=np.uint64),
+                          buckets=np.zeros(4, dtype=np.uint64),
+                          hash_range=oracle.g, domain_size=16)
+        assert sanitize_report(other, IngestPolicy(mode="drop"),
+                               stats, expected=spec) is None
+        assert stats.reasons == {"hash-range-mismatch": 1,
+                                 "domain-mismatch": 1}
+        assert stats.dropped_users == 8
         assert stats.accepted_reports == 0
 
 
 class TestAggregateSanitizers:
-    def test_oue_counter_bounds(self):
-        forged = forge_report(OUEReport, ones=np.array([5, 200, 1]), n=100)
-        stats = IngestStats()
-        assert sanitize_report(forged, IngestPolicy(mode="drop"),
-                               stats) is None
-        assert stats.reasons == {"counter-out-of-bounds": 1}
-        assert stats.dropped_users == 100
-
     def test_oue_infeasible_total_quarantined_with_audit_trail(self):
         oracle = make_oracle("oue", 1.0, 16)
         spec = ReportSpec.from_oracle(oracle)
         ones = np.zeros(16, dtype=np.int64)
         ones[0] = 5000  # every fake sets only the target bit
-        forged = forge_report(OUEReport, ones=ones, n=5000)
+        forged = OUEReport(ones=ones, n=5000)
         stats = IngestStats()
         policy = IngestPolicy(mode="quarantine", quarantine_capacity=2)
         assert sanitize_report(forged, policy, stats,
@@ -191,13 +166,15 @@ class TestAggregateSanitizers:
 
     def test_quarantine_capacity_bounds_audit_not_counters(self):
         policy = IngestPolicy(mode="quarantine", quarantine_capacity=1)
+        spec = ReportSpec.from_oracle(make_oracle("oue", 1.0, 8))
         stats = IngestStats()
         for _ in range(3):
-            forged = forge_report(OUEReport,
-                                  ones=np.array([5, 200, 1]), n=100)
-            sanitize_report(forged, policy, stats)
+            # Three counters where the plan has eight.
+            short = OUEReport(ones=np.array([5, 20, 1]), n=100)
+            sanitize_report(short, policy, stats, expected=spec)
         assert len(stats.quarantine) == 1       # audit trail bounded
-        assert stats.reasons["counter-out-of-bounds"] == 3  # counts go on
+        assert stats.reasons["ones-wrong-shape"] == 3  # counts go on
+        assert stats.dropped_users == 300
 
     def test_honest_reports_survive_feasibility(self):
         # The 6-sigma band must not reject honest batches.
@@ -207,7 +184,7 @@ class TestAggregateSanitizers:
             report = oracle.perturb(rng.integers(0, 16, size=5000), rng)
             out = sanitize_report(report, IngestPolicy(mode="strict"),
                                   expected=ReportSpec.from_oracle(oracle))
-            assert out is not None
+            assert out is report
 
     def test_unknown_report_type_passes_through(self):
         class Mystery:
@@ -215,7 +192,7 @@ class TestAggregateSanitizers:
         stats = IngestStats()
         obj = Mystery()
         assert sanitize_report(obj, IngestPolicy(mode="strict"),
-                               stats) is obj
+                               stats, expected=ReportSpec()) is obj
         assert stats.accepted_reports == 1
         assert stats.accepted_users == 7
 
@@ -227,29 +204,6 @@ class TestAggregateSanitizers:
             forge_report(GRRReport, values=np.zeros(5, dtype=np.int64),
                          domain_size=2)) == 5
         assert report_user_count(object()) == 0
-
-
-class TestMergeWithPolicy:
-    def test_merge_reports_sanitizes_when_policy_given(self):
-        good = GRRReport(values=np.array([0, 1, 2]), domain_size=8)
-        forged = forge_report(GRRReport, values=np.array([77]),
-                              domain_size=8)
-        stats = IngestStats()
-        merged = merge_reports([good, forged],
-                               policy=IngestPolicy(mode="drop"),
-                               stats=stats,
-                               expected=ReportSpec(protocol="grr",
-                                                   domain_size=8))
-        assert len(merged.values) == 3
-        assert stats.dropped_users == 1
-
-    def test_merge_strict_raises_on_forged_batch(self):
-        good = GRRReport(values=np.array([0, 1]), domain_size=8)
-        forged = forge_report(GRRReport, values=np.array([77]),
-                              domain_size=8)
-        with pytest.raises(IngestError):
-            merge_reports([good, forged],
-                          policy=IngestPolicy(mode="strict"))
 
 
 class TestPipelineIntegration:
@@ -299,10 +253,11 @@ class TestPipelineIntegration:
         assert collector.ingest_report(key, honest) is True
         assert collector.observed == observed_before + 200
 
-        forged = forge_report(
-            OLHReport, seeds=np.arange(50, dtype=np.uint64),
-            buckets=np.full(50, 10_000), hash_range=oracle.g,
-            domain_size=oracle.domain_size)
+        # Well formed, but declares a hash range the plan does not use.
+        forged = OLHReport(seeds=np.arange(50, dtype=np.uint64),
+                           buckets=np.zeros(50, dtype=np.uint64),
+                           hash_range=oracle.g + 1,
+                           domain_size=oracle.domain_size)
         assert collector.ingest_report(key, forged) is False
         assert collector.observed == observed_before + 200
         assert collector.ingest_stats.dropped_users >= 50
@@ -314,10 +269,10 @@ class TestPipelineIntegration:
         collector = StreamingCollector(dataset.schema, config,
                                        expected_users=5_000, rng=43)
         key = collector.plans[0].key
-        forged = forge_report(
-            GRRReport, values=np.array([10_000]),
-            domain_size=collector.plans[0].num_cells)
-        with pytest.raises(IngestError):
+        # Well formed, but over a wider domain than the plan's.
+        forged = GRRReport(values=np.array([10_000]),
+                           domain_size=10_001)
+        with pytest.raises(IngestError, match="domain-mismatch"):
             collector.ingest_report(key, forged)
         with pytest.raises(ProtocolError):
             collector.ingest_report((999,), forged)

@@ -23,6 +23,7 @@ from repro.queries import Query, between
 from repro.robustness import FaultInjector, PoisonedShardError
 from repro.service import (
     IngestionService,
+    WireClient,
     checkpoint_meta,
     restore_checkpoint,
     save_checkpoint,
@@ -154,27 +155,21 @@ class TestIngestionService:
             await service.start()
             server = await service.serve(port=0)
             port = server.sockets[0].getsockname()[1]
-            _, writer = await asyncio.open_connection("127.0.0.1", port)
-            stream = b"".join(wire_frames(collector))
-            for i in range(0, len(stream), 333):  # odd-sized chunks
-                writer.write(stream[i:i + 333])
-                await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-            for _ in range(500):
-                if service.stats.frames_accepted * \
-                        40 >= collector.observed and collector.observed:
-                    break
-                await asyncio.sleep(0.01)
-            server.close()
-            await server.wait_closed()
+            forged = wire_frames(collector, users=10, epsilon=2.0)[0]
+            async with WireClient("127.0.0.1", port, "sensor-a") as client:
+                for frame in wire_frames(collector) + [forged]:
+                    await client.send(frame)
             await service.stop()
-            return collector, service
+            return collector, service, client
 
-        collector, service = asyncio.run(run())
-        assert service.stats.frames_accepted >= 1
+        collector, service, client = asyncio.run(run())
+        assert service.stats.frames_accepted == client.acked_seq - 1
         assert collector.observed == service.stats.users_accepted
         assert collector.finalize().n == collector.observed
+        # The forged frame is charged to the socket peer that sent it.
+        by_source = collector.ingest_stats.as_dict()["rejected_by_source"]
+        assert list(by_source.values()) == [1]
+        assert next(iter(by_source)).startswith("peer=127.0.0.1:")
 
 
 class TestCheckpoint:

@@ -26,7 +26,10 @@ from repro.data import normal_dataset
 from repro.errors import (CheckpointError, ClientError, IngestError,
                           PayloadError, WireError)
 from repro.fo.adaptive import make_oracle
+from repro.fo.hr import HRReport
 from repro.fo.olh import OLHReport
+from repro.fo.oue import OUEReport
+from repro.fo.square_wave import SWReport
 from repro.queries import Query, between
 from repro.robustness import NetworkFaultInjector, backoff_delay
 from repro.robustness.attacks import forge_report
@@ -100,6 +103,49 @@ def poison_frame(collector):
     return encode_report(report, protocol="olh",
                          epsilon=collector.config.epsilon, num_cells=8,
                          key=(0,))
+
+
+#: payloads that build no valid report because a row or count is not
+#: a whole number, each as ``(plan protocol, config, fields)``, where
+#: ``fields`` maps the planned grid's oracle to the report type and the
+#: hostile client's field values
+FRACTIONAL = {
+    "olh-buckets": ("olh", dict(protocols=("olh",)), lambda o: (
+        OLHReport, dict(seeds=np.arange(4, dtype=np.uint64),
+                        buckets=np.array([0.5, 1.9, 0.2, 1.0]),
+                        hash_range=o.g, domain_size=o.domain_size))),
+    "hr-rows": ("hr", dict(protocols=("hr",)), lambda o: (
+        HRReport, dict(rows=np.array([0.5, 3.7]),
+                       bits=np.array([1, -1], dtype=np.int8),
+                       hadamard_order=o.g, domain_size=o.domain_size))),
+    "oue-ones": ("oue", dict(protocols=("oue",)), lambda o: (
+        OUEReport, dict(ones=np.r_[0.5, 0.9, 0.5, 0.9,
+                                   np.zeros(o.domain_size - 4)],
+                        n=2))),
+    "sw-counts": ("sw", dict(one_d_protocol="sw"), lambda o: (
+        SWReport, dict(counts=np.r_[2.5, 2.5,
+                                    np.zeros(o.report_buckets - 2)],
+                       n=5, wave_width=o.b))),
+    "oue-n": ("oue", dict(protocols=("oue",)), lambda o: (
+        OUEReport, dict(ones=np.r_[1, 1, np.zeros(o.domain_size - 2,
+                                                  dtype=np.int64)],
+                        n=2.7))),
+}
+
+
+def fractional_frame(collector, case):
+    """The frame of a hostile client that fills a planned grid's report
+    with fractional rows or counts; every other field agrees with the
+    plan."""
+    protocol, _, build = FRACTIONAL[case]
+    plan = next(p for p in collector.plans if p.protocol == protocol)
+    oracle = make_oracle(protocol, collector.config.epsilon,
+                         plan.num_cells)
+    report_type, fields = build(oracle)
+    return encode_report(forge_report(report_type, **fields),
+                         protocol=protocol,
+                         epsilon=collector.config.epsilon,
+                         num_cells=plan.num_cells, key=plan.key)
 
 
 async def serve_port(service, **kw):
@@ -475,6 +521,57 @@ class TestWireClient:
         assert service.stats.malformed_frames == 1
         assert service.stats.acks_sent == 0
 
+    @pytest.mark.parametrize("case", sorted(FRACTIONAL))
+    def test_fractional_payload_rejected_in_sequence(self, dataset, case):
+        """Fractional rows or counts build no report: the frame is a
+        poison frame, acked in sequence, and admits no user."""
+        async def run():
+            _, config, _ = FRACTIONAL[case]
+            collector = make_collector(dataset, mode="drop", **config)
+            service = IngestionService(collector)
+            await service.start()
+            port = await serve_port(service)
+            async with WireClient("127.0.0.1", port, "sensor-f") as client:
+                await client.send(fractional_frame(collector, case))
+            await service.stop()
+            return collector, service, client
+
+        collector, service, client = asyncio.run(run())
+        assert client.acked_seq == 1
+        assert client.stats.frames_resent == 0
+        assert service.stats.malformed_frames == 1
+        assert service.stats.frames_accepted == 0
+        assert collector.ingest_stats.reasons == {"malformed-frame": 1}
+        assert collector.observed == 0
+
+    @pytest.mark.parametrize("case", sorted(FRACTIONAL))
+    def test_fractional_payload_fails_strict_service(self, dataset, case):
+        async def run():
+            _, config, _ = FRACTIONAL[case]
+            collector = make_collector(dataset, mode="strict", **config)
+            service = IngestionService(collector)
+            await service.start()
+            port = await serve_port(service)
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(hello_line("sensor-s") + encode_envelope(
+                1, fractional_frame(collector, case)))
+            await writer.drain()
+            assert parse_session_reply(
+                await asyncio.wait_for(reader.readline(), 10)) == (0, 0)
+            for _ in range(300):
+                if service.stats.malformed_frames:
+                    break
+                await asyncio.sleep(0.01)
+            writer.close()
+            with pytest.raises(IngestError, match="malformed-frame"):
+                await service.stop()
+            return collector, service
+
+        collector, service = asyncio.run(run())
+        assert service.stats.malformed_frames == 1
+        assert collector.observed == 0
+
     def test_unreachable_server_exhausts_budget(self):
         async def run():
             probe = await asyncio.start_server(
@@ -533,25 +630,27 @@ class TestServiceLifecycle:
         assert service.stats.frames_accepted == 0
 
     def test_socket_garbage_charges_actual_bytes(self, dataset):
-        """Satellite fix: undecodable socket bytes are charged at their
-        real size (PR7 charged zero) and never counted as a submitted
-        frame."""
+        """Undecodable bytes after a session frame are charged at their
+        real size and never counted as a submitted frame."""
         async def run():
             collector = make_collector(dataset)
             service = IngestionService(collector)
             await service.start()
             port = await serve_port(service)
-            frame = wire_frames(collector, users=10)[0]
+            frame = encode_envelope(1, wire_frames(collector, users=10)[0])
             junk = b"\xde\xad\xbe\xef" * 25
-            _, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(frame + junk)
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(hello_line("sensor-g") + frame + junk)
             await writer.drain()
-            writer.close()
-            await writer.wait_closed()
+            assert parse_session_reply(
+                await asyncio.wait_for(reader.readline(), 10)) == (0, 0)
             for _ in range(300):
                 if service.stats.malformed_frames:
                     break
                 await asyncio.sleep(0.01)
+            writer.close()
+            await writer.wait_closed()
             await service.stop()
             return service, len(frame), len(junk)
 
@@ -561,6 +660,65 @@ class TestServiceLifecycle:
         assert service.stats.malformed_frames == 1
         assert service.stats.bytes_received == frame_len + junk_len
 
+    def test_raw_frame_stream_is_refused(self, dataset):
+        """A connection that opens with anything but a session hello —
+        here a bare frame stream — gets an ERR line, is charged as a
+        malformed frame, and admits nothing."""
+        async def run():
+            collector = make_collector(dataset)
+            service = IngestionService(collector)
+            await service.start()
+            port = await serve_port(service)
+            stream = b"".join(wire_frames(collector)) + b"\n"
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(stream)
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.readline(), 10)
+            writer.close()
+            await writer.wait_closed()
+            await service.stop()
+            return collector, service, reply
+
+        collector, service, reply = asyncio.run(run())
+        assert reply.startswith(b"ERR ")
+        with pytest.raises(WireError, match="session refused"):
+            parse_session_reply(reply)
+        assert service.stats.malformed_frames == 1
+        assert service.stats.frames_submitted == 0
+        assert service.stats.bytes_received > 0
+        assert collector.ingest_stats.reasons == {"malformed-frame": 1}
+        assert collector.observed == 0
+
+    def test_oversized_hello_is_charged_and_refused(self, dataset):
+        """A first line that overruns the stream limit is charged what it
+        consumed (at least the 64 KiB limit) and refused; a connection
+        that sends nothing is not charged at all."""
+        async def run():
+            collector = make_collector(dataset)
+            service = IngestionService(collector)
+            await service.start()
+            port = await serve_port(service)
+            _, silent = await asyncio.open_connection("127.0.0.1", port)
+            silent.close()
+            await silent.wait_closed()
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(b"FELIP-SESSION 1 " + b"x" * 100_000)
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.readline(), 10)
+            writer.close()
+            with contextlib.suppress(ConnectionError, OSError):
+                await writer.wait_closed()
+            await service.stop()
+            return service, reply
+
+        service, reply = asyncio.run(run())
+        assert reply.startswith(b"ERR ")
+        assert service.stats.connections_opened == 2
+        assert service.stats.malformed_frames == 1
+        assert service.stats.bytes_received >= 64 * 1024
+
     def test_stop_closes_servers_and_unblocks_handlers(self, dataset):
         async def run():
             collector = make_collector(dataset)
@@ -569,7 +727,7 @@ class TestServiceLifecycle:
             port = await serve_port(service)
             _, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
-                writer.write(b"FLW1\x01")  # partial frame: handler blocks
+                writer.write(b"FELIP-SESS")  # partial hello: handler blocks
                 await writer.drain()
                 await asyncio.sleep(0.05)
                 await asyncio.wait_for(service.stop(), timeout=5)

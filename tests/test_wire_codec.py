@@ -6,9 +6,9 @@ is exactly :func:`~repro.wire.encode_report_parts`' header plus its
 zero-copy payload views joined, (2) *any*
 single-bit corruption or truncation of a frame raises
 :class:`~repro.errors.WireError` — never a crash, never a silently wrong
-report — and (3) the incremental :class:`~repro.wire.FrameDecoder`
-produces the same frame sequence regardless of how the byte stream is
-chunked.
+report — and (3) the incremental :class:`~repro.wire.SequencedDecoder`
+produces the same frame sequence regardless of how a session's byte
+stream is chunked.
 """
 
 from __future__ import annotations
@@ -30,12 +30,15 @@ from repro.fo.registry import (ProtocolSpec, get, register,
                                spec_for_wire_code, unregister, wire_codes)
 from repro.wire import (
     FRAME_VERSION,
-    FrameDecoder,
+    SequencedDecoder,
     decode_frame,
+    encode_envelope,
     encode_report,
     encode_report_parts,
     frame_length,
 )
+from repro.wire.codec import MAGIC
+from repro.wire.session import MAX_FRAME_BYTES
 
 WIRE_PROTOCOLS = sorted(wire_codes())
 
@@ -231,35 +234,48 @@ class TestAdversarialFrames:
 
 
 class TestFrameDecoder:
+    """The session's frame decoder, :class:`SequencedDecoder`, over
+    envelope-wrapped frames."""
+
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_chunking_invariant(self, data):
         stream = b"".join(
-            sample_frame(protocol=p, num_cells=6, n=10, key=(i,),
-                         seed=i)
+            encode_envelope(i + 1, sample_frame(protocol=p, num_cells=6,
+                                                n=10, key=(i,), seed=i))
             for i, p in enumerate(("grr", "oue", "hr")))
-        reference = [f.key for f in FrameDecoder().feed(stream)]
-        assert len(reference) == 3
+        reference = [(seq, f.key, nbytes)
+                     for seq, f, nbytes in SequencedDecoder().feed(stream)]
+        assert [seq for seq, _, _ in reference] == [1, 2, 3]
+        assert sum(nbytes for _, _, nbytes in reference) == len(stream)
 
-        decoder = FrameDecoder()
-        keys = []
+        decoder = SequencedDecoder()
+        out = []
         cursor = 0
         while cursor < len(stream):
             step = data.draw(st.integers(1, 257))
-            keys += [f.key
-                     for f in decoder.feed(stream[cursor:cursor + step])]
+            out += [(seq, f.key, nbytes) for seq, f, nbytes
+                    in decoder.feed(stream[cursor:cursor + step])]
             cursor += step
-        assert keys == reference
+        assert out == reference
         assert decoder.pending_bytes == 0
 
     def test_garbage_mid_stream_raises(self):
-        decoder = FrameDecoder()
-        list(decoder.feed(sample_frame()))
+        decoder = SequencedDecoder()
+        assert len(list(decoder.feed(encode_envelope(1,
+                                                     sample_frame())))) == 1
         with pytest.raises(WireError):
             list(decoder.feed(b"not a frame at all" * 2))
+        with pytest.raises(WireError):
+            list(SequencedDecoder().feed(
+                encode_envelope(1, b"not a frame at all" * 2)))
 
     def test_oversized_declared_length_rejected_before_buffering(self):
-        frame = bytearray(sample_frame())
-        decoder = FrameDecoder(max_frame_bytes=64)
+        # An envelope and a frame prologue declaring 2**40 bytes: refused
+        # from its first 16 bytes, without waiting for the rest.
+        prologue = struct.pack("<4sBBHQ", MAGIC, FRAME_VERSION, 1, 32,
+                               1 << 40)
+        assert 1 << 40 > MAX_FRAME_BYTES
+        decoder = SequencedDecoder()
         with pytest.raises(WireError, match="limit"):
-            list(decoder.feed(bytes(frame)))
+            list(decoder.feed(encode_envelope(1, prologue)))
