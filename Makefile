@@ -58,8 +58,9 @@ bench-check:
 	$(PY) benchmarks/record.py --check .bench_raw.json BENCH_kernels.json; \
 	    status=$$?; rm -f .bench_raw.json; exit $$status
 
-# Collection-pipeline throughput at n=10^6: serial reference vs the
-# sharded executor. Writes BENCH_pipeline.json for PR-over-PR diffing.
+# Collection-pipeline throughput at n=10^6: the sharded executor (perturb
+# and fold every shard) at 1/2/4 workers. Writes BENCH_pipeline.json for
+# PR-over-PR diffing.
 bench-pipeline:
 	$(PY) -m pytest benchmarks/test_pipeline_parallel.py -m benchmarks -q \
 	    --benchmark-json=.bench_raw.json

@@ -27,9 +27,7 @@ rows in ``BENCH_answers.json`` — survive the recording step.
 :data:`CHECK_TOLERANCE` slower and the rows missing on either side, and
 exits 1 if there are any. The fastest round is the statistic: host noise
 only ever adds time, so a mean moves with how many rounds a busy host
-slowed, while the minimum moves when the code does. The microsecond rows
-of the memoized estimates moved +43% and +59% in mean between two runs
-of the same code.
+slowed, while the minimum moves when the code does.
 """
 
 from __future__ import annotations

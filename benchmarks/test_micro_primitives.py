@@ -52,6 +52,8 @@ def test_olh_perturb(benchmark, values):
 
 
 def test_olh_estimate(benchmark, values):
+    # Every call folds the report with a full O(d*n) support sweep (the
+    # report caches only its mixed seeds).
     oracle = OptimizedLocalHashing(1.0, _DOMAIN)
     report = oracle.perturb(values, np.random.default_rng(4))
     benchmark(lambda: oracle.estimate(report))
@@ -64,8 +66,7 @@ def test_olh_estimate_d1024(benchmark, values_large):
 
 
 def _bench_kernel(benchmark, domain):
-    # The cold-path kernel itself (no support-count memoization): one
-    # O(d*n) tiled sweep per call.
+    # The numpy tiled kernel itself: one O(d*n) sweep per call.
     rng = np.random.default_rng(7)
     oracle = OptimizedLocalHashing(1.0, domain)
     mixed = mix_seeds(random_seeds(_N, rng))

@@ -1,25 +1,24 @@
-"""Collection-throughput benchmark: serial reference vs sharded executor.
+"""Collection-throughput benchmark of the sharded executor.
 
-Times the client-side collection phase (grouping + encode + perturb) at
-``n = 10^6`` users for the serial reference path and the sharded executor
-at 1/2/4 workers, plus one ``n = 10^7`` row at ``workers=0`` (one thread
-per available CPU). ``make bench-pipeline`` records the results to
+Times the client-side collection phase (grouping + encode + perturb +
+the fold of every shard into its grid's state) at ``n = 10^6`` users at
+1/2/4 workers, plus one ``n = 10^7`` row at ``workers=0`` (one thread per
+available CPU). ``make bench-pipeline`` records the results to
 ``BENCH_pipeline.json`` so PRs can diff collection throughput over time.
 
-The sharded path wins even at ``workers=1`` — its radix-argsort grouping,
-column-only gathers, and closed-form cell lookup replace the serial
-path's dominant costs. Multi-worker rows add whatever the GIL-releasing
-kernels (generator sampling, the OLH hash chain) leave on the table, so
+Multi-worker rows add whatever the GIL-releasing kernels (generator
+sampling, the OLH hash chain and support sweep) leave on the table, so
 cross-worker speedups are bounded by the host's effective core count
 (recorded in the file header): on a single-CPU host every workers>1 row
-tracks the workers=1 row.
+tracks the workers=1 row. That the sharded output equals the serial
+reference's, folded, is tier-1's job
+(``tests/test_parallel_pipeline.py``), for every protocol.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import FelipConfig, partition_users, plan_grids
-from repro.core.client import collect_reports, collect_reports_serial
+from repro.core.client import collect_reports
 from repro.data import normal_dataset
 from repro.rng import ensure_rng
 
@@ -36,14 +35,6 @@ def collection():
     plans = plan_grids(dataset.schema, config, dataset.n)
     assignment = partition_users(dataset.n, len(plans), ensure_rng(2023))
     return dataset.records, assignment, plans, config.epsilon
-
-
-def test_collect_serial_1m(benchmark, collection):
-    records, assignment, plans, epsilon = collection
-    benchmark.pedantic(
-        lambda: collect_reports_serial(records, assignment, plans,
-                                       epsilon, rng=7),
-        rounds=7, iterations=1, warmup_rounds=1)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -83,22 +74,3 @@ def test_collect_sharded_10m(benchmark):
                                 config.epsilon, rng=7, workers=0),
         rounds=3, iterations=1, warmup_rounds=1)
 
-
-def test_sharded_output_matches_serial(collection):
-    """Guard: the benchmarked paths produce identical reports."""
-    records, assignment, plans, epsilon = collection
-    serial = collect_reports_serial(records, assignment, plans, epsilon,
-                                    rng=7)
-    sharded = collect_reports(records, assignment, plans, epsilon, rng=7,
-                              workers=4)
-    for s, p in zip(serial, sharded):
-        assert s.group_size == p.group_size
-        if s.report is None:
-            assert p.report is None
-            continue
-        for name in vars(s.report):
-            sv, pv = getattr(s.report, name), getattr(p.report, name)
-            if isinstance(sv, np.ndarray):
-                np.testing.assert_array_equal(sv, pv, err_msg=name)
-            else:
-                assert sv == pv, name

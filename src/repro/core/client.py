@@ -1,4 +1,4 @@
-"""Client-side collection: project onto the assigned grid and perturb.
+"""Client-side collection: project onto the assigned grid, perturb, fold.
 
 Each user belongs to exactly one group, projects their record onto that
 group's grid (the cell index containing their values) and perturbs the cell
@@ -6,26 +6,28 @@ index with the grid's frequency oracle, spending the full budget ε. The
 batch simulation below is distributionally identical to ``n`` independent
 clients: every row uses independent randomness.
 
-Two execution strategies produce the reports:
+:func:`collect_reports` groups the population with one radix-argsort pass
+(:func:`repro.core.parallel.group_orders`) and splits each group into
+``(group, chunk)`` shards that gather only the columns their grid
+encodes. Each shard is folded where it is perturbed: its task perturbs
+the slice, folds the report with the grid's oracle into a
+:class:`~repro.fo.base.FoldedState`, checks the report against the plan,
+and returns the state, so no per-user row outlives the task that drew
+it. The tasks run on :func:`repro.core.parallel.run_sharded` (a thread
+pool of ``workers``), and each group's states reduce in ``(group,
+chunk)`` order through :func:`repro.core.merge.merge_reports`.
+:func:`collect_reports_budget_split` and
+:meth:`repro.core.streaming.StreamingCollector.observe` run the same
+tasks.
 
-* :func:`collect_reports_serial` — the straight-line reference
-  implementation: one pass per group over the full record matrix, one
-  perturb call per group. It is the executable specification the sharded
-  executor is tested against.
-* :func:`collect_reports` — the sharded executor: a single radix-argsort
-  grouping pass replaces the ``m`` boolean-mask scans, each (group, chunk)
-  shard gathers only the columns its grid encodes, and the shard closures
-  run on :func:`repro.core.parallel.run_sharded` (a thread pool of
-  ``workers``) before reducing through
-  :func:`repro.core.merge.merge_reports`.
-
-Determinism contract: with ``chunk_size=None`` the sharded executor spawns
-one child generator per group and consumes it exactly like the serial
-reference, so its reports are **bit-identical** to
-:func:`collect_reports_serial` for any ``workers``. With a finite
-``chunk_size`` each group's generator is further split one-per-chunk, so
-outputs are a pure function of ``(seed, chunk_size)`` — still invariant to
-``workers``, but a different (equally valid) random stream.
+Determinism contract: with ``chunk_size=None`` each group perturbs in one
+shard on one child generator spawned per group, consumed exactly like
+the serial reference in ``tests/collect_reference.py``, so every group's
+state is the fold of the reference's report, bit for bit, for any
+``workers``. With a finite ``chunk_size`` each group's generator is
+further split one-per-chunk, so outputs are a pure function of ``(seed,
+chunk_size)`` — still invariant to ``workers``, but a different (equally
+valid) random stream.
 
 Fault tolerance extends the contract rather than weakening it: every
 randomized shard task snapshots its generator's state at construction and
@@ -36,16 +38,21 @@ once and retries it is bit-identical to the fault-free run.
 
 Ingestion hardening: when an ``ingest`` policy is passed, every shard's
 report is checked (``repro.robustness``) against the planning oracle's
-parameters before reduction — so a shard that disagrees with its plan
-either fails loudly (``strict``) or is dropped/quarantined with its users
-accounted in ``ingest_stats``. Structure needs no check here: every
-report was built by its validating constructor.
+parameters inside its task, after the fold — so an attempt that raised
+and was retried has not been counted — and a shard that disagrees with
+its plan either fails loudly (``strict``) or is dropped/quarantined. The
+task only holds its verdict; the verdicts are recorded in
+``ingest_stats`` in ``(group, chunk)`` order once every shard has run,
+so the accounting (quarantine audit entries included) is the same for
+any ``workers``, and a collection that fails part way records nothing.
+Structure needs no check here: every report was built by its validating
+constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +66,7 @@ from repro.core.parallel import (
 from repro.core.planner import PlannedGrid
 from repro.errors import ProtocolError
 from repro.fo.adaptive import make_oracle
+from repro.fo.base import FoldedState
 from repro.fo.registry import get as protocol_spec
 from repro.robustness.policy import (
     IngestPolicy,
@@ -71,12 +79,13 @@ from repro.rng import RngLike, ensure_rng, spawn
 
 @dataclass
 class GroupReport:
-    """One group's perturbed reports (``None`` when nothing to perturb).
+    """One group's collected evidence (``None`` when there is none).
 
-    ``report`` is ``None`` for empty groups and for trivial single-cell
-    grids, whose frequency vector is known to be ``[1.0]`` a priori. A
-    streaming collector passes each grid's
-    :class:`~repro.fo.base.FoldedState` in its place.
+    ``report`` is the :class:`~repro.fo.base.FoldedState` of the group's
+    admitted reports — or an interactive backend's fitted model (AHEAD)
+    — and ``None`` for empty groups, for groups whose every shard was
+    rejected, and for trivial single-cell grids, whose frequency vector
+    is known to be ``[1.0]`` a priori.
     """
 
     planned: PlannedGrid
@@ -96,77 +105,108 @@ def _check_assignment(records: np.ndarray, assignment: np.ndarray,
             f"outside [0, {len(planned_grids)}) planned groups")
 
 
-def collect_reports_serial(records: np.ndarray, assignment: np.ndarray,
-                           planned_grids: Sequence[PlannedGrid],
-                           epsilon: float,
-                           rng: RngLike = None) -> List[GroupReport]:
-    """Reference implementation: strictly serial, one pass per group.
+class _Verdict:
+    """One shard attempt's admission outcome, held until the run ends.
 
-    Kept as the executable specification of the collection semantics; the
-    sharded executor (:func:`collect_reports` with ``chunk_size=None``) is
-    bit-identical to it under a fixed seed, whatever the worker count.
+    :func:`sanitize_report` records into it from the shard's task (it
+    offers :class:`IngestStats`'s two recording methods);
+    :meth:`_TaskBuilder.admitted` replays it into the shared stats.
     """
-    _check_assignment(records, assignment, planned_grids)
-    group_rngs = spawn(ensure_rng(rng), len(planned_grids))
-    reports: List[GroupReport] = []
-    for g, planned in enumerate(planned_grids):
-        rows = records[assignment == g]
-        if len(rows) == 0 or planned.num_cells < 2:
-            reports.append(GroupReport(planned=planned, report=None,
-                                       group_size=len(rows)))
-            continue
-        fit = protocol_spec(planned.protocol).interactive_fit
-        if fit is not None:
-            reports.append(GroupReport(
-                planned=planned,
-                report=fit(planned, rows[:, planned.grid.attr_index],
-                           epsilon, group_rngs[g]),
-                group_size=len(rows)))
-            continue
-        values = planned.grid.encode(rows)
-        oracle = make_oracle(planned.protocol, epsilon, planned.num_cells)
-        reports.append(GroupReport(
-            planned=planned,
-            report=oracle.perturb(values, group_rngs[g]),
-            group_size=len(rows)))
-    return reports
+
+    def __init__(self):
+        self.admitted = False
+        self._calls: List[tuple] = []
+
+    def record_accept(self, *args, **kwargs) -> None:
+        self._calls.append(("record_accept", args, kwargs))
+
+    def record_reject(self, *args, **kwargs) -> None:
+        self._calls.append(("record_reject", args, kwargs))
+
+    def replay(self, stats: IngestStats) -> None:
+        for name, args, kwargs in self._calls:
+            getattr(stats, name)(*args, **kwargs)
 
 
 class _TaskBuilder:
     """One collection run's shard closures, with their bookkeeping.
 
-    ``tasks[i]`` is the zero-argument closure :func:`run_sharded` runs;
-    ``task_group[i]`` is the group its report reduces into and
-    ``task_spec[i]`` the oracle parameters the report is sanitized
-    against (``None`` when no ingest policy is configured, and for
-    interactive backends, whose fitted models have no sanitizer).
+    ``tasks[i]`` is the zero-argument closure :func:`run_sharded` runs
+    and ``task_group[i]`` the group its result reduces into. Every
+    shard's report passes admission control under ``ingest`` inside its
+    task, which returns its result with its :class:`_Verdict`;
+    :meth:`admitted` records the verdicts in ``ingest_stats``
+    (attributed to ``source``) in task order. ``ingest=None`` admits
+    every report.
     """
 
-    def __init__(self, ingest: Optional[IngestPolicy]):
+    def __init__(self, ingest: Optional[IngestPolicy],
+                 ingest_stats: Optional[IngestStats] = None,
+                 source: str = ""):
         self.ingest = ingest
+        self.ingest_stats = ingest_stats
+        self.source = source
         self.tasks: List[Callable[[], Any]] = []
         self.task_group: List[int] = []
-        self.task_spec: List[Optional[ReportSpec]] = []
 
     def add_perturb(self, g: int, planned: PlannedGrid, oracle,
                     columns: Sequence[np.ndarray],
-                    bounds: Sequence[Tuple[int, int]], shard_rngs) -> None:
-        spec = ReportSpec.from_oracle(oracle) if self.ingest is not None \
-            else None
+                    chunk_size: Optional[int], rng) -> None:
+        """One perturb-fold-check task per chunk of group ``g``'s rows.
+
+        ``rng`` is the group's generator: a single chunk perturbs on it,
+        several on one spawned child each.
+        """
+        admit = self._admission(ReportSpec.from_oracle(oracle))
+        bounds = chunk_bounds(len(columns[0]), chunk_size)
+        shard_rngs = [rng] if len(bounds) == 1 else spawn(rng, len(bounds))
         for (start, stop), shard_rng in zip(bounds, shard_rngs):
             self.tasks.append(_shard_task(
                 planned, oracle, [c[start:stop] for c in columns],
-                shard_rng))
+                shard_rng, admit))
             self.task_group.append(g)
-            self.task_spec.append(spec)
 
     def add_interactive(self, g: int, planned: PlannedGrid,
                         column: np.ndarray, epsilon: float, rng) -> None:
         fit = protocol_spec(planned.protocol).interactive_fit
+        # A fitted model has no sanitizer; admission only counts its
+        # users.
         self.tasks.append(_interactive_task(fit, planned, column, epsilon,
-                                            rng))
+                                            rng, self._admission(None)))
         self.task_group.append(g)
-        self.task_spec.append(None)
+
+    def _admission(self, expected: Optional[ReportSpec]
+                   ) -> Optional[Callable[[Any], _Verdict]]:
+        """The in-task check of a shard's report (``None``: admit all);
+        ``strict`` raises on a rejection."""
+        if self.ingest is None:
+            return None
+        ingest, source = self.ingest, self.source
+
+        def admit(report) -> _Verdict:
+            verdict = _Verdict()
+            verdict.admitted = sanitize_report(
+                report, ingest, verdict, expected=expected,
+                source=source) is not None
+            return verdict
+        return admit
+
+    def admitted(self, results: Sequence[Tuple[Any, Optional[_Verdict]]],
+                 num_groups: int) -> List[List[Any]]:
+        """Each group's admitted results, in ``(group, chunk)`` order.
+
+        Records the run's verdicts in ``ingest_stats`` in the same order,
+        so call it once :func:`run_sharded` has returned every result.
+        """
+        parts: List[List[Any]] = [[] for _ in range(num_groups)]
+        for g, (result, verdict) in zip(self.task_group, results):
+            if verdict is not None:
+                if self.ingest_stats is not None:
+                    verdict.replay(self.ingest_stats)
+                if not verdict.admitted:
+                    continue
+            parts[g].append(result)
+        return parts
 
 
 def collect_reports(records: np.ndarray, assignment: np.ndarray,
@@ -199,10 +239,11 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
         the output — see the module determinism contract.
     chunk_size:
         Rows per shard within a group; ``None`` keeps whole groups (the
-        geometry bit-identical to :func:`collect_reports_serial`).
+        geometry under which each group's state is the fold of the
+        serial reference's report).
     ingest, ingest_stats:
-        Ingestion policy and its accounting: every shard report is
-        sanitized against the group's oracle parameters before merging.
+        Ingestion policy and its accounting: every shard's report is
+        sanitized against the group's oracle parameters in its task.
     retries, fault_injector, exec_stats:
         Fault-tolerance knobs forwarded to
         :func:`repro.core.parallel.run_sharded`; retried shards replay
@@ -212,7 +253,7 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
     group_rngs = spawn(ensure_rng(rng), len(planned_grids))
     order, offsets = group_orders(assignment, len(planned_grids))
 
-    builder = _TaskBuilder(ingest)
+    builder = _TaskBuilder(ingest, ingest_stats)
     group_sizes: List[int] = []
     for g, planned in enumerate(planned_grids):
         indices = order[offsets[g]:offsets[g + 1]]
@@ -225,70 +266,68 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
                 g, planned, records[:, planned.grid.attr_index][indices],
                 epsilon, group_rngs[g])
             continue
-        columns = [records[:, t][indices]
-                   for t in planned.grid.column_indices]
-        bounds = chunk_bounds(len(indices), chunk_size)
-        shard_rngs = ([group_rngs[g]] if len(bounds) == 1
-                      else spawn(group_rngs[g], len(bounds)))
-        oracle = make_oracle(planned.protocol, epsilon, planned.num_cells)
-        builder.add_perturb(g, planned, oracle, columns, bounds, shard_rngs)
-
-    shards_of = _execute(builder, len(planned_grids), workers, retries,
-                         fault_injector, exec_stats, ingest, ingest_stats)
-    return [GroupReport(planned=planned,
-                        report=merge_reports(shards_of[g]),
-                        group_size=group_sizes[g])
-            for g, planned in enumerate(planned_grids)]
+        builder.add_perturb(
+            g, planned,
+            make_oracle(planned.protocol, epsilon, planned.num_cells),
+            [records[:, t][indices] for t in planned.grid.column_indices],
+            chunk_size, group_rngs[g])
+    return _execute(builder, planned_grids, group_sizes, workers, retries,
+                    fault_injector, exec_stats)
 
 
-def _execute(builder: _TaskBuilder, num_groups: int, workers: int,
-             retries: int, fault_injector,
-             exec_stats: Optional[ExecutionStats],
-             ingest: Optional[IngestPolicy],
-             ingest_stats: Optional[IngestStats]) -> Dict[int, list]:
-    """Run a built task set and bucket sanitized results per group."""
+def _execute(builder: _TaskBuilder, planned_grids: Sequence[PlannedGrid],
+             group_sizes: Sequence[int], workers: int, retries: int,
+             fault_injector, exec_stats: Optional[ExecutionStats]
+             ) -> List[GroupReport]:
+    """Run a built task set; merge each group's shard states."""
     results = run_sharded(builder.tasks, workers, retries=retries,
                           fault_injector=fault_injector, stats=exec_stats)
-    shards_of: Dict[int, list] = {g: [] for g in range(num_groups)}
-    for g, spec, result in zip(builder.task_group, builder.task_spec,
-                               results):
-        if ingest is not None:
-            result = sanitize_report(result, ingest, ingest_stats,
-                                     expected=spec)
-        if result is not None:
-            shards_of[g].append(result)
-    return shards_of
+    return [GroupReport(planned=planned, report=merge_reports(parts),
+                        group_size=size)
+            for planned, parts, size in zip(
+                planned_grids, builder.admitted(results,
+                                                len(planned_grids)),
+                group_sizes)]
 
 
 def _shard_task(planned: PlannedGrid, oracle, columns: List[np.ndarray],
-                rng) -> Callable[[], Any]:
-    """Encode-and-perturb closure for one (group, chunk) shard.
+                rng, admit: Optional[Callable[[Any], _Verdict]]
+                ) -> Callable[[], Tuple[FoldedState, Optional[_Verdict]]]:
+    """Encode-perturb-fold-check closure for one (group, chunk) shard.
 
-    The generator state is snapshotted at construction and restored on
-    every entry, so a retried attempt after a transient failure replays
-    exactly the stream the failed attempt consumed (the fault-tolerance
-    half of the determinism contract).
+    Returns the shard's folded state with its report's verdict
+    (``None`` when ``admit`` is). The check runs after the fold, so only
+    an attempt that completes holds a verdict. The generator state is
+    snapshotted at construction and restored on every entry, so a
+    retried attempt after a transient failure replays exactly the
+    stream the failed attempt consumed (the fault-tolerance half of the
+    determinism contract).
     """
     state = rng.bit_generator.state
 
     def run():
         rng.bit_generator.state = state
-        return oracle.perturb(planned.grid.encode_columns(*columns), rng)
+        report = oracle.perturb(planned.grid.encode_columns(*columns), rng)
+        folded = oracle.fold(None, [report])
+        return folded, None if admit is None else admit(report)
     return run
 
 
 def _interactive_task(fit, planned: PlannedGrid, column: np.ndarray,
-                      epsilon: float, rng) -> Callable[[], Any]:
+                      epsilon: float, rng,
+                      admit: Optional[Callable[[Any], _Verdict]]
+                      ) -> Callable[[], Tuple[Any, Optional[_Verdict]]]:
     """Shard closure for an interactive (whole-group) backend's fit.
 
-    Same state-snapshot contract as :func:`_shard_task`: retries replay
-    the exact RNG stream of the failed attempt.
+    Same state-snapshot and check-after contract as :func:`_shard_task`:
+    retries replay the exact RNG stream of the failed attempt.
     """
     state = rng.bit_generator.state
 
     def run():
         rng.bit_generator.state = state
-        return fit(planned, column, epsilon, rng)
+        model = fit(planned, column, epsilon, rng)
+        return model, None if admit is None else admit(model)
     return run
 
 
@@ -326,21 +365,15 @@ def collect_reports_budget_split(records: np.ndarray,
     epsilon_each = epsilon / len(planned_grids)
     grid_rngs = spawn(ensure_rng(rng), len(planned_grids))
 
-    builder = _TaskBuilder(ingest)
+    builder = _TaskBuilder(ingest, ingest_stats)
     for g, planned in enumerate(planned_grids):
         if len(records) == 0 or planned.num_cells < 2:
             continue
-        columns = [records[:, t] for t in planned.grid.column_indices]
-        bounds = chunk_bounds(len(records), chunk_size)
-        shard_rngs = ([grid_rngs[g]] if len(bounds) == 1
-                      else spawn(grid_rngs[g], len(bounds)))
-        oracle = make_oracle(planned.protocol, epsilon_each,
-                             planned.num_cells)
-        builder.add_perturb(g, planned, oracle, columns, bounds, shard_rngs)
-
-    shards_of = _execute(builder, len(planned_grids), workers, retries,
-                         fault_injector, exec_stats, ingest, ingest_stats)
-    return [GroupReport(planned=planned,
-                        report=merge_reports(shards_of[g]),
-                        group_size=len(records))
-            for g, planned in enumerate(planned_grids)]
+        builder.add_perturb(
+            g, planned,
+            make_oracle(planned.protocol, epsilon_each, planned.num_cells),
+            [records[:, t] for t in planned.grid.column_indices],
+            chunk_size, grid_rngs[g])
+    return _execute(builder, planned_grids,
+                    [len(records)] * len(planned_grids), workers, retries,
+                    fault_injector, exec_stats)

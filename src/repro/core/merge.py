@@ -1,23 +1,15 @@
-"""Report merging shared by the batch and budget-split paths.
+"""The monoid of folded states: one reduction for every collection path.
 
-Every mergeable frequency-oracle report type is an associative monoid
-under concatenation of the underlying user batches: merging the reports
-of two disjoint user sets yields exactly the report the oracle would have
-produced for the union (per-user-row types concatenate; sufficient-
-statistic types add). That associativity is what lets the sharded
-collection executor perturb ``(group, chunk)`` shards independently and
-reduce them in any grouping through :func:`merge_reports`. The same
-property makes :class:`~repro.core.streaming.StreamingCollector`'s folds
-exact, but the collector goes one step further: it reduces reports to
-per-grid sufficient statistics (:meth:`repro.fo.base.FrequencyOracle.fold`)
-instead of merging them.
-
-Which report types merge, and how, is the protocol registry's knowledge
-(:mod:`repro.fo.registry`): each :class:`~repro.fo.registry.ProtocolSpec`
-carries its report type and merge monoid, and this module dispatches on
-them. Protocols flagged unmergeable (AHEAD's interactive tree refinement
-consumes its whole group at once) must be rejected up front by
-configurations that need mergeability — use :func:`mergeable_protocol`.
+A grid's reports matter to its estimate only through a fixed-length
+sufficient statistic, :class:`~repro.fo.base.FoldedState` (see
+:meth:`repro.fo.base.FrequencyOracle.fold`). Every collection path folds
+each shard where it is perturbed — a batch or budget-split ``(group,
+chunk)`` task, a streaming batch's shard — and reduces the shard states
+of a group through :func:`merge_reports`: the user counts add and the
+vectors go through one left fold (:func:`repro.fo.kernels.fold_arrays`).
+Integer counts add exactly, and float sums keep the order given, so
+merging shard states in ``(group, chunk)`` order gives, byte for byte,
+the state one fold of all their reports gives.
 """
 
 from __future__ import annotations
@@ -25,68 +17,42 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import ProtocolError
-from repro.fo.registry import (
-    ADAPTIVE,
-    mergeable_protocol_names,
-    registered_names,
-    spec_for_report,
-)
+from repro.fo import kernels as fo_kernels
+from repro.fo.base import FoldedState
 
 
-def __getattr__(name: str):
-    # MERGEABLE_PROTOCOLS is derived from the live registry (a protocol
-    # registered after this module was imported still shows up), hence a
-    # module __getattr__ rather than a frozen module constant.
-    if name == "MERGEABLE_PROTOCOLS":
-        return frozenset(mergeable_protocol_names()) | {ADAPTIVE}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def merge_reports(parts: List[Optional[FoldedState]]
+                  ) -> Optional[FoldedState]:
+    """Merge the folded states of disjoint user sets into one.
 
+    ``None`` entries are skipped, and an empty merge is ``None``, so
+    accumulators need no empty-group special case. A single part is
+    returned as it is — the one shard of an interactive backend (a
+    fitted AHEAD model) passes through unchanged. Two or more parts must
+    be folded states of one vector shape and dtype.
 
-def mergeable_protocol(protocol: str) -> bool:
-    """True when ``protocol`` produces reports that can be merged.
-
-    ``adaptive`` resolves to a concrete (always mergeable) candidate at
-    planning time, so it counts as mergeable; unregistered names do not.
+    A state carries no protocol parameters, so only its layout can be
+    checked: merge only states folded by one oracle. States of two
+    protocols, hash ranges, thresholds or wave widths whose vectors
+    happen to share a layout (GRR and OLH states of one domain, say)
+    merge without complaint into a state neither oracle can unbias
+    correctly.
     """
-    if protocol == ADAPTIVE:
-        return True
-    return (protocol in registered_names()
-            and protocol in mergeable_protocol_names())
-
-
-def merge_reports(reports: List[object]) -> Optional[object]:
-    """Combine report batches of the same protocol and parameters.
-
-    The merge is associative and order-insensitive up to report-internal
-    ordering (per-user-row types concatenate their arrays in the order
-    given; every estimator downstream is permutation-invariant). Returns
-    ``None`` for an empty list, so accumulators need no empty-group
-    special case.
-
-    Untrusted reports are checked against their plan first, with
-    :func:`repro.robustness.sanitize_reports`; merge its survivors.
-    """
-    reports = [r for r in reports if r is not None]
-    if not reports:
+    parts = [part for part in parts if part is not None]
+    if not parts:
         return None
-    first = reports[0]
-    if len(reports) == 1:
-        # Identity merge — valid for any report, including single-shard
-        # unmergeable backends (a fitted AHEAD model).
-        return first
-    spec = spec_for_report(type(first))
-    if spec is None or spec.merger is None:
+    if len(parts) == 1:
+        return parts[0]
+    if not all(isinstance(part, FoldedState) for part in parts):
         raise ProtocolError(
-            f"unsupported report type {type(first).__name__}; mergeable "
-            f"types: {sorted(t.__name__ for t in _mergeable_types())}")
-    if any(type(r) is not type(first) for r in reports):
+            f"unsupported parts "
+            f"{sorted({type(part).__name__ for part in parts})}; "
+            f"merge_reports merges folded states")
+    layouts = {(part.vector.dtype.str, part.vector.shape) for part in parts}
+    if len(layouts) > 1:
         raise ProtocolError(
-            f"cannot merge mixed report types "
-            f"{sorted({type(r).__name__ for r in reports})}")
-    return spec.merger(reports)
-
-
-def _mergeable_types():
-    from repro.fo.registry import all_specs
-    return {s.report_type for s in all_specs()
-            if s.report_type is not None and s.merger is not None}
+            f"cannot merge folded states of different lengths or dtypes: "
+            f"{sorted(layouts)}")
+    return FoldedState(sum(part.n for part in parts),
+                       fo_kernels.fold_arrays([part.vector
+                                               for part in parts]))

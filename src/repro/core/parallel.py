@@ -1,9 +1,9 @@
 """Sharded execution of the collection pipeline.
 
 The FELIP collection phase is embarrassingly parallel: every (group, chunk)
-shard of the population encodes and perturbs independently, and every grid
-estimates independently on the server. This module provides the shared
-executor for both sides:
+shard of the population encodes, perturbs and folds independently, and
+every attribute pair's response matrix fits independently on the server.
+This module provides the shared executor for both sides:
 
 * :func:`run_sharded` — run shard tasks (zero-argument callables) on a
   thread pool and return results **in task order**, so downstream
@@ -25,7 +25,7 @@ Determinism contract
 Parallelism never touches randomness: every shard perturbs with its own
 generator, spawned deterministically from the caller's seed (one child per
 group, and one grandchild per chunk when a group is split). Results are
-reduced in (group, chunk) order. Therefore the collected reports are a pure
+reduced in (group, chunk) order. Therefore the collected states are a pure
 function of ``(seed, chunk_size)`` — changing ``workers`` can only change
 wall-clock time, never a single bit of output.
 
@@ -297,13 +297,12 @@ def chunk_bounds(size: int, chunk_size: int = None) -> List[Tuple[int, int]]:
 class StageTimings:
     """Cumulative wall-clock seconds per named pipeline stage.
 
-    Accumulation is a read-modify-write on a shared dict, and estimate
-    tasks time their stages from pool worker threads — the update is
-    therefore taken under a lock so concurrent timers never lose each
-    other's seconds. Reads (``as_dict``, and ``__repr__`` through it)
-    snapshot under the same lock: iterating the live dict while a timer
-    inserts a new stage would die with "dictionary changed size during
-    iteration".
+    Accumulation is a read-modify-write on a shared dict that a timer on
+    any thread may update — the update is therefore taken under a lock
+    so concurrent timers never lose each other's seconds. Reads
+    (``as_dict``, and ``__repr__`` through it) snapshot under the same
+    lock: iterating the live dict while a timer inserts a new stage would
+    die with "dictionary changed size during iteration".
     """
 
     def __init__(self):

@@ -7,11 +7,16 @@ response matrices per attribute pair on demand (Algorithm 3), and answers
 λ-D queries by direct rectangle sums (λ ≤ 2) or pairwise combination
 (Algorithm 4, λ > 2).
 
+Collection folds each shard where it is perturbed
+(:mod:`repro.core.client`), so the aggregator receives one
+:class:`~repro.fo.base.FoldedState` per grid, and its estimate stage only
+unbiases it — batch, budget-split and streaming collection alike.
+
 Because the reports come from clients the aggregator does not control,
 ingestion is hardened (``repro.robustness``): every report is sanitized
-under ``config.ingest_policy`` before merging, configured feasibility
-detectors run on the raw per-grid estimates at the start of the
-postprocess stage, and shard execution retries transient failures
+under ``config.ingest_policy`` before its state is merged, configured
+feasibility detectors run on the raw per-grid estimates at the start of
+the postprocess stage, and shard execution retries transient failures
 ``config.shard_retries`` times. :meth:`Aggregator.robustness_report`
 surfaces the combined accounting for the run.
 """
@@ -47,7 +52,6 @@ from repro.estimation.response_matrix import (
 )
 from repro.fo import kernels as fo_kernels
 from repro.fo.adaptive import make_oracle
-from repro.fo.base import FoldedState
 from repro.optimizer import (
     AnswerNode,
     AnswerPlan,
@@ -150,10 +154,10 @@ class Aggregator:
         return self
 
     def _finalize(self, reports: List[GroupReport]) -> "Aggregator":
-        """Estimate every grid from its reports and post-process.
+        """Estimate every grid from its folded state and post-process.
 
         Split out of :meth:`fit` so streaming collectors can accumulate
-        reports across batches and finalize once.
+        states across batches and finalize once.
         """
         self._estimates = {}
         self._matrices = {}
@@ -162,13 +166,9 @@ class Aggregator:
         self._lambda_stats = self._fresh_lambda_stats()
         self._group_sizes = [group.group_size for group in reports]
         with self.timings.time("estimate"):
-            tasks = [self._estimate_task(group) for group in reports]
-            estimates = run_sharded(tasks, self.config.workers,
-                                    retries=self.config.shard_retries,
-                                    fault_injector=self.fault_injector,
-                                    stats=self.exec_stats)
-            for group, estimate in zip(reports, estimates):
-                self._estimates[group.planned.key] = estimate
+            for group in reports:
+                self._estimates[group.planned.key] = \
+                    self._estimate_group(group)
         with self.timings.time("postprocess"):
             # Detectors need the *raw* estimates: the projection below
             # erases exactly the infeasibility they look for.
@@ -186,17 +186,6 @@ class Aggregator:
                 rounds=self.config.postprocess_rounds)
         self._tolerance = stop_tolerance(self._cell_variances().values())
         return self
-
-    def _estimate_task(self, group: GroupReport):
-        """Per-grid estimation closure for the sharded executor.
-
-        Estimation is deterministic (no randomness), so running the grids
-        on a pool is trivially order-safe; ``run_sharded`` returns results
-        in task order regardless of completion order.
-        """
-        def run():
-            return self._estimate_group(group)
-        return run
 
     def _cell_variances(self) -> Dict[Tuple[int, ...], float]:
         """Actual per-cell estimation variance per grid (for weighting)."""
@@ -224,13 +213,8 @@ class Aggregator:
             return estimator(group)
         oracle = make_oracle(planned.protocol, self._report_epsilon,
                              planned.num_cells)
-        # A streaming collector hands over folded states; the batch
-        # collector, one merged report per group.
-        if isinstance(group.report, FoldedState):
-            frequencies = oracle.unbias(group.report)
-        else:
-            frequencies = oracle.estimate(group.report)
-        return GridEstimate(grid=planned.grid, frequencies=frequencies)
+        return GridEstimate(grid=planned.grid,
+                            frequencies=oracle.unbias(group.report))
 
     # -- robustness --------------------------------------------------------------
 

@@ -13,25 +13,31 @@ matter to its estimate only through a fixed-length sufficient statistic
 (:class:`repro.fo.base.FoldedState`: OLH support counts over the cells,
 a GRR histogram, HR's signed projections, or the sums a unary/histogram/
 square-wave report already carries). The collector therefore keeps one
-folded state per grid plus the reports admitted since the last fold.
-:meth:`StreamingCollector.compact` folds each grid's pending reports
-with one kernel call over their concatenation and drops them, so the
-retained state is O(Σ cells) plus at most one compaction interval of
-reports, and :meth:`StreamingCollector.finalize` only unbiases. Integer
-statistics add exactly and float sums keep one left fold, so where the
-folds happen never changes an estimate. Any protocol whose registry spec
-is flagged ``streamable`` — every built-in except AHEAD — streams;
-configurations that cannot (AHEAD's interactive refinement) are rejected
-at construction, not at :meth:`StreamingCollector.finalize`.
+folded state per grid plus the wire reports admitted since the last
+fold. :meth:`StreamingCollector.observe` perturbs a batch on the same
+shard tasks as the batch collector (:mod:`repro.core.client`): each
+shard is folded where it is perturbed, and the shard states merge into
+the grid's state through :func:`repro.core.merge.merge_reports`.
+:meth:`StreamingCollector.compact` folds each grid's pending wire
+reports with one kernel call over their concatenation and drops them,
+so the retained state is O(Σ cells) plus at most one compaction interval
+of reports, and :meth:`StreamingCollector.finalize` only unbiases.
+Integer statistics add exactly and float sums keep one left fold in
+arrival order, so where the folds happen never changes an estimate. Any
+protocol whose registry spec is flagged ``streamable`` — every built-in
+except AHEAD — streams; configurations that cannot (AHEAD's interactive
+refinement) are rejected at construction, not at
+:meth:`StreamingCollector.finalize`.
 
 Streams are the natural untrusted-ingestion surface — reports arrive from
 clients over time — so every report is admitted through the configured
 :class:`repro.robustness.IngestPolicy` before it is accumulated, whether
-it was perturbed locally (:meth:`StreamingCollector.observe`) or received
-from the wire (:meth:`StreamingCollector.ingest_report`). Per-batch
-perturbation runs on the sharded executor and inherits its
-retry-with-backoff fault tolerance; accounting flows into the finalized
-aggregator's ``robustness_report()``.
+it was perturbed locally (:meth:`StreamingCollector.observe`, checked in
+its shard task) or received from the wire
+(:meth:`StreamingCollector.ingest_report`). Per-batch perturbation runs
+on the sharded executor and inherits its retry-with-backoff fault
+tolerance; accounting flows into the finalized aggregator's
+``robustness_report()``.
 """
 
 from __future__ import annotations
@@ -42,10 +48,8 @@ import numpy as np
 
 from repro.core.client import GroupReport, _TaskBuilder
 from repro.core.config import FelipConfig
-# merge_reports is re-exported here (see __all__); the collector folds
-# reports into per-grid states instead of merging them.
-from repro.core.merge import merge_reports, mergeable_protocol
-from repro.core.parallel import ExecutionStats, chunk_bounds, run_sharded
+from repro.core.merge import merge_reports
+from repro.core.parallel import ExecutionStats, group_orders, run_sharded
 from repro.core.planner import PlannedGrid, plan_grids
 from repro.core.server import Aggregator
 from repro.errors import ConfigurationError, ProtocolError
@@ -62,7 +66,7 @@ from repro.robustness.policy import (
 )
 from repro.schema import Schema
 
-__all__ = ["StreamingCollector", "merge_reports"]
+__all__ = ["StreamingCollector"]
 
 
 class StreamingCollector:
@@ -99,23 +103,18 @@ class StreamingCollector:
         if config.partition_mode != "users":
             raise ConfigurationError(
                 "streaming collection requires partition_mode='users'")
-        if config.one_d_protocol is not None and \
-                not protocol_spec(config.one_d_protocol).streamable:
-            raise ConfigurationError(
-                f"one_d_protocol={config.one_d_protocol!r} needs the "
-                f"whole group at once and cannot run over a stream; use "
-                f"a streamable 1-D backend or None")
         self.schema = schema
         self.config = config
         self.plans: List[PlannedGrid] = plan_grids(schema, config,
                                                    expected_users)
-        unmergeable = [p.key for p in self.plans
-                       if not mergeable_protocol(p.protocol)]
-        if unmergeable:
+        unstreamable = [p for p in self.plans
+                        if not protocol_spec(p.protocol).streamable]
+        if unstreamable:
+            names = sorted({p.protocol.upper() for p in unstreamable})
             raise ConfigurationError(
-                f"grids {unmergeable} plan protocols whose reports cannot "
-                f"be merged across batches; streaming requires mergeable "
-                f"report types")
+                f"grids {[p.key for p in unstreamable]} plan {names}, "
+                f"which needs the whole group at once and cannot run over "
+                f"a stream; use a streamable protocol")
         self._rng = ensure_rng(rng)
         # One oracle per plan, built once: oracles are immutable
         # (epsilon, domain) machines, so rebuilding them per batch was
@@ -124,8 +123,9 @@ class StreamingCollector:
         self._oracles = {
             p.key: make_oracle(p.protocol, config.epsilon, p.num_cells)
             for p in self.plans if p.num_cells >= 2}
-        #: per grid: the reports admitted since the last fold, and the
-        #: folded state of everything before them (None until the first)
+        #: per grid: the wire reports admitted since the last fold, and
+        #: the folded state of everything before them (None until the
+        #: first)
         self._pending: Dict[Tuple[int, ...], List[object]] = {
             key: [] for key in self._oracles}
         self._states: Dict[Tuple[int, ...], Optional[FoldedState]] = {
@@ -158,9 +158,12 @@ class StreamingCollector:
         group's size, so ``finalize()``'s ``aggregator.n`` is exactly the
         population the accumulated reports describe. (Before this held,
         every dropped report still inflated ``n`` and biased all frequency
-        estimates low.) The batch's reports are folded into the grid
-        states before this returns. Returns the number of users admitted
-        from this batch.
+        estimates low.) Each shard is folded and checked in its task, and
+        the batch's shard states are merged into the grid states before
+        this returns. A batch that raises (a shard failed for good, or a
+        ``strict`` rejection) leaves the collector's state and accounting
+        as they were. Returns the number of users admitted from this
+        batch.
         """
         records = np.asarray(records)
         if records.ndim != 2 or records.shape[1] != len(self.schema):
@@ -170,62 +173,46 @@ class StreamingCollector:
         rng = self._rng if rng is None else ensure_rng(rng)
         assignment = rng.integers(0, len(self.plans), size=len(records))
         group_rngs = spawn(rng, len(self.plans))
-        builder = _TaskBuilder(ingest=None)
-        accepted = 0
+        order, offsets = group_orders(assignment, len(self.plans))
+        builder = _TaskBuilder(self.ingest_policy, self.ingest_stats,
+                               source="local")
+        trusted = np.zeros(len(self.plans), dtype=np.int64)
         for g, plan in enumerate(self.plans):
-            rows = records[assignment == g]
-            if len(rows) == 0:
+            indices = order[offsets[g]:offsets[g + 1]]
+            if len(indices) == 0:
                 continue
             if plan.num_cells < 2:
-                accepted += self._admit_trivial(g, len(rows))
+                # A single-cell grid's members need no report.
+                trusted[g] = len(indices)
                 continue
             # Chunked exactly like the batch collector, so parallelism is
             # not capped at the group count.
-            columns = [rows[:, t] for t in plan.grid.column_indices]
-            bounds = chunk_bounds(len(rows), self.config.chunk_size)
-            shard_rngs = ([group_rngs[g]] if len(bounds) == 1
-                          else spawn(group_rngs[g], len(bounds)))
-            builder.add_perturb(g, plan, self._oracles[plan.key], columns,
-                                bounds, shard_rngs)
-        reports = run_sharded(builder.tasks, self.config.workers,
+            builder.add_perturb(
+                g, plan, self._oracles[plan.key],
+                [records[:, t][indices] for t in plan.grid.column_indices],
+                self.config.chunk_size, group_rngs[g])
+        results = run_sharded(builder.tasks, self.config.workers,
                               retries=self.config.shard_retries,
                               fault_injector=self.fault_injector,
                               stats=self.exec_stats)
-        for g, report in zip(builder.task_group, reports):
-            users = self._admit(self.plans[g].key, report)
-            self._group_sizes[g] += users
-            accepted += users
-        self.observed += accepted
+        # Every shard has run: only now is any of the batch accounted.
+        accepted = int(trusted.sum())
+        self._group_sizes += trusted
+        self.trusted_users += accepted
+        # Fold the pending wire reports first: a grid's state stays one
+        # left fold of its reports in arrival order.
         self.compact()
+        for g, states in enumerate(builder.admitted(results,
+                                                    len(self.plans))):
+            key = self.plans[g].key
+            users = sum(state.n for state in states)
+            if users:
+                self._states[key] = merge_reports([self._states[key],
+                                                   *states])
+                self._group_sizes[g] += users
+                accepted += users
+        self.observed += accepted
         return accepted
-
-    def _admit(self, key: Tuple[int, ...], report,
-               source: str = "local") -> int:
-        """Run one report through admission control; queue it if valid.
-
-        Returns the number of users the queued report carries — 0 when
-        the report was rejected. A report
-        that carries no user is not queued: it would add nothing to the
-        user count, so it may add nothing to the statistics either (a
-        zero-user SHE report passes every feasibility test, whatever its
-        sums).
-        """
-        sanitized = sanitize_report(report, self.ingest_policy,
-                                    self.ingest_stats,
-                                    expected=self._specs.get(key),
-                                    source=source)
-        if sanitized is None:
-            return 0
-        users = report_user_count(sanitized)
-        if users:
-            self._pending[key].append(sanitized)
-        return users
-
-    def _admit_trivial(self, g: int, rows: int) -> int:
-        """Account one group's users on a single-cell grid (no report)."""
-        self._group_sizes[g] += rows
-        self.trusted_users += rows
-        return rows
 
     def ingest_report(self, key, report, source: str = None) -> bool:
         """Admit one externally produced report for the grid ``key``.
@@ -243,8 +230,12 @@ class StreamingCollector:
         target grid key, so every quarantine entry is actionable even for
         direct calls.
 
-        Returns True when the report was accumulated; accepted users
-        count toward ``observed`` and the grid's group size.
+        Returns True when the report was queued for the next fold;
+        accepted users count toward ``observed`` and the grid's group
+        size. A report that carries no user is not queued: it would add
+        nothing to the user count, so it may add nothing to the
+        statistics either (a zero-user SHE report passes every
+        feasibility test, whatever its sums).
         """
         key = tuple(key)
         if key not in self._pending:
@@ -253,9 +244,14 @@ class StreamingCollector:
                 f"keys: {sorted(self._pending)}")
         if source is None:
             source = f"grid={key}"
-        users = self._admit(key, report, source=source)
+        sanitized = sanitize_report(report, self.ingest_policy,
+                                    self.ingest_stats,
+                                    expected=self._specs[key],
+                                    source=source)
+        users = 0 if sanitized is None else report_user_count(sanitized)
         if users == 0:
             return False
+        self._pending[key].append(sanitized)
         self._group_sizes[self._group_of[key]] += users
         self.observed += users
         return True

@@ -5,7 +5,7 @@ oracle's estimate of one target cell (the Cao–Jia–Gong threat model:
 fakes inject forged reports to inflate a chosen value), and how much of
 that damage the robustness layer removes:
 
-* **undefended** — forged reports merge straight into the honest batch;
+* **undefended** — forged reports fold straight in with the honest batch;
   the raw estimate of the target cell inflates by roughly
   ``fraction / (p − q)`` under a maximal-gain attack.
 * **defended** — every report passes the ``quarantine`` ingestion policy
@@ -24,7 +24,6 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.core.merge import merge_reports
 from repro.errors import ConfigurationError
 from repro.fo.adaptive import make_oracle
 from repro.metrics import ResultTable
@@ -73,19 +72,19 @@ def run_poisoning_cell(protocol: str = "oue", epsilon: float = 1.0,
         adversary = make_attack(attack)
         batches.append(adversary.forge(oracle, num_fake, target, rng))
 
-    # Undefended: the forged batch merges straight in.
-    undefended_raw = oracle.estimate(merge_reports(list(batches)))
+    # Undefended: the forged batch folds straight in.
+    undefended_raw = oracle.unbias(oracle.fold(None, batches))
 
     # Defended: quarantine ingestion, feasibility detectors, projection.
-    # The detectors audit the *pre-sanitization* merged estimates — that
-    # is where an attack's infeasibility signature lives; sanitization
-    # may already have removed the forged batch from the defended path.
+    # The detectors audit the *pre-sanitization* estimates — that is
+    # where an attack's infeasibility signature lives; sanitization may
+    # already have removed the forged batch from the defended path.
     policy = IngestPolicy(mode="quarantine")
     stats = IngestStats()
     spec = ReportSpec.from_oracle(oracle)
     survivors = sanitize_reports(list(batches), policy, stats,
                                  expected=spec)
-    defended_raw = oracle.estimate(merge_reports(survivors)) \
+    defended_raw = oracle.unbias(oracle.fold(None, survivors)) \
         if survivors else np.zeros(domain_size)
     cell_variance = oracle.theoretical_variance(max(n, 1))
     flags = run_detectors(("range", "l1"), {(0,): undefended_raw},

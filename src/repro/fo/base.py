@@ -9,7 +9,9 @@ Every oracle exposes the client/server split of the paper's (Ψ, Φ) pair:
 * :meth:`FrequencyOracle.estimate` — Φ, run by the aggregator over all
   reports; returns the unbiased frequency estimate of every domain value.
 
-Φ is split in two so a long stream need not keep its reports. The
+Φ is split in two so no collection keeps its reports: batch, budget-split
+and streaming collection fold each shard where it is perturbed (or
+admitted), merge the folded states, and only unbias them. The
 aggregator knows every grid's cells before any user reports, so
 :meth:`FrequencyOracle.fold` can reduce any number of reports to a
 :class:`FoldedState` — the user count plus one fixed-length vector of

@@ -20,20 +20,20 @@ independent of the domain size, like OLH (and never below it, since
 never change an existing protocol choice.
 
 This module is the complete integration surface of a new protocol: the
-oracle (including its fold into a fixed-length streaming state, the
-signed projections, and the one unbiasing formula applied to it), its
-report type, the merge monoid, the ingestion sanitizer, the variance
-models, and one :func:`~repro.fo.registry.register` call. No
-core/planner/merge/policy edits — batch, sharded, streaming, budget-split
-collection, robustness ingestion, and grid sizing all pick HR up through
-the registry.
+oracle (including its fold into a fixed-length state, the signed
+projections, and the one unbiasing formula applied to it), its report
+type, the ingestion sanitizer, the variance models, and one
+:func:`~repro.fo.registry.register` call. No merge code: every
+collection path folds HR's reports with the oracle and merges the folded
+states like any other protocol's. No core/planner/merge/policy edits —
+batch, sharded, streaming, budget-split collection, robustness
+ingestion, and grid sizing all pick HR up through the registry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -174,18 +174,6 @@ class HadamardResponse(FrequencyOracle):
         return hr_variance(self.epsilon, n)
 
 
-def _merge_hr(reports: Sequence[HRReport]) -> HRReport:
-    first = reports[0]
-    if any(r.hadamard_order != first.hadamard_order
-           or r.domain_size != first.domain_size for r in reports):
-        raise ProtocolError("cannot merge HR reports across configs")
-    return HRReport(
-        rows=np.concatenate([r.rows for r in reports]),
-        bits=np.concatenate([r.bits for r in reports]),
-        hadamard_order=first.hadamard_order,
-        domain_size=first.domain_size)
-
-
 def _sanitize_hr(report: HRReport, expected: ReportSpec) -> None:
     # The Hadamard order is HR's hash-range-like parameter (``g``).
     if report.hadamard_order != expected.hash_range:
@@ -211,7 +199,6 @@ register(ProtocolSpec(
     wire_code=8,
     factory=HadamardResponse,
     report_type=HRReport,
-    merger=_merge_hr,
     sanitizer=_sanitize_hr,
     analytic_variance=_hr_analytic,
     cell_variance=_hr_cell_variance,

@@ -83,8 +83,8 @@ class OLHReport:
         """Pre-mixed splitmix64 state, computed once per report batch.
 
         Every support-counting pass starts from this state; caching it on
-        the report means repeated estimates (or repeated interval queries
-        against the same report, as HIO issues) skip the re-mix.
+        the report means repeated estimates of the same report skip the
+        re-mix.
         """
         return mix_seeds(self.seeds)
 
@@ -125,25 +125,6 @@ class OptimizedLocalHashing(FrequencyOracle):
                                                    others, self.p),
                          hash_range=self.g, domain_size=self.domain_size)
 
-    def support_counts(self, report: OLHReport) -> np.ndarray:
-        """``C(v)`` for every ``v``: reports whose hash of ``v`` matches.
-
-        One call to the tiled kernel over the whole domain — O(d·n) work in
-        numpy tiles bounded by ``tile_bytes``, no Python-level loop over
-        domain values. Counts are memoized on the report (keyed by hash
-        range and domain), so answering many queries against one collected
-        batch pays the O(d·n) sweep once; a report batch is immutable, so
-        its support counts never change.
-        """
-        cache = report.__dict__.setdefault("_support_counts", {})
-        key = (self.g, self.domain_size)
-        if key not in cache:
-            cache[key] = kernels.support_counts(
-                report.mixed_seeds, report.buckets, self.g,
-                np.arange(self.domain_size, dtype=np.uint64),
-                tile_bytes=self.tile_bytes)
-        return cache[key].copy()
-
     def _check_report(self, report: OLHReport) -> None:
         if report.domain_size != self.domain_size:
             raise ProtocolError(
@@ -156,16 +137,22 @@ class OptimizedLocalHashing(FrequencyOracle):
             )
 
     def _statistic(self, reports, prior):
-        """Support counts of the reports' concatenated rows (one sweep),
-        plus ``prior``. A lone report uses its memoized counts."""
+        """``C(v)`` for every ``v`` — how many of the reports' users hash
+        ``v`` to their reported bucket — plus ``prior``.
+
+        One call to the support kernel over the reports' concatenated
+        rows and the whole domain: O(d·n) work in tiles bounded by
+        ``tile_bytes``, no Python-level loop over domain values.
+        """
         if len(reports) == 1:
-            counts = self.support_counts(reports[0])
+            mixed, buckets = reports[0].mixed_seeds, reports[0].buckets
         else:
-            counts = kernels.support_counts(
-                mix_seeds(np.concatenate([r.seeds for r in reports])),
-                np.concatenate([r.buckets for r in reports]), self.g,
-                np.arange(self.domain_size, dtype=np.uint64),
-                tile_bytes=self.tile_bytes)
+            mixed = mix_seeds(np.concatenate([r.seeds for r in reports]))
+            buckets = np.concatenate([r.buckets for r in reports])
+        counts = kernels.support_counts(
+            mixed, buckets, self.g,
+            np.arange(self.domain_size, dtype=np.uint64),
+            tile_bytes=self.tile_bytes)
         if prior is not None:
             counts += prior
         return counts

@@ -1,24 +1,26 @@
 """The protocol registry: one :class:`ProtocolSpec` per frequency oracle.
 
 Before this module existed, "what is a protocol" was spread over six
-parallel dispatch tables — the oracle factory in ``fo/adaptive.py``, the
-merger map in ``core/merge.py``, the sanitizer map in
+parallel dispatch tables — the oracle factory in ``fo/adaptive.py``, a
+report-merger map in ``core/merge.py``, the sanitizer map in
 ``robustness/policy.py``, the known-name whitelist in ``core/config.py``,
 the variance-class tuple in ``grids/sizing.py``, and hardcoded
 ``protocol == "ahead"`` branches in the planner/client/server/streaming
 layers. Every new oracle had to touch all of them, and they drifted.
 
 Now a protocol is one :class:`ProtocolSpec` value: its name, how to build
-its oracle, which report type it emits and how two such reports merge,
-how an untrusted report is sanitized, its analytic and planning variance
-models, and capability flags that every layer queries instead of matching
-names:
+its oracle, which report type it emits, how an untrusted report is
+sanitized, its analytic and planning variance models, and capability
+flags that every layer queries instead of matching names. How reports
+combine is not spec payload: every collection path folds each shard's
+report with its oracle (:meth:`repro.fo.base.FrequencyOracle.fold`) and
+merges the folded states (:func:`repro.core.merge.merge_reports`), the
+same for every protocol. The flags:
 
-* ``mergeable`` — reports form a monoid under :func:`merger`; required by
-  chunked sharding, streaming, and cross-batch accumulation.
 * ``budget_splittable`` — the protocol works at ``epsilon / m`` under the
   sequential-composition strawman (``partition_mode="budget"``).
-* ``streamable`` — batches may arrive over time (implies ``mergeable``).
+* ``streamable`` — batches may arrive over time, folded into one state
+  per grid (needs an oracle ``factory``).
 * ``one_d_only`` — a 1-D refinement backend selected via
   ``FelipConfig.one_d_protocol`` (SW, AHEAD), not pinnable via
   ``FelipConfig.protocols``.
@@ -31,19 +33,19 @@ batch, sharded, streaming, budget-split, robustness ingestion, and grid
 sizing all dispatch through the accessors here.
 
 This module also hosts the specs of the eight built-in protocols, which
-is why the per-protocol mergers and sanitizers live here: they are spec
-payload, not layer logic. ``tests/test_registry_lint.py`` enforces that
+is why the per-protocol sanitizers live here: they are spec payload, not
+layer logic. ``tests/test_registry_lint.py`` enforces that
 no other module under ``src/repro`` dispatches on protocol name literals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.fo import kernels as fo_kernels
 from repro.fo.base import FrequencyOracle
 from repro.fo.grr import GeneralizedRandomizedResponse, GRRReport
@@ -76,11 +78,7 @@ class ProtocolSpec:
     report_type:
         The report class :meth:`FrequencyOracle.perturb` returns. Several
         specs may share one (SUE perturbs into OUE's container); the first
-        registered owner handles merging/sanitizing for the type.
-    merger:
-        ``(Sequence[report]) -> report`` combining disjoint user batches;
-        must be associative and raise
-        :class:`~repro.errors.ProtocolError` on parameter disagreement.
+        registered owner handles sanitizing for the type.
     sanitizer:
         ``(report, ReportSpec) -> None`` comparing one untrusted report
         with the plan: raises :class:`~repro.robustness.ingest.Reject`
@@ -100,8 +98,7 @@ class ProtocolSpec:
         True when per-cell variance grows with the cell count (GRR);
         selects the bisection solver branch in :mod:`repro.grids.sizing`
         instead of the size-independent closed forms.
-    mergeable, budget_splittable, streamable, one_d_only,
-    adaptive_candidate:
+    budget_splittable, streamable, one_d_only, adaptive_candidate:
         Capability flags; see the module docstring.
     wire_code:
         Stable one-byte protocol tag for the binary wire codec
@@ -117,11 +114,12 @@ class ProtocolSpec:
     grid_estimator:
         ``(GroupReport) -> GridEstimate`` for backends whose report
         carries its own (data-adaptive) grid structure; ``None`` means
-        the aggregator estimates with ``factory(...).estimate(report)``.
+        the aggregator unbiases the group's folded state with
+        ``factory(...).unbias(state)``.
     kernels:
         Names of the :mod:`repro.fo.kernels` hot-path kernels this
         protocol dispatches to (perturb transforms, support sweeps,
-        merge folds). Purely declarative — the oracle modules call the
+        state folds). Purely declarative — the oracle modules call the
         kernel layer directly — but it lets
         :func:`~repro.fo.adaptive.make_oracle` and :func:`kernels_for`
         warm exactly the kernels a plan will hit before any timed work,
@@ -134,12 +132,10 @@ class ProtocolSpec:
     name: str
     factory: Optional[Callable[[float, int], FrequencyOracle]] = None
     report_type: Optional[type] = None
-    merger: Optional[Callable[[Sequence], object]] = None
     sanitizer: Optional[Callable[[object, ReportSpec], None]] = None
     analytic_variance: Optional[Callable[[float, int, int], float]] = None
     cell_variance: Optional[Callable[[object, int], float]] = None
     variance_grows_with_cells: bool = False
-    mergeable: bool = True
     budget_splittable: bool = True
     streamable: bool = True
     one_d_only: bool = False
@@ -163,10 +159,10 @@ def register(spec: ProtocolSpec) -> ProtocolSpec:
     """Add a protocol to the registry; returns the spec for convenience.
 
     Validates internal consistency up front so a broken spec fails at
-    import time, not deep inside a collection: mergeable specs need a
-    report type and a merger, streamable implies mergeable, and a spec
-    without a client-side oracle factory must provide the interactive
-    fitting path instead.
+    import time, not deep inside a collection: a spec without a
+    client-side oracle factory must provide the interactive fitting path
+    instead, and cannot be streamable (a stream folds every report with
+    the grid's oracle).
     """
     if not spec.name or spec.name == ADAPTIVE:
         raise ConfigurationError(
@@ -176,18 +172,15 @@ def register(spec: ProtocolSpec) -> ProtocolSpec:
         raise ConfigurationError(
             f"protocol {spec.name!r} is already registered; unregister it "
             f"first to replace the spec")
-    if spec.mergeable and (spec.report_type is None or spec.merger is None):
-        raise ConfigurationError(
-            f"protocol {spec.name!r} is flagged mergeable but lacks a "
-            f"report_type/merger pair")
-    if spec.streamable and not spec.mergeable:
-        raise ConfigurationError(
-            f"protocol {spec.name!r} is flagged streamable but not "
-            f"mergeable; streaming accumulates reports across batches")
     if spec.factory is None and spec.interactive_fit is None:
         raise ConfigurationError(
             f"protocol {spec.name!r} provides neither an oracle factory "
             f"nor an interactive_fit collection path")
+    if spec.streamable and spec.factory is None:
+        raise ConfigurationError(
+            f"protocol {spec.name!r} is flagged streamable but has no "
+            f"oracle factory; a stream folds every report with the "
+            f"grid's oracle")
     if spec.wire_code is not None:
         if not 1 <= spec.wire_code <= 255:
             raise ConfigurationError(
@@ -212,7 +205,7 @@ def register(spec: ProtocolSpec) -> ProtocolSpec:
     if spec.report_type is not None and \
             spec.report_type not in _BY_REPORT_TYPE:
         # First owner wins: SUE shares OUE's report container, so OUE's
-        # spec handles OUEReport merging and sanitizing.
+        # spec handles OUEReport sanitizing.
         _BY_REPORT_TYPE[spec.report_type] = spec
     if spec.wire_code is not None:
         _BY_WIRE_CODE[spec.wire_code] = spec
@@ -315,80 +308,6 @@ def pinnable_protocol_names() -> Tuple[str, ...]:
 def one_d_protocol_names() -> Tuple[str, ...]:
     """Names valid in ``FelipConfig.one_d_protocol``."""
     return tuple(n for n, s in _REGISTRY.items() if s.one_d_only)
-
-
-def mergeable_protocol_names() -> Tuple[str, ...]:
-    """Names whose reports :func:`repro.core.merge.merge_reports` merges."""
-    return tuple(n for n, s in _REGISTRY.items() if s.mergeable)
-
-
-# ---------------------------------------------------------------------------
-# Merge monoids of the built-in report types (moved from core/merge.py).
-# Each validates cross-report parameter agreement, then concatenates
-# per-user rows (GRR/OLH) or adds sufficient statistics (the rest).
-# ---------------------------------------------------------------------------
-
-
-def _merge_grr(reports: Sequence[GRRReport]) -> GRRReport:
-    first = reports[0]
-    if any(r.domain_size != first.domain_size for r in reports):
-        raise ProtocolError("cannot merge GRR reports across domains")
-    return GRRReport(
-        values=np.concatenate([r.values for r in reports]),
-        domain_size=first.domain_size)
-
-
-def _merge_olh(reports: Sequence[OLHReport]) -> OLHReport:
-    first = reports[0]
-    if any(r.hash_range != first.hash_range
-           or r.domain_size != first.domain_size for r in reports):
-        raise ProtocolError("cannot merge OLH reports across configs")
-    return OLHReport(
-        seeds=np.concatenate([r.seeds for r in reports]),
-        buckets=np.concatenate([r.buckets for r in reports]),
-        hash_range=first.hash_range, domain_size=first.domain_size)
-
-
-def _merge_oue(reports: Sequence[OUEReport]) -> OUEReport:
-    first = reports[0]
-    if any(len(r.ones) != len(first.ones) for r in reports):
-        raise ProtocolError("cannot merge OUE reports across domains")
-    return OUEReport(
-        ones=fo_kernels.fold_arrays([r.ones for r in reports]),
-        n=sum(r.n for r in reports))
-
-
-def _merge_she(reports: Sequence[SHEReport]) -> SHEReport:
-    first = reports[0]
-    if any(len(r.sums) != len(first.sums) for r in reports):
-        raise ProtocolError("cannot merge SHE reports across domains")
-    return SHEReport(
-        sums=fo_kernels.fold_arrays([r.sums for r in reports]),
-        n=sum(r.n for r in reports))
-
-
-def _merge_the(reports: Sequence[THEReport]) -> THEReport:
-    first = reports[0]
-    if any(len(r.supports) != len(first.supports)
-           or abs(r.threshold - first.threshold) > 1e-12
-           for r in reports):
-        raise ProtocolError("cannot merge THE reports across configs")
-    return THEReport(
-        supports=fo_kernels.fold_arrays([r.supports for r in reports]),
-        n=sum(r.n for r in reports),
-        threshold=first.threshold)
-
-
-def _merge_sw(reports: Sequence[SWReport]) -> SWReport:
-    first = reports[0]
-    if any(len(r.counts) != len(first.counts)
-           or abs(r.wave_width - first.wave_width) > 1e-12
-           for r in reports):
-        raise ProtocolError("cannot merge SW reports across configs")
-    return SWReport(
-        counts=fo_kernels.fold_arrays([r.counts for r in reports]),
-        n=sum(r.n for r in reports),
-        wave_width=first.wave_width)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +462,6 @@ register(ProtocolSpec(
     wire_code=1,
     factory=GeneralizedRandomizedResponse,
     report_type=GRRReport,
-    merger=_merge_grr,
     sanitizer=_sanitize_grr,
     analytic_variance=_grr_analytic,
     cell_variance=_grr_cell_variance,
@@ -557,7 +475,6 @@ register(ProtocolSpec(
     wire_code=2,
     factory=OptimizedLocalHashing,
     report_type=OLHReport,
-    merger=_merge_olh,
     sanitizer=_sanitize_olh,
     analytic_variance=_olh_class_analytic,
     cell_variance=_olh_class_cell_variance,
@@ -570,7 +487,6 @@ register(ProtocolSpec(
     wire_code=3,
     factory=OptimizedUnaryEncoding,
     report_type=OUEReport,
-    merger=_merge_oue,
     sanitizer=_sanitize_oue,
     analytic_variance=_olh_class_analytic,
     cell_variance=_olh_class_cell_variance,
@@ -582,7 +498,6 @@ register(ProtocolSpec(
     wire_code=4,
     factory=SymmetricUnaryEncoding,
     report_type=OUEReport,  # SUE perturbs into OUE's container
-    merger=_merge_oue,
     sanitizer=_sanitize_oue,
     analytic_variance=_olh_class_analytic,
     cell_variance=_olh_class_cell_variance,
@@ -594,7 +509,6 @@ register(ProtocolSpec(
     wire_code=5,
     factory=SummationHistogramEncoding,
     report_type=SHEReport,
-    merger=_merge_she,
     sanitizer=_sanitize_she,
     analytic_variance=_olh_class_analytic,
     cell_variance=_olh_class_cell_variance,
@@ -606,7 +520,6 @@ register(ProtocolSpec(
     wire_code=6,
     factory=ThresholdHistogramEncoding,
     report_type=THEReport,
-    merger=_merge_the,
     sanitizer=_sanitize_the,
     analytic_variance=_olh_class_analytic,
     cell_variance=_olh_class_cell_variance,
@@ -618,7 +531,6 @@ register(ProtocolSpec(
     wire_code=7,
     factory=SquareWave,
     report_type=SWReport,
-    merger=_merge_sw,
     sanitizer=_sanitize_sw,
     analytic_variance=_olh_class_analytic,
     cell_variance=_olh_class_cell_variance,
@@ -630,11 +542,9 @@ register(ProtocolSpec(
     name="ahead",
     factory=None,
     report_type=None,
-    merger=None,
     sanitizer=None,
     analytic_variance=_olh_class_analytic,
     cell_variance=_olh_class_cell_variance,
-    mergeable=False,
     budget_splittable=False,
     streamable=False,
     one_d_only=True,

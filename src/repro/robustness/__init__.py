@@ -10,7 +10,7 @@ Three layers, composed through the collection pipeline:
   check.
 * **Attack simulation** (:mod:`repro.robustness.attacks`) — random-value,
   random-report, and maximal-gain poisoning adversaries that forge
-  mergeable reports for a target cell.
+  reports for a target cell, folded like honest ones.
 * **Detection** (:mod:`repro.robustness.detect`) — feasibility detectors
   (range, L1-norm, group imbalance) run in the aggregator's postprocess
   stage, surfaced via ``Aggregator.robustness_report()``.

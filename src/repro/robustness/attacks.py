@@ -19,9 +19,10 @@ systems):
   bucket that seed hashes the target to (support probability 1 instead of
   p), unary/histogram fakes saturate the target counter.
 
-Forged reports are returned as ordinary report objects, mergeable with the
-honest batch through :func:`repro.core.merge.merge_reports` — exactly how
-they would enter a real aggregator. :func:`forge_report` builds report
+Forged reports are returned as ordinary report objects that fold with the
+honest batch (``oracle.fold(None, [honest, forged])``) — exactly how they
+would enter a real aggregator, whose collectors fold every admitted
+report into its grid's state. :func:`forge_report` builds report
 instances *bypassing constructor validation*, modelling a hostile client
 that does not run our client library: encoding what it builds gives the
 frame that client sends.

@@ -29,7 +29,7 @@ Every multi-byte payload array starts at an offset that is a multiple of
 8, so :func:`decode_frame` can hand out **zero-copy**
 :func:`numpy.frombuffer` views of the frame — decoding a frame allocates
 no array memory. The views are read-only; every consumer downstream
-(merge monoids, estimators) treats reports as immutable, so this is free
+(sanitizers, folds) treats reports as immutable, so this is free
 hardening, not a restriction.
 
 Versioning rules

@@ -1,11 +1,11 @@
 """Attack-simulator and detector tests, plus the poisoning experiment.
 
-Covers: forged reports merge like real ones and actually move the target
-cell (MGA), the feasibility detectors trigger on attacked aggregates and
-stay quiet on honest ones, and the experiment artifact records the
-acceptance numbers — 5% MGA measurably inflates the target without
-defenses, while quarantine + detectors flag the run and bound the
-inflation.
+Covers: forged reports fold and merge like real ones and actually move
+the target cell (MGA), the feasibility detectors trigger on attacked
+aggregates and stay quiet on honest ones, and the experiment artifact
+records the acceptance numbers — 5% MGA measurably inflates the target
+without defenses, while quarantine + detectors flag the run and bound
+the inflation.
 """
 
 import numpy as np
@@ -29,24 +29,26 @@ from repro.robustness import (
 
 pytestmark = pytest.mark.faults
 
-MERGEABLE = ("grr", "olh", "oue", "sue", "she", "the", "sw")
+PROTOCOLS = ("grr", "olh", "oue", "sue", "she", "the", "sw")
 
 
 class TestAttackSimulators:
     @pytest.mark.parametrize("attack", sorted(ATTACKS))
-    @pytest.mark.parametrize("protocol", MERGEABLE)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_forged_reports_merge_with_honest_batch(self, attack,
                                                     protocol):
         oracle = make_oracle(protocol, 1.0, 16)
         rng = np.random.default_rng(3)
         honest = oracle.perturb(rng.integers(0, 16, size=2000), rng)
         fake = make_attack(attack).forge(oracle, 100, target=4, rng=rng)
-        merged = merge_reports([honest, fake])
-        estimates = oracle.estimate(merged)
+        merged = merge_reports([oracle.fold(None, [honest]),
+                                oracle.fold(None, [fake])])
+        assert merged.n == 2100
+        estimates = oracle.unbias(merged)
         assert estimates.shape == (16,)
         assert np.isfinite(estimates).all()
 
-    @pytest.mark.parametrize("protocol", MERGEABLE)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_maximal_gain_inflates_the_target(self, protocol):
         oracle = make_oracle(protocol, 1.0, 16)
         rng = np.random.default_rng(5)
@@ -55,7 +57,8 @@ class TestAttackSimulators:
         fake = make_attack("max_gain").forge(oracle, 2_000, target=9,
                                              rng=rng)
         clean = oracle.estimate(honest)[9]
-        attacked = oracle.estimate(merge_reports([honest, fake]))[9]
+        attacked = oracle.unbias(merge_reports(
+            [oracle.fold(None, [honest]), oracle.fold(None, [fake])]))[9]
         assert attacked > clean + 0.02
 
     def test_random_value_attack_only_dilutes(self):
@@ -70,10 +73,11 @@ class TestAttackSimulators:
         mga = make_attack("max_gain").forge(oracle, 2_000, target=9,
                                             rng=rng)
         base = oracle.estimate(honest)[9]
-        ria_shift = abs(oracle.estimate(
-            merge_reports([honest, ria]))[9] - base)
-        mga_shift = abs(oracle.estimate(
-            merge_reports([honest, mga]))[9] - base)
+        state = oracle.fold(None, [honest])
+        ria_shift = abs(oracle.unbias(merge_reports(
+            [state, oracle.fold(None, [ria])]))[9] - base)
+        mga_shift = abs(oracle.unbias(merge_reports(
+            [state, oracle.fold(None, [mga])]))[9] - base)
         assert mga_shift > 5 * ria_shift
 
     def test_unknown_attack_rejected(self):

@@ -5,8 +5,8 @@ that loses any shard to a transient fault and retries it is
 **bit-identical** to the fault-free run at the same ``(seed, chunk_size)``
 — retried shard tasks replay their snapshotted RNG stream. Also covered:
 deterministic (ReproError) failures are never retried and fail fast
-(queued shards are cancelled), exhausted retries surface the original
-exception, pool-creation failure degrades to inline execution, and the
+(queued shards are cancelled), a run that fails part way records no
+admission, exhausted retries surface the original exception, pool-creation failure degrades to inline execution, and the
 stage timers stay exact (and repr-safe) under concurrent updates.
 """
 
@@ -26,9 +26,12 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.queries import Query, between
 from repro.robustness import (
     FaultInjector,
+    IngestPolicy,
+    IngestStats,
     PoisonedShardError,
     TransientShardFault,
 )
+from repro.service import restore_checkpoint, save_checkpoint
 
 from tests.test_parallel_pipeline import (
     assert_same_reports,
@@ -47,13 +50,19 @@ def dataset():
 
 class TestRetryBitIdentity:
     def _collect(self, dataset, injector=None, retries=0, workers=4,
-                 chunk_size=1_000, stats=None):
+                 chunk_size=1_000, stats=None, ingest=False):
+        """The collected groups — with ``ingest``, paired with the
+        ``drop``-policy admission accounting."""
         config = FelipConfig(epsilon=1.0)
         plans, assignment = planned_collection(dataset, config, seed=13)
-        return collect_reports(
+        ingest_stats = IngestStats()
+        reports = collect_reports(
             dataset.records, assignment, plans, config.epsilon, rng=17,
             workers=workers, chunk_size=chunk_size,
+            ingest=IngestPolicy(mode="drop") if ingest else None,
+            ingest_stats=ingest_stats,
             retries=retries, fault_injector=injector, exec_stats=stats)
+        return (reports, ingest_stats) if ingest else reports
 
     @pytest.mark.parametrize("doomed_shard", [0, 3, 7])
     def test_single_shard_killed_once_is_bit_identical(self, dataset,
@@ -94,6 +103,55 @@ class TestRetryBitIdentity:
         report = faulted.aggregator.robustness_report()
         assert report["execution"]["retries"] > 0
         assert report["execution"]["failed_shards"] == 0
+
+    def test_faulted_fit_counts_each_shard_once(self, dataset):
+        """Every shard is checked in its task after the fold, so a fit
+        whose every shard fails once and is retried admits each shard's
+        users exactly once: its ingest accounting and every estimate
+        equal the fault-free fit's."""
+        config = FelipConfig(epsilon=1.0, ingest_policy="drop", workers=4,
+                             chunk_size=1_000, shard_retries=1)
+        clean = Felip(dataset.schema, config).fit(dataset, rng=29)
+        faulted = Felip(dataset.schema, config)
+        faulted.aggregator.fault_injector = FaultInjector(
+            fail_all_first_attempts=True)
+        faulted.fit(dataset, rng=29)
+        clean_report = clean.aggregator.robustness_report()
+        faulted_report = faulted.aggregator.robustness_report()
+        assert faulted_report["execution"]["retries"] > 0
+        assert faulted_report["ingest"] == clean_report["ingest"]
+        assert clean_report["ingest"]["accepted_users"] == dataset.n
+        for plan in clean.aggregator.plans:
+            assert faulted.aggregator.estimate_for(plan.key).frequencies \
+                .tobytes() == clean.aggregator.estimate_for(plan.key) \
+                .frequencies.tobytes()
+
+    def test_fold_failure_is_retried_before_the_check(self, dataset,
+                                                      monkeypatch):
+        """A transient fault inside a shard's fold, after its perturb,
+        leaves no trace: the retried attempt replays the perturbation
+        and the report is checked (and counted) once."""
+        from repro.fo.base import FrequencyOracle
+        clean = self._collect(dataset, ingest=True)
+        real_fold = FrequencyOracle.fold
+        lock = threading.Lock()
+        faults = []
+
+        def flaky_fold(oracle, state, reports):
+            with lock:
+                fail = len(faults) < 3
+                faults.append(fail)
+            if fail:
+                raise TransientShardFault("fold lost")
+            return real_fold(oracle, state, reports)
+
+        monkeypatch.setattr(FrequencyOracle, "fold", flaky_fold)
+        stats = ExecutionStats()
+        faulted = self._collect(dataset, retries=1, stats=stats,
+                                ingest=True)
+        assert stats.retries == 3
+        assert_same_reports(faulted[0], clean[0])
+        assert faulted[1].as_dict() == clean[1].as_dict()
 
     def test_streaming_with_faults_matches_fault_free(self, dataset):
         q = Query([between("num_0", 5, 20)])
@@ -150,6 +208,90 @@ class TestFailFast:
                 workers=4, chunk_size=1_000, retries=5,
                 fault_injector=injector)
         assert injector.injected == {(1, 0): 1}
+
+
+class TestFailedRunsRecordNothing:
+    """A collection that raises part way leaves no admission trace: the
+    verdicts of the shards that did run are recorded only once every
+    shard has."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failed_observe_leaves_the_stream_consistent(self, dataset,
+                                                         workers):
+        """observe() raises on a poisoned shard; finalize() and a
+        checkpoint round trip then succeed, with the accounting and the
+        estimates of a stream that never saw the failed batch."""
+        config = FelipConfig(epsilon=1.0, ingest_policy="drop",
+                             workers=workers, chunk_size=1_000)
+
+        def stream():
+            return StreamingCollector(dataset.schema, config,
+                                      expected_users=dataset.n, rng=23)
+
+        first, second = dataset.records[:6_000], dataset.records[6_000:]
+        clean, failed = stream(), stream()
+        for collector in (clean, failed):
+            collector.observe(first, rng=1)
+        failed.fault_injector = FaultInjector(poison=[2])
+        with pytest.raises(PoisonedShardError):
+            failed.observe(second, rng=2)
+        failed.fault_injector = None
+        assert failed.observed == clean.observed
+        for collector in (clean, failed):
+            collector.observe(second, rng=3)
+        restored = restore_checkpoint(stream(), save_checkpoint(failed))
+        expected = clean.finalize()
+        assert expected.robustness_report()["ingest"]["accepted_users"] \
+            == dataset.n
+        for collector in (failed, restored):
+            model = collector.finalize()
+            assert model.n == expected.n
+            assert model.robustness_report()["ingest"] == \
+                expected.robustness_report()["ingest"]
+            for plan in expected.plans:
+                assert model.estimate_for(plan.key).frequencies \
+                    .tobytes() == expected.estimate_for(plan.key) \
+                    .frequencies.tobytes()
+
+    def test_failed_observe_counts_no_single_cell_users(self):
+        """Members of a single-cell grid carry no report and are trusted;
+        they too are counted only once every shard of their batch has
+        run."""
+        data = normal_dataset(2_000, num_numerical=1, num_categorical=2,
+                              numerical_domain=8, categorical_domain=1,
+                              rng=3)
+        collector = StreamingCollector(
+            data.schema, FelipConfig(epsilon=1.0, ingest_policy="drop"),
+            expected_users=data.n, rng=5)
+        assert any(plan.num_cells < 2 for plan in collector.plans)
+        collector.observe(data.records[:1_000])
+        observed, trusted = collector.observed, collector.trusted_users
+        sizes = collector._group_sizes.copy()
+        assert trusted > 0
+        collector.fault_injector = FaultInjector(poison=[0])
+        with pytest.raises(PoisonedShardError):
+            collector.observe(data.records[1_000:])
+        assert collector.observed == observed
+        assert collector.trusted_users == trusted
+        np.testing.assert_array_equal(collector._group_sizes, sizes)
+        assert collector.finalize().n == observed
+
+    def test_failed_fit_records_nothing(self, dataset):
+        """A fit that raises on a poisoned shard counts none of the
+        shards that ran before it: refitting the same aggregator accounts
+        exactly what a fresh aggregator's fit does."""
+        config = FelipConfig(epsilon=1.0, ingest_policy="drop",
+                             chunk_size=1_000)
+        clean = Felip(dataset.schema, config).fit(dataset, rng=29)
+        refit = Felip(dataset.schema, config)
+        refit.aggregator.fault_injector = FaultInjector(poison=[2])
+        with pytest.raises(PoisonedShardError):
+            refit.fit(dataset, rng=29)
+        assert refit.aggregator.ingest_stats.accepted_reports == 0
+        refit.aggregator.fault_injector = None
+        refit.fit(dataset, rng=29)
+        assert refit.aggregator.robustness_report()["ingest"] == \
+            clean.aggregator.robustness_report()["ingest"]
 
 
 class TestRetryPolicy:

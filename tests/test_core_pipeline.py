@@ -32,7 +32,7 @@ class TestCollectReports:
         for group in reports:
             assert group.group_size > 0
             assert group.report is not None
-            assert len(group.report) == group.group_size
+            assert group.report.n == group.group_size
 
     def test_empty_group_yields_none_report(self, small_dataset):
         config = FelipConfig(epsilon=1.0)

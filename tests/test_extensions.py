@@ -209,22 +209,30 @@ class TestStreaming:
 
 
 class TestMergeReports:
+    """Two batches' folded states merge into one state of both."""
+
     def test_merge_grr(self):
         oracle = GeneralizedRandomizedResponse(1.0, 8)
         rng = np.random.default_rng(19)
         a = oracle.perturb(rng.integers(0, 8, 100), rng)
         b = oracle.perturb(rng.integers(0, 8, 50), rng)
-        merged = merge_reports([a, b])
-        assert len(merged) == 150
+        merged = merge_reports([oracle.fold(None, [a]),
+                                oracle.fold(None, [b])])
+        assert merged.n == 150
+        assert merged.vector.tobytes() == \
+            oracle.fold(None, [a, b]).vector.tobytes()
 
     def test_merge_olh(self):
         oracle = OptimizedLocalHashing(1.0, 8)
         rng = np.random.default_rng(20)
         a = oracle.perturb(rng.integers(0, 8, 4000), rng)
         b = oracle.perturb(rng.integers(0, 8, 2000), rng)
-        merged = merge_reports([a, b])
-        assert len(merged) == 6000
-        estimates = oracle.estimate(merged)
+        merged = merge_reports([oracle.fold(None, [a]),
+                                oracle.fold(None, [b])])
+        assert merged.n == 6000
+        assert merged.vector.tobytes() == \
+            oracle.fold(None, [a, b]).vector.tobytes()
+        estimates = oracle.unbias(merged)
         assert estimates.sum() == pytest.approx(1.0, abs=0.3)
 
     def test_merge_oue(self):
@@ -232,8 +240,11 @@ class TestMergeReports:
         rng = np.random.default_rng(21)
         a = oracle.perturb(rng.integers(0, 8, 100), rng)
         b = oracle.perturb(rng.integers(0, 8, 50), rng)
-        merged = merge_reports([a, b])
+        merged = merge_reports([oracle.fold(None, [a]),
+                                oracle.fold(None, [b])])
         assert merged.n == 150
+        assert merged.vector.tobytes() == \
+            oracle.fold(None, [a, b]).vector.tobytes()
 
     def test_merge_empty_gives_none(self):
         assert merge_reports([]) is None
@@ -245,4 +256,4 @@ class TestMergeReports:
         ra = a.perturb(np.zeros(10, dtype=int), rng)
         rb = b.perturb(np.zeros(10, dtype=int), rng)
         with pytest.raises(ProtocolError):
-            merge_reports([ra, rb])
+            merge_reports([a.fold(None, [ra]), b.fold(None, [rb])])

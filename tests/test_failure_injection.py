@@ -158,8 +158,9 @@ class TestHistogramProtocolsUnderFailureInjection:
         # statistic consistently; the estimate must stay finite and
         # match the domain's shape.
         oracle, report = _honest_report(protocol)
-        merged = merge_reports([report, report])
-        estimates = oracle.estimate(merged)
+        state = oracle.fold(None, [report])
+        merged = merge_reports([state, state])
+        estimates = oracle.unbias(merged)
         assert estimates.shape == (8,)
         assert np.isfinite(estimates).all()
         # Duplication preserves per-user averages, so the estimate is
@@ -219,7 +220,8 @@ class TestHistogramProtocolsUnderFailureInjection:
         values = np.zeros(500, dtype=np.int64)
         reports = [oracle.perturb(values, np.random.default_rng(7))
                    for _ in range(3)]
-        estimates = oracle.estimate(merge_reports(reports))
+        estimates = oracle.unbias(merge_reports(
+            [oracle.fold(None, [report]) for report in reports]))
         assert np.isfinite(estimates).all()
         cleaned = normalize_non_negative(estimates)
         assert cleaned.sum() == pytest.approx(1.0)

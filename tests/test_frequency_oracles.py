@@ -162,7 +162,7 @@ class TestOLH:
         rng = np.random.default_rng(9)
         oracle = OptimizedLocalHashing(1.0, 10)
         report = oracle.perturb(rng.integers(0, 10, size=500), rng)
-        counts = oracle.support_counts(report)
+        counts = oracle.fold(None, [report]).vector
         assert counts.shape == (10,)
         assert (counts >= 0).all() and (counts <= 500).all()
 
@@ -176,17 +176,8 @@ class TestOLH:
             [np.count_nonzero(chain_hash(report.seeds, [v], oracle.g)
                               == report.buckets) for v in range(37)],
             dtype=np.int64)
-        np.testing.assert_array_equal(oracle.support_counts(report), looped)
-
-    def test_support_counts_memoized_per_report(self):
-        rng = np.random.default_rng(12)
-        oracle = OptimizedLocalHashing(1.0, 16)
-        report = oracle.perturb(rng.integers(0, 16, size=300), rng)
-        first = oracle.support_counts(report)
-        first[:] = -1  # callers get a copy; the cache must not see this
-        second = oracle.support_counts(report)
-        assert (second >= 0).all()
-        assert (oracle.g, 16) in report.__dict__["_support_counts"]
+        np.testing.assert_array_equal(oracle.fold(None, [report]).vector,
+                                      looped)
 
     def test_optimal_hash_range_huge_epsilon_raises_protocol_error(self):
         # math.exp overflows for eps >~ 710; the bare OverflowError is now

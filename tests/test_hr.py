@@ -13,7 +13,7 @@ import pytest
 
 from repro import Felip, FelipConfig
 from repro.core import StreamingCollector, partition_users, plan_grids
-from repro.core.client import collect_reports, collect_reports_serial
+from repro.core.client import collect_reports
 from repro.core.merge import merge_reports
 from repro.data import normal_dataset
 from repro.errors import IngestError, ProtocolError
@@ -29,6 +29,8 @@ from repro.robustness.policy import (
     ReportSpec,
     sanitize_report,
 )
+
+from tests.collect_reference import collect_reports_serial, folded
 
 
 class TestHadamardOrder:
@@ -109,21 +111,31 @@ class TestOracle:
 
 class TestMergeAndSanitize:
     def test_merge_is_concatenation(self):
+        """Merging two batches' states equals folding their
+        concatenated rows."""
         oracle = HadamardResponse(1.0, 8)
         rng = np.random.default_rng(5)
         a = oracle.perturb(rng.integers(0, 8, size=100), rng)
         b = oracle.perturb(rng.integers(0, 8, size=50), rng)
-        merged = merge_reports([a, b])
-        np.testing.assert_array_equal(merged.rows,
-                                      np.concatenate([a.rows, b.rows]))
-        np.testing.assert_array_equal(merged.bits,
-                                      np.concatenate([a.bits, b.bits]))
+        merged = merge_reports([oracle.fold(None, [a]),
+                                oracle.fold(None, [b])])
+        concatenated = HRReport(
+            rows=np.concatenate([a.rows, b.rows]),
+            bits=np.concatenate([a.bits, b.bits]),
+            hadamard_order=oracle.g, domain_size=8)
+        expected = oracle.fold(None, [concatenated])
+        assert merged.n == expected.n == 150
+        assert merged.vector.tobytes() == expected.vector.tobytes()
 
     def test_merge_rejects_mixed_configs(self):
-        r1 = HadamardResponse(1.0, 8).perturb(np.zeros(5, dtype=int), 1)
-        r2 = HadamardResponse(1.0, 4).perturb(np.zeros(5, dtype=int), 1)
-        with pytest.raises(ProtocolError, match="configs"):
-            merge_reports([r1, r2])
+        s1 = HadamardResponse(1.0, 8).fold(
+            None, [HadamardResponse(1.0, 8).perturb(np.zeros(5, dtype=int),
+                                                    1)])
+        s2 = HadamardResponse(1.0, 4).fold(
+            None, [HadamardResponse(1.0, 4).perturb(np.zeros(5, dtype=int),
+                                                    1)])
+        with pytest.raises(ProtocolError, match="different lengths"):
+            merge_reports([s1, s2])
 
     def test_sanitizer_rejects_forged_order(self):
         oracle = HadamardResponse(1.0, 8)
@@ -158,17 +170,20 @@ class TestPipelineIntegration:
         assert all(p.protocol == "hr" for p in plans)
         assignment = partition_users(dataset.n, len(plans),
                                      ensure_rng(11))
-        serial = collect_reports_serial(
-            dataset.records, assignment, plans, config.epsilon, rng=23)
-        sharded = collect_reports(
-            dataset.records, assignment, plans, config.epsilon, rng=23,
-            workers=4, chunk_size=None)
-        for a, e in zip(sharded, serial):
-            if e.report is None:
-                assert a.report is None
-                continue
-            np.testing.assert_array_equal(a.report.rows, e.report.rows)
-            np.testing.assert_array_equal(a.report.bits, e.report.bits)
+        serial = folded(collect_reports_serial(
+            dataset.records, assignment, plans, config.epsilon, rng=23),
+            config.epsilon)
+        for workers in (1, 4):
+            sharded = collect_reports(
+                dataset.records, assignment, plans, config.epsilon, rng=23,
+                workers=workers, chunk_size=None)
+            for a, e in zip(sharded, serial):
+                if e.report is None:
+                    assert a.report is None
+                    continue
+                assert a.report.n == e.report.n
+                assert a.report.vector.tobytes() == \
+                    e.report.vector.tobytes()
 
     def test_batch_fit_tracks_truth(self, dataset):
         config = FelipConfig(epsilon=4.0, protocols=("hr",))

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import partition_users, plan_grids
-from repro.core.client import collect_reports, collect_reports_serial
+from repro.core.client import collect_reports
 from repro.errors import ProtocolError
 from repro.fo import kernels
 from repro.fo import registry
@@ -33,6 +33,7 @@ from repro.fo.hashing import splitmix64
 from repro.fo.kernels import c_impl, numpy_impl
 from repro.rng import ensure_rng
 
+from tests.collect_reference import collect_reports_serial, folded
 from tests.test_parallel_pipeline import (
     ALL_PROTOCOLS,
     assert_same_reports,
@@ -333,27 +334,31 @@ class TestPipelineBitIdentity:
                                                   protocol):
         """Collection output is a pure function of (seed, chunk_size):
         switching kernel backends or shard executors never changes a
-        single bit of any report."""
+        single bit of any report or folded state, and a whole-group
+        shard's state is the fold of the serial reference's report."""
         config = config_for(protocol)
         plans, assignment = planned_collection(pipeline_dataset, config)
 
-        def collect(serial):
-            if serial:
-                return collect_reports_serial(
-                    pipeline_dataset.records, assignment, plans,
-                    config.epsilon, rng=17)
+        def serial():
+            return collect_reports_serial(
+                pipeline_dataset.records, assignment, plans,
+                config.epsilon, rng=17)
+
+        def sharded(chunk_size):
             return collect_reports(
                 pipeline_dataset.records, assignment, plans,
-                config.epsilon, rng=17, workers=4, chunk_size=1_000)
+                config.epsilon, rng=17, workers=4, chunk_size=chunk_size)
 
         with kernels.use_backend("numpy"):
-            reference_serial = collect(serial=True)
-            reference_sharded = collect(serial=False)
+            reference_serial = serial()
+            reference_folded = folded(reference_serial, config.epsilon)
+            reference_sharded = sharded(1_000)
+        assert_same_reports(sharded(None), reference_folded)
         for backend in COMPILED:
             with kernels.use_backend(backend):
-                assert_same_reports(collect(serial=True), reference_serial)
-                assert_same_reports(collect(serial=False),
-                                    reference_sharded)
+                assert_same_reports(serial(), reference_serial)
+                assert_same_reports(sharded(None), reference_folded)
+                assert_same_reports(sharded(1_000), reference_sharded)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Tests for the shared report-merge monoid (repro.core.merge).
+"""Tests for the monoid of folded states (repro.core.merge).
 
-Merging the reports of disjoint user batches must equal the report the
-oracle would have produced for the concatenated batch — that associativity
-is what the sharded executor and the streaming collector both rest on.
+Merging the folded states of disjoint user batches must equal one fold of
+all their reports — that is what lets every collection path fold each
+shard where it is perturbed and reduce the shard states in any grouping.
 """
 
 import numpy as np
@@ -10,11 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.merge import (
-    MERGEABLE_PROTOCOLS,
-    merge_reports,
-    mergeable_protocol,
-)
+from repro.core.merge import merge_reports
 from repro.errors import ProtocolError
 from repro.fo import make_oracle
 from repro.rng import ensure_rng
@@ -32,84 +28,109 @@ def perturb_batches(protocol, sizes, epsilon=1.0, seed=7):
     return oracle, batches, reports
 
 
-def assert_report_equal(actual, expected):
-    """Field-wise equality: exact for integers, tight for float sums.
+def shard_states(protocol, sizes):
+    """Each batch's report folded on its own, as a shard task folds."""
+    oracle, batches, reports = perturb_batches(protocol, sizes)
+    return oracle, reports, [oracle.fold(None, [r]) for r in reports]
+
+
+def assert_state_equal(actual, expected):
+    """Exact for integer counts, tight for float sums.
 
     SHE accumulates float Laplace noise, and float addition is only
-    associative up to rounding — every other field must match exactly.
+    associative up to rounding — every integer statistic must match
+    exactly.
     """
-    assert type(actual) is type(expected)
-    for name in vars(expected):
-        a, e = getattr(actual, name), getattr(expected, name)
-        if isinstance(e, np.ndarray) and np.issubdtype(e.dtype,
-                                                       np.floating):
-            np.testing.assert_allclose(a, e, rtol=1e-12, err_msg=name)
-        elif isinstance(e, np.ndarray):
-            np.testing.assert_array_equal(a, e, err_msg=name)
-        else:
-            assert a == pytest.approx(e), name
+    assert actual.n == expected.n
+    assert actual.vector.dtype == expected.vector.dtype
+    if np.issubdtype(expected.vector.dtype, np.floating):
+        np.testing.assert_allclose(actual.vector, expected.vector,
+                                   rtol=1e-12)
+    else:
+        np.testing.assert_array_equal(actual.vector, expected.vector)
 
 
 class TestMergeSemantics:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_merge_equals_one_shot_statistics(self, protocol):
-        """Merged sufficient statistics match element-wise accumulation."""
+        """Merged shard states are one fold of every report, byte for
+        byte: the vectors go through one left fold in the order given."""
         oracle, batches, reports = perturb_batches(protocol, [40, 25, 60])
-        merged = merge_reports(reports)
-        freqs = oracle.estimate(merged)
+        merged = merge_reports([oracle.fold(None, [r]) for r in reports])
+        one_fold = oracle.fold(None, reports)
+        assert merged.vector.tobytes() == one_fold.vector.tobytes()
+        freqs = oracle.unbias(merged)
         assert freqs.shape == (DOMAIN,)
         assert np.isfinite(freqs).all()
-        # The merged report must represent every user exactly once.
-        n_attr = "values" if protocol == "grr" else (
-            "seeds" if protocol == "olh" else "n")
-        n = getattr(merged, n_attr)
-        n = len(n) if isinstance(n, np.ndarray) else n
-        assert n == sum(len(b) for b in batches)
+        # The merged state must represent every user exactly once.
+        assert merged.n == one_fold.n == sum(len(b) for b in batches)
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_merge_is_associative(self, protocol):
-        _, _, reports = perturb_batches(protocol, [10, 20, 30, 5])
-        left = merge_reports([merge_reports(reports[:2]),
-                              merge_reports(reports[2:])])
+        _, _, states = shard_states(protocol, [10, 20, 30, 5])
+        left = merge_reports([merge_reports(states[:2]),
+                              merge_reports(states[2:])])
         right = merge_reports(
-            [reports[0], merge_reports(reports[1:])])
-        flat = merge_reports(reports)
-        assert_report_equal(left, flat)
-        assert_report_equal(right, flat)
+            [states[0], merge_reports(states[1:])])
+        flat = merge_reports(states)
+        assert_state_equal(left, flat)
+        assert_state_equal(right, flat)
 
     @settings(max_examples=25, deadline=None)
     @given(split=st.integers(min_value=1, max_value=4),
            protocol=st.sampled_from(ALL_PROTOCOLS))
     def test_any_regrouping_matches_flat_merge(self, split, protocol):
-        _, _, reports = perturb_batches(protocol, [8, 12, 6, 9, 11])
-        grouped = merge_reports([merge_reports(reports[:split]),
-                                 merge_reports(reports[split:])])
-        assert_report_equal(grouped, merge_reports(reports))
+        oracle, reports, states = shard_states(protocol, [8, 12, 6, 9, 11])
+        grouped = merge_reports([merge_reports(states[:split]),
+                                 merge_reports(states[split:])])
+        assert_state_equal(grouped, oracle.fold(None, reports))
 
     def test_empty_and_none_inputs(self):
         assert merge_reports([]) is None
         assert merge_reports([None, None]) is None
 
     def test_single_report_returned_unchanged(self):
-        _, _, reports = perturb_batches("olh", [15])
-        assert merge_reports(reports) is reports[0]
-        # Identity merge holds even for unmergeable payloads.
+        _, _, states = shard_states("olh", [15])
+        assert merge_reports(states) is states[0]
+        # A lone part passes through whatever it is (an interactive
+        # backend's fitted model reduces this way).
         sentinel = object()
         assert merge_reports([None, sentinel]) is sentinel
 
     def test_nones_are_skipped(self):
-        _, _, reports = perturb_batches("oue", [10, 10])
-        with_gaps = [None, reports[0], None, reports[1]]
-        assert_report_equal(merge_reports(with_gaps),
-                            merge_reports(reports))
+        _, _, states = shard_states("oue", [10, 10])
+        with_gaps = [None, states[0], None, states[1]]
+        assert_state_equal(merge_reports(with_gaps),
+                           merge_reports(states))
 
 
 class TestMergeRejections:
     def test_mixed_types_rejected(self):
-        _, _, (grr,) = perturb_batches("grr", [10])
-        _, _, (olh,) = perturb_batches("olh", [10])
-        with pytest.raises(ProtocolError, match="mixed"):
-            merge_reports([grr, olh])
+        """A folded state never merges with a raw report: reports are
+        folded first (``oracle.fold``), then their states merge."""
+        _, reports, (state,) = shard_states("grr", [10])
+        with pytest.raises(ProtocolError, match="unsupported"):
+            merge_reports([state, reports[0]])
+
+    def test_different_layouts_rejected(self):
+        """A GRR histogram (int64) and SHE sums (float64) of one domain
+        differ in dtype."""
+        _, _, (grr,) = shard_states("grr", [10])
+        _, _, (she,) = shard_states("she", [10])
+        assert grr.vector.shape == she.vector.shape
+        with pytest.raises(ProtocolError, match="different lengths"):
+            merge_reports([grr, she])
+
+    def test_states_carry_no_parameters(self):
+        """Only the layout is checked: GRR and OLH states of one domain
+        are both int64 per-cell counts and merge without an error, so
+        callers merge only states folded by one oracle."""
+        _, _, (grr,) = shard_states("grr", [10])
+        _, _, (olh,) = shard_states("olh", [10])
+        merged = merge_reports([grr, olh])
+        assert merged.n == grr.n + olh.n
+        np.testing.assert_array_equal(merged.vector,
+                                      grr.vector + olh.vector)
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(ProtocolError, match="unsupported"):
@@ -119,14 +140,10 @@ class TestMergeRejections:
         oracle_a = make_oracle("grr", 1.0, 8)
         oracle_b = make_oracle("grr", 1.0, 16)
         rng = ensure_rng(3)
-        reports = [oracle_a.perturb(rng.integers(0, 8, 20), rng),
-                   oracle_b.perturb(rng.integers(0, 16, 20), rng)]
-        with pytest.raises(ProtocolError, match="domains"):
-            merge_reports(reports)
-
-    def test_mergeable_protocol_predicate(self):
-        for protocol in ALL_PROTOCOLS:
-            assert mergeable_protocol(protocol)
-        assert mergeable_protocol("adaptive")
-        assert not mergeable_protocol("ahead")
-        assert "ahead" not in MERGEABLE_PROTOCOLS
+        states = [
+            oracle_a.fold(None, [oracle_a.perturb(rng.integers(0, 8, 20),
+                                                  rng)]),
+            oracle_b.fold(None, [oracle_b.perturb(rng.integers(0, 16, 20),
+                                                  rng)])]
+        with pytest.raises(ProtocolError, match="different lengths"):
+            merge_reports(states)

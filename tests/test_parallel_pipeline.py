@@ -1,25 +1,24 @@
 """Tests for the sharded parallel collection pipeline.
 
-Covers the determinism contract (serial ≡ sharded bit-for-bit under a
-fixed seed for every registered protocol; output invariant to
-``workers``), the executor plumbing through
+Covers the determinism contract (every group's sharded state is the fold
+of the serial reference's report, bit for bit, under a fixed seed for
+every registered protocol; output invariant to ``workers``), the
+executor plumbing through
 ``Aggregator``/``Felip``/``StreamingCollector``, the stage timers, and the
 satellite regressions: SUE/SHE/THE streaming, the budget×AHEAD config
 rejection, and the streaming oracle cache.
 """
 
 import os
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import Felip, FelipConfig
 from repro.core import StreamingCollector, partition_users, plan_grids
-from repro.core.client import (
-    collect_reports,
-    collect_reports_budget_split,
-    collect_reports_serial,
-)
+from repro.core.client import collect_reports, collect_reports_budget_split
 from repro.core.parallel import (
     chunk_bounds,
     group_orders,
@@ -28,8 +27,14 @@ from repro.core.parallel import (
 )
 from repro.data import normal_dataset
 from repro.errors import ConfigurationError, ProtocolError
+from repro.fo import registry
+from repro.fo.grr import GRRReport
 from repro.queries import Query, between
 from repro.rng import ensure_rng
+from repro.robustness import IngestPolicy, IngestStats
+from repro.robustness.ingest import Reject
+
+from tests.collect_reference import collect_reports_serial, folded
 
 ALL_PROTOCOLS = ("grr", "olh", "oue", "sue", "she", "the", "sw", "hr")
 
@@ -50,7 +55,8 @@ def dataset():
 
 
 def assert_same_reports(actual, expected):
-    """Bit-for-bit equality of two GroupReport lists."""
+    """Bit-for-bit equality of two GroupReport lists (folded states: the
+    user count and the vector's dtype and bytes)."""
     assert len(actual) == len(expected)
     for a, e in zip(actual, expected):
         assert a.planned.key == e.planned.key
@@ -62,7 +68,8 @@ def assert_same_reports(actual, expected):
         for name in vars(e.report):
             av, ev = getattr(a.report, name), getattr(e.report, name)
             if isinstance(ev, np.ndarray):
-                np.testing.assert_array_equal(av, ev, err_msg=name)
+                assert av.dtype == ev.dtype, name
+                assert av.tobytes() == ev.tobytes(), name
             else:
                 assert av == ev, name
 
@@ -78,9 +85,9 @@ class TestSerialEquivalence:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS + ("default",))
     def test_sharded_bit_identical_to_serial(self, dataset, protocol,
                                              workers):
-        """chunk_size=None: sharded ≡ serial for every registered
-        protocol and for the default adaptive choice, at any worker
-        count."""
+        """chunk_size=None: each group's sharded state is the fold of the
+        serial reference's report, for every registered protocol and for
+        the default adaptive choice, at any worker count."""
         config = (FelipConfig(epsilon=1.0) if protocol == "default"
                   else config_for(protocol))
         plans, assignment = planned_collection(dataset, config)
@@ -89,7 +96,7 @@ class TestSerialEquivalence:
         sharded = collect_reports(
             dataset.records, assignment, plans, config.epsilon, rng=23,
             workers=workers, chunk_size=None)
-        assert_same_reports(sharded, serial)
+        assert_same_reports(sharded, folded(serial, config.epsilon))
 
     def test_chunked_output_invariant_to_workers(self, dataset):
         """Finite chunk_size: a new stream, but invariant to the worker
@@ -216,6 +223,55 @@ class TestExecutorPlumbing:
         assert chunk_bounds(0, 4) == []
         with pytest.raises(ConfigurationError):
             chunk_bounds(10, 0)
+
+    def test_admission_accounting_invariant_to_workers(self, dataset,
+                                                       monkeypatch):
+        """Shards are checked inside their pool tasks, but the verdicts
+        are recorded in ``(group, chunk)`` order once every shard has
+        run: with a bounded quarantine, more workers than cores and a
+        tiny switch interval, the accounting — down to which audit
+        entries are kept — equals the inline run's, and every user is
+        counted once."""
+        spec = registry.spec_for_report(GRRReport)
+
+        def reject_odd_sums(report, expected):
+            spec.sanitizer(report, expected)
+            total = int(report.values.sum())
+            if total % 2:
+                raise Reject("odd-sum", f"sum={total}")
+
+        monkeypatch.setitem(registry._BY_REPORT_TYPE, GRRReport,
+                            replace(spec, sanitizer=reject_odd_sums))
+        config = config_for("grr")
+        plans, assignment = planned_collection(dataset, config)
+        policy = IngestPolicy(mode="quarantine", quarantine_capacity=4)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 16):
+                stats = IngestStats()
+                groups = collect_reports(
+                    dataset.records, assignment, plans, config.epsilon,
+                    rng=3, workers=workers, chunk_size=250, ingest=policy,
+                    ingest_stats=stats)
+                runs.append((groups, stats.state_dict()))
+        finally:
+            sys.setswitchinterval(interval)
+        (inline, inline_stats), (pooled, pooled_stats) = runs
+        assert pooled_stats == inline_stats
+        assert_same_reports(pooled, inline)
+        assert all(p.num_cells >= 2 for p in plans)
+        shards = sum(len(chunk_bounds(group.group_size, 250))
+                     for group in inline)
+        assert inline_stats["dropped_reports"] > 4
+        assert len(inline_stats["quarantine"]) == 4
+        assert (inline_stats["accepted_reports"]
+                + inline_stats["dropped_reports"]) == shards
+        assert inline_stats["accepted_users"] == sum(
+            group.report.n for group in inline if group.report is not None)
+        assert (inline_stats["accepted_users"]
+                + inline_stats["dropped_users"]) == dataset.n
 
     def test_ahead_runs_through_sharded_executor(self, dataset):
         model = Felip(dataset.schema,

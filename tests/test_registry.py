@@ -3,9 +3,10 @@
 Covers the registry API itself (registration validation, lookup, the
 single unknown-protocol error), the registry-driven capability matrix —
 every registered spec is exercised through batch collection, streaming,
-budget splitting, merge regrouping, and ingestion sanitization according
-to its flags — and the regression locking pinned SUE/SHE/THE
-configurations into the full pipeline via the registry variance models.
+budget splitting, folded-state merge regrouping, and ingestion
+sanitization according to its flags — and the regression locking pinned
+SUE/SHE/THE configurations into the full pipeline via the registry
+variance models.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from repro import Felip, FelipConfig
 from repro.core import StreamingCollector
-from repro.core.merge import MERGEABLE_PROTOCOLS, merge_reports
+from repro.core.merge import merge_reports
 from repro.core.planner import plan_grids
 from repro.data import normal_dataset
 from repro.errors import ConfigurationError, IngestError
@@ -94,21 +95,18 @@ class TestRegistryApi:
         with pytest.raises(ConfigurationError, match="adaptive"):
             register(spec)
 
-    def test_streamable_requires_mergeable(self):
+    def test_streamable_requires_oracle_factory(self):
+        """A stream folds every report with the grid's oracle, so an
+        interactive-only backend cannot be flagged streamable."""
         with pytest.raises(ConfigurationError, match="streamable"):
             register(ProtocolSpec(
-                name="broken", factory=lambda e, d: None,
-                mergeable=False, streamable=True))
-
-    def test_mergeable_requires_merge_monoid(self):
-        with pytest.raises(ConfigurationError, match="merger"):
-            register(ProtocolSpec(name="broken",
-                                  factory=lambda e, d: None))
+                name="broken", interactive_fit=lambda *a: None,
+                streamable=True))
+        assert "broken" not in registered_names()
 
     def test_needs_some_collection_path(self):
         with pytest.raises(ConfigurationError, match="factory"):
-            register(ProtocolSpec(name="broken", mergeable=False,
-                                  streamable=False))
+            register(ProtocolSpec(name="broken", streamable=False))
 
     def test_unregister_roundtrip(self):
         spec = get("hr")
@@ -133,11 +131,6 @@ class TestRegistryApi:
         assert pinnable | one_d == set(SPEC_NAMES)
         assert not pinnable & one_d
         assert one_d == {"sw", "ahead"}
-
-    def test_mergeable_protocols_live_view(self):
-        assert ADAPTIVE in MERGEABLE_PROTOCOLS
-        assert "ahead" not in MERGEABLE_PROTOCOLS
-        assert "hr" in MERGEABLE_PROTOCOLS
 
 
 class TestCapabilityMatrix:
@@ -185,18 +178,22 @@ class TestCapabilityMatrix:
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_merge_regroup(self, name):
-        """merge([a, b, c]) == merge([merge([a, b]), c]) per spec."""
+        """merge([a, b, c]) == merge([merge([a, b]), c]) == one fold of
+        the three reports, per spec."""
         spec = get(name)
-        if not spec.mergeable or spec.factory is None:
+        if spec.factory is None:
             return
         oracle = spec.factory(1.0, 8)
         rng = np.random.default_rng(11)
-        parts = [oracle.perturb(rng.integers(0, 8, size=300), rng)
-                 for _ in range(3)]
+        reports = [oracle.perturb(rng.integers(0, 8, size=300), rng)
+                   for _ in range(3)]
+        parts = [oracle.fold(None, [report]) for report in reports]
         flat = merge_reports(list(parts))
         nested = merge_reports([merge_reports(parts[:2]), parts[2]])
-        np.testing.assert_allclose(oracle.estimate(flat),
-                                   oracle.estimate(nested))
+        assert flat.vector.tobytes() == \
+            oracle.fold(None, reports).vector.tobytes()
+        np.testing.assert_allclose(oracle.unbias(flat),
+                                   oracle.unbias(nested))
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_ingest_sanitize(self, name):

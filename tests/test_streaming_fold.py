@@ -4,9 +4,13 @@ The streaming collector keeps one folded state per grid
 (:class:`repro.fo.base.FoldedState`) instead of the admitted reports.
 These properties pin that the fold never changes an estimate: however a
 batch is split into reports, wherever the compactions fall, and with a
-checkpoint/restore in the middle, the grid's state unbiases to exactly
-the bytes one ``estimate`` of the merged rows gives — SHE's float sums
-included, since the fold keeps their left-fold order.
+checkpoint/restore in the middle, the grid's state equals the merge of
+the reports' one-report states (:func:`repro.core.merge.merge_reports`,
+the reduction every collection path uses) and unbiases to exactly its
+bytes — SHE's float sums included, since both keep their left-fold
+order. Local batches (``observe``) fold in their shard tasks; a grid's
+state after wire reports, a batch, and more wire reports is still one
+fold of all of them in arrival order.
 """
 
 from __future__ import annotations
@@ -74,18 +78,19 @@ def test_any_split_compaction_and_restore_equals_one_estimate(
             collector.compact()
     collector.compact()
 
-    merged = merge_reports(reports)
+    merged = merge_reports([oracle.fold(None, [report])
+                            for report in reports])
     state = collector._states[key]
     if sum(sizes) == 0:
         assert state is None
         return
-    assert state.n == sum(sizes) == collector.observed
-    expected = oracle.estimate(merged)
+    assert state.n == sum(sizes) == merged.n == collector.observed
+    expected = oracle.unbias(merged)
     got = oracle.unbias(state)
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
-    assert state.vector.tobytes() == \
-        oracle.fold(None, [merged]).vector.tobytes()
+    assert state.vector.tobytes() == merged.vector.tobytes() == \
+        oracle.fold(None, reports).vector.tobytes()
 
 
 @pytest.mark.parametrize("spec", STREAMABLE, ids=lambda s: s.name)
@@ -117,3 +122,50 @@ def test_zero_user_report_adds_nothing(dataset):
     forged.compact()
     assert forged._states[key].vector.tobytes() == \
         clean._states[key].vector.tobytes()
+
+
+def test_observe_between_wire_reports_keeps_arrival_order(dataset,
+                                                          monkeypatch):
+    """SHE's state is a float sum, so its bytes depend on the fold order.
+    Wire reports, then a locally observed batch (folded in its shard
+    tasks), then more wire reports must leave the grid holding one left
+    fold of all of them in arrival order: ``observe`` folds the pending
+    wire reports before it merges its shard states."""
+    spec = next(s for s in STREAMABLE if s.name == "she")
+    config = FelipConfig(epsilon=1.0, ingest_policy="strict",
+                         protocols=("she",), chunk_size=150)
+    collector = StreamingCollector(dataset.schema, config, dataset.n, rng=5)
+    key, oracle = target_grid(collector, spec)
+    observed = []
+    real_perturb = type(oracle).perturb
+
+    def recording_perturb(self, values, rng=None):
+        report = real_perturb(self, values, rng)
+        if self is oracle:
+            observed.append(report)
+        return report
+
+    monkeypatch.setattr(type(oracle), "perturb", recording_perturb)
+    rng = np.random.default_rng(17)
+
+    def wire_reports(sizes):
+        reports = [oracle.perturb(rng.integers(0, oracle.domain_size,
+                                               size=size), rng)
+                   for size in sizes]
+        del observed[-len(sizes):]
+        for report in reports:
+            assert collector.ingest_report(key, report)
+        return reports
+
+    before = wire_reports([30, 7])
+    collector.observe(dataset.records)
+    batch = list(observed)
+    assert len(batch) > 1  # several shards folded in their tasks
+    after = wire_reports([12])
+    collector.compact()
+
+    arrival = [*before, *batch, *after]
+    state = collector._states[key]
+    expected = oracle.fold(None, arrival)
+    assert state.n == expected.n
+    assert state.vector.tobytes() == expected.vector.tobytes()

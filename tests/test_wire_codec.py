@@ -158,8 +158,8 @@ class PaddedReport:
 class TestPayloadPads:
     def test_unaligned_array_gets_a_zero_pad(self):
         register(ProtocolSpec(name="padded", factory=lambda e, d: None,
-                              report_type=PaddedReport, mergeable=False,
-                              streamable=False, wire_code=250))
+                              report_type=PaddedReport, streamable=False,
+                              wire_code=250))
         try:
             report = PaddedReport(flags=np.arange(5, dtype=np.int8),
                                   values=np.arange(3, dtype=np.int64))
