@@ -165,6 +165,33 @@ def test_kernel_sw_transform(benchmark, backend):
             v, close, close_draws, far_draws, b, width, buckets))
 
 
+@pytest.fixture(scope="module")
+def batch_fit_grouping():
+    """batch-fit's collection input: 4·10⁶ records of 4 numerical
+    attributes at domain 256 and 2 categorical at 16, partitioned over
+    the 19 grids planned at ε=4, with the plan's cell tables."""
+    from repro.core import FelipConfig, partition_users, plan_grids
+    from repro.core.client import cell_tables
+    dataset = normal_dataset(4_000_000, num_numerical=4, num_categorical=2,
+                             numerical_domain=256, categorical_domain=16,
+                             rng=14)
+    plans = plan_grids(dataset.schema, FelipConfig(epsilon=4.0), dataset.n)
+    assert len(plans) == 19
+    labels = partition_users(dataset.n, len(plans), 15)
+    return dataset.records, labels, cell_tables(plans)
+
+
+@pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
+def test_kernel_group_cells_batch_fit(benchmark, backend,
+                                      batch_fit_grouping):
+    records, labels, tables = batch_fit_grouping
+    with fo_kernels.use_backend(backend):
+        fo_kernels.warm(["group_cells"])
+        benchmark.pedantic(
+            lambda: fo_kernels.group_cells(records, labels, tables),
+            rounds=5, iterations=1, warmup_rounds=1)
+
+
 def test_oue_round_trip(benchmark, values):
     oracle = OptimizedUnaryEncoding(1.0, _DOMAIN)
     rng = np.random.default_rng(5)

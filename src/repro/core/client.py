@@ -6,19 +6,21 @@ index with the grid's frequency oracle, spending the full budget ε. The
 batch simulation below is distributionally identical to ``n`` independent
 clients: every row uses independent randomness.
 
-:func:`collect_reports` groups the population with one radix-argsort pass
-(:func:`repro.core.parallel.group_orders`) and splits each group into
-``(group, chunk)`` shards that gather only the columns their grid
-encodes. Each shard is folded where it is perturbed: its task perturbs
-the slice, folds the report with the grid's oracle into a
+:func:`collect_reports` maps the records to every user's cell of their
+group's grid, grouped by group, in one kernel pass
+(:func:`repro.fo.kernels.group_cells`, over value→cell tables built once
+per plan by :func:`cell_tables`), and splits each group's cells into
+``(group, chunk)`` shards: zero-copy slices of that one array. Each
+shard is folded where it is perturbed: its task perturbs the cells,
+folds the report with the grid's oracle into a
 :class:`~repro.fo.base.FoldedState`, checks the report against the plan,
 and returns the state, so no per-user row outlives the task that drew
 it. The tasks run on :func:`repro.core.parallel.run_sharded` (a thread
 pool of ``workers``), and each group's states reduce in ``(group,
 chunk)`` order through :func:`repro.core.merge.merge_reports`.
-:func:`collect_reports_budget_split` and
-:meth:`repro.core.streaming.StreamingCollector.observe` run the same
-tasks.
+:meth:`repro.core.streaming.StreamingCollector.observe` runs the same
+grouping and tasks. :func:`collect_reports_budget_split` has nothing to
+group: its tasks encode their own row slice of the records.
 
 Determinism contract: with ``chunk_size=None`` each group perturbs in one
 shard on one child generator spawned per group, consumed exactly like
@@ -57,17 +59,14 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.merge import merge_reports
-from repro.core.parallel import (
-    ExecutionStats,
-    chunk_bounds,
-    group_orders,
-    run_sharded,
-)
+from repro.core.parallel import ExecutionStats, chunk_bounds, run_sharded
 from repro.core.planner import PlannedGrid
 from repro.errors import ProtocolError
+from repro.fo import kernels as fo_kernels
 from repro.fo.adaptive import make_oracle
 from repro.fo.base import FoldedState
 from repro.fo.registry import get as protocol_spec
+from repro.grids.grid import Grid2D
 from repro.robustness.policy import (
     IngestPolicy,
     IngestStats,
@@ -93,16 +92,36 @@ class GroupReport:
     group_size: int
 
 
-def _check_assignment(records: np.ndarray, assignment: np.ndarray,
-                      planned_grids: Sequence[PlannedGrid]) -> None:
-    if len(assignment) != len(records):
-        raise ProtocolError(
-            f"{len(assignment)} assignments for {len(records)} records")
-    if assignment.size and (assignment.min() < 0
-                            or assignment.max() >= len(planned_grids)):
-        raise ProtocolError(
-            f"assignment labels [{assignment.min()}, {assignment.max()}] "
-            f"outside [0, {len(planned_grids)}) planned groups")
+#: one group's ``(record column, value → cell table)`` pairs
+CellAxes = Tuple[Tuple[int, np.ndarray], ...]
+
+
+def cell_tables(planned_grids: Sequence[PlannedGrid]) -> List[CellAxes]:
+    """Each group's axes for :func:`repro.fo.kernels.group_cells`.
+
+    A table maps an attribute's codes to the grid's cells along that
+    axis (``Binning.cell_of`` over the whole domain); a 2-D grid's x
+    table is scaled by its y cell count, so a row's two entries sum to
+    its row-major cell, as :meth:`Grid2D.encode` computes it. An
+    interactive backend bins the raw codes itself, so its group gets the
+    identity table.
+    """
+    def table(binning, scale=1):
+        return binning.cell_of(np.arange(binning.domain_size)) * scale
+
+    axes: List[CellAxes] = []
+    for planned in planned_grids:
+        grid = planned.grid
+        if protocol_spec(planned.protocol).interactive_fit is not None:
+            axes.append(((grid.attr_index,
+                          np.arange(grid.attribute.domain_size)),))
+        elif isinstance(grid, Grid2D):
+            axes.append(((grid.attr_index_x,
+                          table(grid.binning_x, grid.binning_y.num_cells)),
+                         (grid.attr_index_y, table(grid.binning_y))))
+        else:
+            axes.append(((grid.attr_index, table(grid.binning)),))
+    return axes
 
 
 class _Verdict:
@@ -149,21 +168,23 @@ class _TaskBuilder:
         self.tasks: List[Callable[[], Any]] = []
         self.task_group: List[int] = []
 
-    def add_perturb(self, g: int, planned: PlannedGrid, oracle,
-                    columns: Sequence[np.ndarray],
-                    chunk_size: Optional[int], rng) -> None:
+    def add_perturb(self, g: int, oracle, rows: np.ndarray,
+                    chunk_size: Optional[int], rng,
+                    encode: Optional[Callable[[np.ndarray], np.ndarray]]
+                    = None) -> None:
         """One perturb-fold-check task per chunk of group ``g``'s rows.
 
-        ``rng`` is the group's generator: a single chunk perturbs on it,
-        several on one spawned child each.
+        ``rows`` are the group's cells, or with ``encode`` the records
+        each task maps to cells itself. ``rng`` is the group's
+        generator: a single chunk perturbs on it, several on one spawned
+        child each.
         """
         admit = self._admission(ReportSpec.from_oracle(oracle))
-        bounds = chunk_bounds(len(columns[0]), chunk_size)
+        bounds = chunk_bounds(len(rows), chunk_size)
         shard_rngs = [rng] if len(bounds) == 1 else spawn(rng, len(bounds))
         for (start, stop), shard_rng in zip(bounds, shard_rngs):
-            self.tasks.append(_shard_task(
-                planned, oracle, [c[start:stop] for c in columns],
-                shard_rng, admit))
+            self.tasks.append(_shard_task(oracle, rows[start:stop], encode,
+                                          shard_rng, admit))
             self.task_group.append(g)
 
     def add_interactive(self, g: int, planned: PlannedGrid,
@@ -225,7 +246,9 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
     records:
         The full ``(n, k)`` code matrix.
     assignment:
-        Group label per user (from :func:`repro.core.partition_users`).
+        Integer group label per user (from
+        :func:`repro.core.partition_users`); a label outside the plan, or
+        labels of any other dtype, raise :class:`ProtocolError`.
     planned_grids:
         The collection plan; group ``g`` reports on ``planned_grids[g]``.
     epsilon:
@@ -249,30 +272,26 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
         :func:`repro.core.parallel.run_sharded`; retried shards replay
         the same RNG stream.
     """
-    _check_assignment(records, assignment, planned_grids)
+    cells, offsets = fo_kernels.group_cells(records, assignment,
+                                            cell_tables(planned_grids))
     group_rngs = spawn(ensure_rng(rng), len(planned_grids))
-    order, offsets = group_orders(assignment, len(planned_grids))
 
     builder = _TaskBuilder(ingest, ingest_stats)
-    group_sizes: List[int] = []
     for g, planned in enumerate(planned_grids):
-        indices = order[offsets[g]:offsets[g + 1]]
-        group_sizes.append(len(indices))
-        if len(indices) == 0 or planned.num_cells < 2:
+        group = cells[offsets[g]:offsets[g + 1]]
+        if len(group) == 0 or planned.num_cells < 2:
             continue
         if protocol_spec(planned.protocol).interactive_fit is not None:
-            # Interactive backends consume their whole group; one shard.
-            builder.add_interactive(
-                g, planned, records[:, planned.grid.attr_index][indices],
-                epsilon, group_rngs[g])
+            # Interactive backends consume their whole group (raw codes,
+            # through the identity table); one shard.
+            builder.add_interactive(g, planned, group, epsilon,
+                                    group_rngs[g])
             continue
         builder.add_perturb(
-            g, planned,
-            make_oracle(planned.protocol, epsilon, planned.num_cells),
-            [records[:, t][indices] for t in planned.grid.column_indices],
-            chunk_size, group_rngs[g])
-    return _execute(builder, planned_grids, group_sizes, workers, retries,
-                    fault_injector, exec_stats)
+            g, make_oracle(planned.protocol, epsilon, planned.num_cells),
+            group, chunk_size, group_rngs[g])
+    return _execute(builder, planned_grids, np.diff(offsets).tolist(),
+                    workers, retries, fault_injector, exec_stats)
 
 
 def _execute(builder: _TaskBuilder, planned_grids: Sequence[PlannedGrid],
@@ -290,12 +309,14 @@ def _execute(builder: _TaskBuilder, planned_grids: Sequence[PlannedGrid],
                 group_sizes)]
 
 
-def _shard_task(planned: PlannedGrid, oracle, columns: List[np.ndarray],
+def _shard_task(oracle, rows: np.ndarray,
+                encode: Optional[Callable[[np.ndarray], np.ndarray]],
                 rng, admit: Optional[Callable[[Any], _Verdict]]
                 ) -> Callable[[], Tuple[FoldedState, Optional[_Verdict]]]:
-    """Encode-perturb-fold-check closure for one (group, chunk) shard.
+    """Perturb-fold-check closure for one (group, chunk) shard.
 
-    Returns the shard's folded state with its report's verdict
+    ``rows`` are the shard's cells, or the records ``encode`` maps to
+    cells. Returns the shard's folded state with its report's verdict
     (``None`` when ``admit`` is). The check runs after the fold, so only
     an attempt that completes holds a verdict. The generator state is
     snapshotted at construction and restored on every entry, so a
@@ -307,7 +328,8 @@ def _shard_task(planned: PlannedGrid, oracle, columns: List[np.ndarray],
 
     def run():
         rng.bit_generator.state = state
-        report = oracle.perturb(planned.grid.encode_columns(*columns), rng)
+        cells = rows if encode is None else encode(rows)
+        report = oracle.perturb(cells, rng)
         folded = oracle.fold(None, [report])
         return folded, None if admit is None else admit(report)
     return run
@@ -347,7 +369,7 @@ def collect_reports_budget_split(records: np.ndarray,
     :func:`collect_reports`; the paper proves (and the ablation benchmark
     shows) this variant always has higher variance. Shares the sharded
     executor and its determinism contract (shards here are (grid, chunk)
-    slices of the whole population).
+    slices of the whole population, each encoded in its task).
     """
     if not planned_grids:
         raise ProtocolError("no grids planned")
@@ -370,10 +392,8 @@ def collect_reports_budget_split(records: np.ndarray,
         if len(records) == 0 or planned.num_cells < 2:
             continue
         builder.add_perturb(
-            g, planned,
-            make_oracle(planned.protocol, epsilon_each, planned.num_cells),
-            [records[:, t] for t in planned.grid.column_indices],
-            chunk_size, grid_rngs[g])
+            g, make_oracle(planned.protocol, epsilon_each, planned.num_cells),
+            records, chunk_size, grid_rngs[g], encode=planned.grid.encode)
     return _execute(builder, planned_grids,
                     [len(records)] * len(planned_grids), workers, retries,
                     fault_injector, exec_stats)

@@ -1,19 +1,18 @@
 """Sharded execution of the collection pipeline.
 
 The FELIP collection phase is embarrassingly parallel: every (group, chunk)
-shard of the population encodes, perturbs and folds independently, and
-every attribute pair's response matrix fits independently on the server.
+shard of the population perturbs and folds independently, and every
+attribute pair's response matrix fits independently on the server.
 This module provides the shared executor for both sides:
 
 * :func:`run_sharded` — run shard tasks (zero-argument callables) on a
   thread pool and return results **in task order**, so downstream
   reductions are deterministic no matter how the scheduler interleaves
   shards. ``workers <= 1`` runs them inline with no pool. Shards are
-  zero-copy views handed to kernels that release the GIL for their heavy
-  parts (generator sampling, searchsorted, the splitmix64 hash chain).
-* :func:`group_orders` — single-pass grouping of the population by group
-  label (one uint8/uint16 radix argsort instead of ``m`` boolean-mask scans
-  of the full record matrix — the serial path's dominant cost).
+  zero-copy slices of the grouped cells that
+  :func:`repro.fo.kernels.group_cells` builds in one pass before any
+  shard runs, handed to kernels that release the GIL for their heavy
+  parts (generator sampling, the splitmix64 hash chain).
 * :func:`chunk_bounds` — deterministic chunk geometry for one group.
 * :class:`StageTimings` — cumulative wall-clock counters per pipeline
   stage, surfaced on the aggregator.
@@ -60,8 +59,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
 from repro.robustness.faults import backoff_delay
@@ -251,29 +248,6 @@ def run_sharded(tasks: Sequence[Callable[[], object]],
         raise
     pool.shutdown(wait=True)
     return results
-
-
-def group_orders(assignment: np.ndarray,
-                 num_groups: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row order grouped by label, plus per-group slice offsets.
-
-    Returns ``(order, offsets)`` where ``order[offsets[g]:offsets[g+1]]``
-    are the indices of group ``g``'s rows **in their original order**
-    (stable sort), matching ``np.flatnonzero(assignment == g)`` exactly —
-    the property the bit-for-bit serial-equivalence contract rests on.
-    Labels are narrowed to the smallest integer width first, so the stable
-    argsort is a one-or-two-pass radix sort instead of a full 64-bit sort.
-    """
-    if num_groups <= np.iinfo(np.uint8).max:
-        labels = assignment.astype(np.uint8, copy=False)
-    elif num_groups <= np.iinfo(np.uint16).max:
-        labels = assignment.astype(np.uint16, copy=False)
-    else:
-        labels = assignment
-    order = np.argsort(labels, kind="stable")
-    counts = np.bincount(assignment, minlength=num_groups)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return order, offsets
 
 
 def chunk_bounds(size: int, chunk_size: int = None) -> List[Tuple[int, int]]:

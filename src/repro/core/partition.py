@@ -28,5 +28,9 @@ def group_sizes(n: int, m: int) -> np.ndarray:
 
 
 def partition_users(n: int, m: int, rng: RngLike = None) -> np.ndarray:
-    """Random group label (``0..m-1``) for each of ``n`` users."""
+    """Random group label (``0..m-1``) for each of ``n`` users.
+
+    The labels have the narrowest unsigned dtype that holds ``m`` groups
+    (:func:`repro.rng.label_dtype`: one byte per user up to 256 groups).
+    """
     return permuted_group_assignment(n, group_sizes(n, m), ensure_rng(rng))

@@ -118,9 +118,11 @@ class Aggregator:
         with self.timings.time("plan"):
             self.plans = plan_grids(self.schema, self.config, dataset.n)
         with self.timings.time("warm"):
-            # Warm exactly the kernels the planned protocols dispatch to,
-            # so compile/load cost shows up here — never inside collect.
-            fo_kernels.warm(kernels_for(p.protocol for p in self.plans))
+            # Warm the grouping pass and exactly the kernels the planned
+            # protocols dispatch to, so compile/load cost shows up here —
+            # never inside collect.
+            fo_kernels.warm(("group_cells",
+                             *kernels_for(p.protocol for p in self.plans)))
         with self.timings.time("collect"):
             if self.config.partition_mode == "budget":
                 # Theorem 5.1 strawman: everyone reports every grid with

@@ -14,10 +14,11 @@ matter to its estimate only through a fixed-length sufficient statistic
 a GRR histogram, HR's signed projections, or the sums a unary/histogram/
 square-wave report already carries). The collector therefore keeps one
 folded state per grid plus the wire reports admitted since the last
-fold. :meth:`StreamingCollector.observe` perturbs a batch on the same
-shard tasks as the batch collector (:mod:`repro.core.client`): each
-shard is folded where it is perturbed, and the shard states merge into
-the grid's state through :func:`repro.core.merge.merge_reports`.
+fold. :meth:`StreamingCollector.observe` groups a batch's cells with the
+batch collector's kernel pass (over tables built once at construction)
+and perturbs them on the same shard tasks (:mod:`repro.core.client`):
+each shard is folded where it is perturbed, and the shard states merge
+into the grid's state through :func:`repro.core.merge.merge_reports`.
 :meth:`StreamingCollector.compact` folds each grid's pending wire
 reports with one kernel call over their concatenation and drops them,
 so the retained state is O(Σ cells) plus at most one compaction interval
@@ -46,13 +47,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.client import GroupReport, _TaskBuilder
+from repro.core.client import GroupReport, _TaskBuilder, cell_tables
 from repro.core.config import FelipConfig
 from repro.core.merge import merge_reports
-from repro.core.parallel import ExecutionStats, group_orders, run_sharded
+from repro.core.parallel import ExecutionStats, run_sharded
 from repro.core.planner import PlannedGrid, plan_grids
 from repro.core.server import Aggregator
-from repro.errors import ConfigurationError, ProtocolError
+from repro.data.dataset import Dataset
+from repro.errors import ConfigurationError, DataError, ProtocolError
+from repro.fo import kernels as fo_kernels
 from repro.fo.adaptive import make_oracle
 from repro.fo.base import FoldedState
 from repro.fo.registry import get as protocol_spec
@@ -146,6 +149,7 @@ class StreamingCollector:
         self._specs = {key: ReportSpec.from_oracle(oracle)
                        for key, oracle in self._oracles.items()}
         self._group_of = {p.key: g for g, p in enumerate(self.plans)}
+        self._tables = cell_tables(self.plans)
 
     def observe(self, records: np.ndarray, rng: RngLike = None) -> int:
         """Ingest one batch of arriving users (``(b, k)`` code matrix).
@@ -160,41 +164,49 @@ class StreamingCollector:
         every dropped report still inflated ``n`` and biased all frequency
         estimates low.) Each shard is folded and checked in its task, and
         the batch's shard states are merged into the grid states before
-        this returns. A batch that raises (a shard failed for good, or a
-        ``strict`` rejection) leaves the collector's state and accounting
-        as they were. Returns the number of users admitted from this
-        batch.
+        this returns. Codes are checked as :class:`~repro.data.Dataset`
+        checks them: integer-valued floats convert, any other
+        non-integer batch raises :class:`ProtocolError`. A batch that
+        raises (a code outside its domain, a shard failed for good, or a
+        ``strict`` rejection) leaves the collector's state, admission
+        accounting and generator as they were, so later batches perturb
+        as if it had never arrived; only ``exec_stats`` counts the failed
+        shard. Returns the number of users admitted from this batch.
         """
-        records = np.asarray(records)
-        if records.ndim != 2 or records.shape[1] != len(self.schema):
-            raise ProtocolError(
-                f"batch shape {records.shape} does not match schema with "
-                f"{len(self.schema)} attributes")
-        rng = self._rng if rng is None else ensure_rng(rng)
-        assignment = rng.integers(0, len(self.plans), size=len(records))
-        group_rngs = spawn(rng, len(self.plans))
-        order, offsets = group_orders(assignment, len(self.plans))
-        builder = _TaskBuilder(self.ingest_policy, self.ingest_stats,
-                               source="local")
-        trusted = np.zeros(len(self.plans), dtype=np.int64)
-        for g, plan in enumerate(self.plans):
-            indices = order[offsets[g]:offsets[g + 1]]
-            if len(indices) == 0:
-                continue
-            if plan.num_cells < 2:
-                # A single-cell grid's members need no report.
-                trusted[g] = len(indices)
-                continue
-            # Chunked exactly like the batch collector, so parallelism is
-            # not capped at the group count.
-            builder.add_perturb(
-                g, plan, self._oracles[plan.key],
-                [records[:, t][indices] for t in plan.grid.column_indices],
-                self.config.chunk_size, group_rngs[g])
-        results = run_sharded(builder.tasks, self.config.workers,
-                              retries=self.config.shard_retries,
-                              fault_injector=self.fault_injector,
-                              stats=self.exec_stats)
+        try:
+            records = Dataset(self.schema, records, validate=False).records
+        except DataError as exc:
+            raise ProtocolError(f"batch rejected: {exc}") from None
+        rewind = self._rng.bit_generator.state
+        try:
+            rng = self._rng if rng is None else ensure_rng(rng)
+            assignment = rng.integers(0, len(self.plans),
+                                      size=len(records))
+            group_rngs = spawn(rng, len(self.plans))
+            cells, offsets = fo_kernels.group_cells(records, assignment,
+                                                    self._tables)
+            builder = _TaskBuilder(self.ingest_policy, self.ingest_stats,
+                                   source="local")
+            trusted = np.zeros(len(self.plans), dtype=np.int64)
+            for g, plan in enumerate(self.plans):
+                group = cells[offsets[g]:offsets[g + 1]]
+                if len(group) == 0:
+                    continue
+                if plan.num_cells < 2:
+                    # A single-cell grid's members need no report.
+                    trusted[g] = len(group)
+                    continue
+                # Chunked exactly like the batch collector, so
+                # parallelism is not capped at the group count.
+                builder.add_perturb(g, self._oracles[plan.key], group,
+                                    self.config.chunk_size, group_rngs[g])
+            results = run_sharded(builder.tasks, self.config.workers,
+                                  retries=self.config.shard_retries,
+                                  fault_injector=self.fault_injector,
+                                  stats=self.exec_stats)
+        except BaseException:
+            self._rng.bit_generator.state = rewind
+            raise
         # Every shard has run: only now is any of the batch accounted.
         accepted = int(trusted.sum())
         self._group_sizes += trusted

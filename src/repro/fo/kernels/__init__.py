@@ -1,9 +1,11 @@
 """Compiled-kernel dispatch with a guaranteed numpy fallback.
 
 The hot loops of every frequency oracle — perturb-apply, unary-encoding
-accumulation, support-counting sweeps, SW bucketing, merge folds — are
-defined once in :mod:`repro.fo.kernels.numpy_impl` and optionally
-*replaced* by a compiled implementation at call time:
+accumulation, support-counting sweeps, SW bucketing, merge folds — and
+the collection's grouping pass (:func:`group_cells`: records to every
+user's grid cell, grouped by label) are defined once in
+:mod:`repro.fo.kernels.numpy_impl` and optionally *replaced* by a
+compiled implementation at call time:
 
 ========  =====================================================
 backend   provided by
@@ -11,8 +13,12 @@ backend   provided by
 cc        :mod:`c_impl` — C source compiled at first use with the
           host toolchain (``cc``/``gcc``/``clang``), cached as a
           shared library, loaded via ctypes; its support sweep runs
-          on AVX-512 when the CPU has it (:func:`backend_report`)
-numpy     :mod:`numpy_impl` — always present, always last
+          on AVX-512 when the CPU has it (:func:`backend_report`),
+          and its grouping pass is one sequential pass over the
+          records
+numpy     :mod:`numpy_impl` — always present, always last; groups
+          with a stable argsort of the labels, a gather and a table
+          lookup per grid axis
 ========  =====================================================
 
 Selection is *per kernel*, lazy, and failure-proof: backends are tried
@@ -29,11 +35,13 @@ monkeypatching both work):
   Unknown names are recorded as errors and degrade to numpy.
 
 **Bit-identity contract.** Every compiled kernel returns bit-identical
-output to its numpy reference on every input: kernels are pure
-transforms of *pre-drawn* random arrays (the orchestration layer owns
-the single ``np.random.Generator`` and the draw order), integer kernels
-share exact modular arithmetic, and float kernels replicate numpy's
-sequential accumulation order without FMA or reassociation. Property
+output to its numpy reference on every input, and raises the same error
+type on the same invalid input: kernels are pure transforms of
+*pre-drawn* random arrays (the orchestration layer owns the single
+``np.random.Generator`` and the draw order; :func:`group_cells` takes
+no draws at all), integer kernels share exact modular arithmetic, and
+float kernels replicate numpy's sequential accumulation order without
+FMA or reassociation. Property
 tests in ``tests/test_kernels.py`` enforce this per kernel and
 end-to-end. Consequently pipeline output remains a pure function of
 ``(seed, chunk_size)`` regardless of backend — switching backends is
@@ -56,6 +64,7 @@ import numpy as np
 from repro.errors import ProtocolError
 from repro.fo.hashing import DEFAULT_TILE_BYTES
 from repro.fo.kernels import c_impl, numpy_impl
+from repro.rng import label_dtype
 
 #: canonical kernel set — numpy implements all of them by construction
 KERNEL_NAMES: Tuple[str, ...] = tuple(numpy_impl.KERNELS)
@@ -255,6 +264,10 @@ def _sample_calls() -> Dict[str, Callable[[], None]]:
         fold_arrays([np.arange(3, dtype=i64), np.arange(3, dtype=i64)])
         fold_arrays([np.linspace(0, 1, 3), np.linspace(1, 2, 3)])
 
+    def _group():
+        group_cells(np.zeros((2, 1), i64), np.array([1, 0], np.uint8),
+                    [((0, np.zeros(1, i64)),), ()])
+
     return {
         "grr_apply": _grr,
         "ue_accumulate": _ue,
@@ -265,6 +278,7 @@ def _sample_calls() -> Dict[str, Callable[[], None]]:
         "hr_supports": _hr_sup,
         "sw_transform": _sw,
         "fold_arrays": _fold,
+        "group_cells": _group,
     }
 
 
@@ -441,11 +455,62 @@ def fold_arrays(arrays):
     return _resolve("fold_arrays")[1](arrays)
 
 
+def group_cells(records, labels, axes):
+    """Every user's grid cell, grouped by label: ``(cells, offsets)``.
+
+    ``records`` is the ``(n, k)`` integer code matrix and ``labels`` each
+    row's group in ``[0, len(axes))``. ``axes[g]`` lists group ``g``'s
+    ``(record column, table)`` pairs, and a row's cell is the sum of
+    ``table[records[row, column]]`` over its group's pairs (a 2-D grid's
+    x table comes pre-multiplied by its y cell count; an identity table
+    passes raw codes through). Returns the int64 cells and the int64
+    ``offsets``: ``cells[offsets[g]:offsets[g + 1]]`` are group ``g``'s
+    cells in row order. Only the columns a row's group reads are
+    checked: a code outside its table raises
+    :class:`~repro.errors.GridError`.
+    """
+    records = np.asarray(records)
+    labels = np.asarray(labels)
+    if records.ndim != 2 or records.dtype.kind not in "iu":
+        raise ProtocolError(
+            f"group_cells: records must be a 2-D integer matrix, got "
+            f"{records.dtype} of shape {records.shape}")
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ProtocolError(
+            f"group_cells: labels must be a 1-D array of integer group "
+            f"labels, got {labels.dtype} of shape {labels.shape}")
+    if len(labels) != len(records):
+        raise ProtocolError(
+            f"group_cells: {len(labels)} labels for {len(records)} "
+            f"records")
+    # Range first, then narrow: a negative int64 label must not wrap
+    # into range as an unsigned one.
+    if labels.size and (labels.min() < 0 or labels.max() >= len(axes)):
+        raise ProtocolError(
+            f"group_cells: labels [{labels.min()}, {labels.max()}] "
+            f"outside [0, {len(axes)}) groups")
+    checked = []
+    for pairs in axes:
+        group = []
+        for column, table in pairs:
+            table = _c(table, np.int64)
+            if not 0 <= column < records.shape[1] or table.ndim != 1:
+                raise ProtocolError(
+                    f"group_cells: axis ({column}, table of shape "
+                    f"{table.shape}) does not fit {records.shape[1]} "
+                    f"record columns")
+            group.append((int(column), table))
+        checked.append(tuple(group))
+    return _resolve("group_cells")[1](_c(records, np.int64),
+                                      _c(labels, label_dtype(len(axes))),
+                                      tuple(checked))
+
+
 __all__ = [
     "KERNEL_NAMES", "BACKEND_PREFERENCE",
     "available_backends", "active_backends", "backend_report",
     "use_backend", "warm", "reset_for_tests",
     "grr_apply", "ue_accumulate", "he_sum_accumulate",
     "he_threshold_accumulate", "support_counts", "hr_apply",
-    "hr_supports", "sw_transform", "fold_arrays",
+    "hr_supports", "sw_transform", "fold_arrays", "group_cells",
 ]

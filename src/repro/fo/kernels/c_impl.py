@@ -198,6 +198,44 @@ void repro_fold_f64(const double **arrs, int64_t k, int64_t m,
     }
 }
 
+/* Group rows by label and map each to its grid cell in one pass over
+   the records. A counting pass sizes the groups; the second pass writes
+   each row's cell into its group's next slot, so a group's cells keep
+   row order. A row's cell is the sum of its group's axis tables at the
+   row's codes (group g's axes are bounds[g] .. bounds[g+1]-1; axis a
+   reads record column columns[a] through lookup[starts[a] ..
+   starts[a+1]-1]). Labels are in [0, m) (checked by the caller); a code
+   outside its table stops the pass and returns its axis, else -1. */
+#define REPRO_GROUP_CELLS(NAME, LABEL_T)                                   \
+int64_t NAME(const int64_t *records, int64_t n, int64_t k,                 \
+             const LABEL_T *labels, int64_t m, const int64_t *bounds,      \
+             const int64_t *columns, const int64_t *starts,                \
+             const int64_t *lookup, int64_t *offsets, int64_t *cursor,     \
+             int64_t *out) {                                               \
+    for (int64_t g = 0; g <= m; g++) offsets[g] = 0;                       \
+    for (int64_t i = 0; i < n; i++) offsets[(int64_t)labels[i] + 1]++;     \
+    for (int64_t g = 0; g < m; g++) {                                      \
+        cursor[g] = offsets[g];                                            \
+        offsets[g + 1] += offsets[g];                                      \
+    }                                                                      \
+    for (int64_t i = 0; i < n; i++) {                                      \
+        int64_t g = (int64_t)labels[i];                                    \
+        const int64_t *row = records + i * k;                              \
+        int64_t cell = 0;                                                  \
+        for (int64_t a = bounds[g]; a < bounds[g + 1]; a++) {              \
+            uint64_t code = (uint64_t)row[columns[a]];                     \
+            if (code >= (uint64_t)(starts[a + 1] - starts[a])) return a;   \
+            cell += lookup[starts[a] + (int64_t)code];                     \
+        }                                                                  \
+        out[cursor[g]++] = cell;                                           \
+    }                                                                      \
+    return -1;                                                             \
+}
+
+REPRO_GROUP_CELLS(repro_group_cells_u8, uint8_t)
+REPRO_GROUP_CELLS(repro_group_cells_u16, uint16_t)
+REPRO_GROUP_CELLS(repro_group_cells_i64, int64_t)
+
 int repro_has_avx512(void) {
 #if defined(__x86_64__)
     __builtin_cpu_init();
@@ -336,6 +374,11 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
 _SOURCE_TAG = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
 
+#: the grouping pass's entry point per label width in bytes (the
+#: dispatch layer narrows labels with :func:`repro.rng.label_dtype`)
+_GROUP_CELLS = {1: "repro_group_cells_u8", 2: "repro_group_cells_u16",
+                8: "repro_group_cells_i64"}
+
 #: the support sweep's entry point per path; the loaded library serves
 #: ``"avx512"`` when the CPU has AVX-512F and AVX-512DQ, else ``"scalar"``
 _SWEEPS = {"scalar": "repro_support_counts",
@@ -432,6 +475,12 @@ def _bind(lib: ctypes.CDLL) -> None:
         fn = getattr(lib, name)
         fn.argtypes = list(argtypes)
         fn.restype = None
+    for name in _GROUP_CELLS.values():
+        fn = getattr(lib, name)
+        fn.argtypes = [c_void_p, c_int64, c_int64, c_void_p, c_int64,
+                       c_void_p, c_void_p, c_void_p, c_void_p, c_void_p,
+                       c_void_p, c_void_p]
+        fn.restype = c_int64
 
 
 def _cpu_has_avx512(lib: ctypes.CDLL) -> bool:
@@ -584,6 +633,29 @@ def fold_arrays(arrays):
     return out
 
 
+def group_cells(records, labels, axes):
+    n, k = records.shape
+    # Flatten the per-group (column, table) pairs for the library.
+    pairs = [pair for group in axes for pair in group]
+    bounds = np.cumsum([0] + [len(group) for group in axes], dtype=np.int64)
+    columns = np.array([column for column, _ in pairs], dtype=np.int64)
+    starts = np.cumsum([0] + [len(table) for _, table in pairs],
+                       dtype=np.int64)
+    lookup = np.concatenate([np.zeros(0, dtype=np.int64)]
+                            + [table for _, table in pairs])
+    offsets = np.empty(len(axes) + 1, dtype=np.int64)
+    cursor = np.empty(len(axes), dtype=np.int64)
+    cells = np.empty(n, dtype=np.int64)
+    bad = getattr(_load(), _GROUP_CELLS[labels.dtype.itemsize])(
+        _ptr(records), n, k, _ptr(labels), len(axes), _ptr(bounds),
+        _ptr(columns), _ptr(starts), _ptr(lookup), _ptr(offsets),
+        _ptr(cursor), _ptr(cells))
+    if bad >= 0:
+        raise numpy_impl.domain_error(int(columns[bad]),
+                                      int(starts[bad + 1] - starts[bad]))
+    return cells, offsets
+
+
 def kernels() -> Dict[str, Callable]:
     """Load (compiling if needed) and return every kernel this backend
     implements. Raises when no compiler/library is usable; the dispatch
@@ -599,4 +671,5 @@ def kernels() -> Dict[str, Callable]:
         "hr_supports": hr_supports,
         "sw_transform": sw_transform,
         "fold_arrays": fold_arrays,
+        "group_cells": group_cells,
     }

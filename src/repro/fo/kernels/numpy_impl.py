@@ -12,7 +12,8 @@ library never *requires* a compiler.
 Kernels are pure transforms: they receive pre-drawn random arrays from
 the orchestration layer and never touch an RNG themselves (the
 draw/transform split that keeps output a pure function of
-``(seed, chunk_size)`` across backends).
+``(seed, chunk_size)`` across backends). :func:`group_cells`, which
+groups the population's cells by label, takes no draws at all.
 
 Inputs arrive pre-normalized by the dispatch wrappers (correct dtypes,
 C-contiguous); implementations may rely on that.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import GridError
 from repro.fo.hashing import tiled_support_counts
 
 #: domain values per vectorized tile of :func:`hr_supports` (bounds peak
@@ -158,6 +160,39 @@ def fold_arrays(arrays) -> np.ndarray:
     return out
 
 
+def domain_error(column: int, size: int) -> GridError:
+    """The error :func:`group_cells` raises, on every backend, for a code
+    outside its axis table."""
+    return GridError(f"group_cells: codes in record column {column} "
+                     f"outside domain [0, {size})")
+
+
+def group_cells(records: np.ndarray, labels: np.ndarray,
+                axes) -> tuple:
+    """Every row's grid cell, grouped by label: ``(cells, offsets)``.
+
+    ``cells[offsets[g]:offsets[g + 1]]`` are the cells of group ``g``'s
+    rows in row order; a row's cell is the sum of ``table[records[row,
+    column]]`` over its group's ``axes[g]`` pairs. The reference path:
+    one stable argsort of the labels, then per group one gather and one
+    table lookup per axis.
+    """
+    offsets = np.zeros(len(axes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=len(axes)), out=offsets[1:])
+    order = np.argsort(labels, kind="stable")
+    cells = np.zeros(len(labels), dtype=np.int64)
+    for g, pairs in enumerate(axes):
+        rows = order[offsets[g]:offsets[g + 1]]
+        out = cells[offsets[g]:offsets[g + 1]]
+        for column, table in pairs:
+            codes = records[:, column][rows]
+            if codes.size and (codes.min() < 0
+                               or codes.max() >= len(table)):
+                raise domain_error(column, len(table))
+            out += table[codes]
+    return cells, offsets
+
+
 #: every kernel this backend implements (the full set, by construction)
 KERNELS = {
     "grr_apply": grr_apply,
@@ -169,4 +204,5 @@ KERNELS = {
     "hr_supports": hr_supports,
     "sw_transform": sw_transform,
     "fold_arrays": fold_arrays,
+    "group_cells": group_cells,
 }

@@ -69,21 +69,7 @@ class Grid1D:
 
     def encode(self, records: np.ndarray) -> np.ndarray:
         """Map full records ``(n, k)`` to this grid's cell indices."""
-        return self.encode_columns(records[:, self.attr_index])
-
-    def encode_columns(self, codes: np.ndarray) -> np.ndarray:
-        """Map the attribute's code column directly to cell indices.
-
-        The sharded collection executor gathers only the columns a grid
-        needs; this entry point skips the full-record slicing of
-        :meth:`encode` while producing identical cells.
-        """
-        return self.binning.cell_of(codes)
-
-    @property
-    def column_indices(self) -> Tuple[int, ...]:
-        """The record columns :meth:`encode_columns` consumes, in order."""
-        return (self.attr_index,)
+        return self.binning.cell_of(records[:, self.attr_index])
 
     def __repr__(self) -> str:
         return (f"Grid1D({self.attribute.name}, "
@@ -130,25 +116,11 @@ class Grid2D:
         return (self.attr_index_x, self.attr_index_y)
 
     def encode(self, records: np.ndarray) -> np.ndarray:
-        """Map full records ``(n, k)`` to flattened cell indices."""
-        return self.encode_columns(records[:, self.attr_index_x],
-                                   records[:, self.attr_index_y])
-
-    def encode_columns(self, codes_x: np.ndarray,
-                       codes_y: np.ndarray) -> np.ndarray:
-        """Map the pair's code columns directly to flattened cell indices.
-
-        Column-wise counterpart of :meth:`encode` (see
-        :meth:`Grid1D.encode_columns`); row-major cell order is identical.
-        """
-        cx = self.binning_x.cell_of(codes_x)
-        cy = self.binning_y.cell_of(codes_y)
+        """Map full records ``(n, k)`` to flattened (row-major) cell
+        indices."""
+        cx = self.binning_x.cell_of(records[:, self.attr_index_x])
+        cy = self.binning_y.cell_of(records[:, self.attr_index_y])
         return cx * self.binning_y.num_cells + cy
-
-    @property
-    def column_indices(self) -> Tuple[int, ...]:
-        """The record columns :meth:`encode_columns` consumes, in order."""
-        return (self.attr_index_x, self.attr_index_y)
 
     def __repr__(self) -> str:
         return (f"Grid2D({self.attribute_x.name} x {self.attribute_y.name}, "

@@ -15,11 +15,29 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.client import GroupReport, _check_assignment
+from repro.core.client import GroupReport
 from repro.core.planner import PlannedGrid
+from repro.errors import ProtocolError
 from repro.fo.adaptive import make_oracle
 from repro.fo.registry import get as protocol_spec
 from repro.rng import RngLike, ensure_rng, spawn
+
+
+def _check_assignment(records: np.ndarray, assignment: np.ndarray,
+                      planned_grids: Sequence[PlannedGrid]) -> None:
+    """The reference's own check of the labels: integers, one per
+    record, each naming a planned group."""
+    if assignment.dtype.kind not in "iu":
+        raise ProtocolError(
+            f"assignment must hold integer labels, got {assignment.dtype}")
+    if len(assignment) != len(records):
+        raise ProtocolError(
+            f"{len(assignment)} assignments for {len(records)} records")
+    if assignment.size and (assignment.min() < 0
+                            or assignment.max() >= len(planned_grids)):
+        raise ProtocolError(
+            f"assignment labels [{assignment.min()}, {assignment.max()}] "
+            f"outside [0, {len(planned_grids)}) planned groups")
 
 
 def collect_reports_serial(records: np.ndarray, assignment: np.ndarray,

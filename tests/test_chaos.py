@@ -22,7 +22,7 @@ from repro.core import StreamingCollector, plan_grids
 from repro.core.client import collect_reports
 from repro.core.parallel import ExecutionStats, StageTimings, run_sharded
 from repro.data import normal_dataset
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, GridError, ProtocolError
 from repro.queries import Query, between
 from repro.robustness import (
     FaultInjector,
@@ -252,6 +252,60 @@ class TestFailedRunsRecordNothing:
                 assert model.estimate_for(plan.key).frequencies \
                     .tobytes() == expected.estimate_for(plan.key) \
                     .frequencies.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failed_observe_rewinds_the_stream(self, dataset, workers):
+        """The same scenario on the collector's own generator (no
+        ``rng`` on any batch): the failed batch leaves the generator
+        where it was, so the failed stream's estimates and checkpoint
+        are the clean stream's. Only the executor's accounting still
+        shows the lost shard."""
+        config = FelipConfig(epsilon=1.0, ingest_policy="drop",
+                             workers=workers, chunk_size=1_000)
+
+        def stream():
+            return StreamingCollector(dataset.schema, config,
+                                      expected_users=dataset.n, rng=23)
+
+        first, second = dataset.records[:6_000], dataset.records[6_000:]
+        clean, failed = stream(), stream()
+        for collector in (clean, failed):
+            collector.observe(first)
+        failed.fault_injector = FaultInjector(poison=[2])
+        with pytest.raises(PoisonedShardError):
+            failed.observe(second)
+        failed.fault_injector = None
+        for collector in (clean, failed):
+            collector.observe(second)
+        expected, model = clean.finalize(), failed.finalize()
+        for plan in expected.plans:
+            assert model.estimate_for(plan.key).frequencies.tobytes() \
+                == expected.estimate_for(plan.key).frequencies.tobytes()
+        assert failed.exec_stats.failed_shards == 1
+        clean.exec_stats.load_state(failed.exec_stats.state_dict())
+        assert save_checkpoint(failed) == save_checkpoint(clean)
+
+    def test_out_of_domain_batch_rewinds_the_stream(self, dataset):
+        """A code outside its domain is refused by the grouping pass
+        before any shard runs; the stream carries on as if the batch
+        had never arrived, checkpoint bytes included."""
+        config = FelipConfig(epsilon=1.0)
+
+        def stream():
+            return StreamingCollector(dataset.schema, config,
+                                      expected_users=dataset.n, rng=29)
+
+        first, second = dataset.records[:6_000], dataset.records[6_000:]
+        poisoned = second.copy()
+        poisoned[:, 0] = dataset.schema[0].domain_size
+        clean, failed = stream(), stream()
+        for collector in (clean, failed):
+            collector.observe(first)
+        with pytest.raises(GridError):
+            failed.observe(poisoned)
+        for collector in (clean, failed):
+            collector.observe(second)
+        assert save_checkpoint(failed) == save_checkpoint(clean)
 
     def test_failed_observe_counts_no_single_cell_users(self):
         """Members of a single-cell grid carry no report and are trusted;

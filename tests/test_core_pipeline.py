@@ -57,6 +57,28 @@ class TestCollectReports:
         with pytest.raises(ProtocolError):
             collect_reports(small_dataset.records, bad, plans, 1.0)
 
+    @pytest.mark.parametrize("label", [-256, -65536])
+    def test_negative_label_does_not_wrap_into_range(self, small_dataset,
+                                                     label):
+        """Labels narrow to one or two bytes only after their range is
+        checked: as uint8 or uint16 these would read as group 0."""
+        config = FelipConfig(epsilon=1.0)
+        plans = plan_grids(small_dataset.schema, config, small_dataset.n)
+        bad = np.arange(small_dataset.n) % len(plans)
+        bad[5] = label
+        with pytest.raises(ProtocolError, match="outside"):
+            collect_reports(small_dataset.records, bad, plans, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_assignment_rejected(self, small_dataset, dtype):
+        """A float assignment is not truncated and a boolean one is not
+        read as groups 0 and 1: both raise, naming the dtype."""
+        config = FelipConfig(epsilon=1.0)
+        plans = plan_grids(small_dataset.schema, config, small_dataset.n)
+        assignment = (np.arange(small_dataset.n) % 2).astype(dtype)
+        with pytest.raises(ProtocolError, match=np.dtype(dtype).name):
+            collect_reports(small_dataset.records, assignment, plans, 1.0)
+
 
 class TestAggregator:
     def test_fit_populates_estimates(self, small_dataset):

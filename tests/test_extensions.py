@@ -207,6 +207,27 @@ class TestStreaming:
                                FelipConfig(partition_mode="budget"),
                                expected_users=100)
 
+    def test_non_integer_codes_rejected(self, dataset):
+        """Codes are checked as a Dataset checks them, not truncated:
+        a batch of fractional codes is refused and counts nothing."""
+        collector = StreamingCollector(dataset.schema, FelipConfig(),
+                                       expected_users=dataset.n, rng=5)
+        with pytest.raises(ProtocolError, match="integer"):
+            collector.observe(dataset.records[:2_000] + 0.7)
+        assert collector.is_fresh()
+
+    def test_integer_valued_float_codes_convert(self, dataset):
+        batch = dataset.records[:4_000]
+        models = []
+        for codes in (batch, batch.astype(np.float64)):
+            collector = StreamingCollector(dataset.schema, FelipConfig(),
+                                           expected_users=dataset.n, rng=5)
+            collector.observe(codes)
+            models.append(collector.finalize())
+        for plan in models[0].plans:
+            assert models[1].estimate_for(plan.key).frequencies.tobytes() \
+                == models[0].estimate_for(plan.key).frequencies.tobytes()
+
 
 class TestMergeReports:
     """Two batches' folded states merge into one state of both."""

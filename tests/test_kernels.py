@@ -26,12 +26,13 @@ from hypothesis import strategies as st
 
 from repro.core import partition_users, plan_grids
 from repro.core.client import collect_reports
-from repro.errors import ProtocolError
+from repro.errors import GridError, ProtocolError
 from repro.fo import kernels
 from repro.fo import registry
 from repro.fo.hashing import splitmix64
 from repro.fo.kernels import c_impl, numpy_impl
-from repro.rng import ensure_rng
+from repro.grids.binning import Binning
+from repro.rng import ensure_rng, label_dtype
 
 from tests.collect_reference import collect_reports_serial, folded
 from tests.test_parallel_pipeline import (
@@ -312,6 +313,143 @@ class TestSupportSweepPaths:
         for path in dict.fromkeys(("scalar", SWEEP_PATH)):
             bit_equal(c_impl.support_counts(mixed, buckets, g, cand, 0,
                                             path=path), expected)
+
+
+# ---------------------------------------------------------------------------
+# The grouping pass: records to grouped cells, no draws
+# ---------------------------------------------------------------------------
+
+#: group counts on both sides of the uint8/uint16 label boundary
+GROUP_COUNTS = [1, 19, 255, 256, 257]
+
+
+def group_case(seed, n, m, empty_groups):
+    """Records over 5 columns, labels over ``m`` groups and each group's
+    axes: equal-split 1-D and 2-D grids, ``Binning.from_edges`` axes and
+    identity tables. No grid reads the last column, which holds codes
+    outside every domain; with ``empty_groups`` the labels skip half the
+    groups."""
+    rng = np.random.default_rng(seed)
+    domains = rng.integers(1, 40, size=4)
+    records = np.empty((n, 5), dtype=np.int64)
+    for column, d in enumerate(domains):
+        records[:, column] = rng.integers(0, d, size=n)
+    records[:, 4] = rng.integers(-50, 50, size=n) * 1000
+
+    def binning(d):
+        if d > 2 and rng.random() < 0.5:
+            cuts = rng.choice(np.arange(1, d), size=rng.integers(1, d - 1),
+                              replace=False)
+            return Binning.from_edges(np.sort(np.r_[0, cuts, d]))
+        return Binning(d, int(rng.integers(1, d + 1)))
+
+    def table(d, scale=1):
+        return binning(d).cell_of(np.arange(d)) * scale
+
+    axes = []
+    for _ in range(m):
+        kind = rng.integers(0, 3)
+        x, y = rng.choice(4, size=2, replace=False)
+        if kind == 0:
+            axes.append(((x, table(domains[x])),))
+        elif kind == 1:
+            cells_y = binning(domains[y])
+            axes.append(((x, table(domains[x], cells_y.num_cells)),
+                         (y, cells_y.cell_of(np.arange(domains[y])))))
+        else:
+            axes.append(((x, np.arange(domains[x])),))
+    pool = m // 2 if empty_groups and m > 1 else m
+    labels = rng.integers(0, pool, size=n)
+    return records, labels, axes
+
+
+@pytest.mark.parametrize("backend", ("numpy",) + COMPILED)
+class TestGroupCells:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3000),
+           m=st.sampled_from(GROUP_COUNTS), empty_groups=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, backend, seed, n, m, empty_groups):
+        """Both tiers give the cells and offsets of a per-group loop,
+        bytes and dtype: each group's rows in row order (a boolean mask
+        per group), each row's cell the sum of its axes' tables."""
+        records, labels, axes = group_case(seed, n, m, empty_groups)
+        with kernels.use_backend(backend):
+            cells, offsets = kernels.group_cells(records, labels, axes)
+        expected_offsets = np.zeros(m + 1, dtype=np.int64)
+        expected_offsets[1:] = np.cumsum(np.bincount(labels, minlength=m))
+        bit_equal(offsets, expected_offsets)
+        expected = np.zeros(n, dtype=np.int64)
+        for g, pairs in enumerate(axes):
+            rows = np.flatnonzero(labels == g)
+            group = np.zeros(len(rows), dtype=np.int64)
+            for column, table in pairs:
+                group += table[records[rows, column]]
+            expected[offsets[g]:offsets[g + 1]] = group
+        bit_equal(cells, expected)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3000),
+           m=st.sampled_from(GROUP_COUNTS))
+    @settings(max_examples=20, deadline=None)
+    def test_tier_agrees_with_numpy_for_every_label_dtype(
+            self, backend, seed, n, m):
+        records, labels, axes = group_case(seed, n, m, False)
+        reference = numpy_impl.group_cells(
+            records, labels.astype(label_dtype(m)), axes)
+        for dtype in (np.int64, np.int32, label_dtype(m)):
+            with kernels.use_backend(backend):
+                result = kernels.group_cells(records, labels.astype(dtype),
+                                             axes)
+            for got, want in zip(result, reference):
+                bit_equal(got, want)
+
+    def test_beyond_uint16_labels(self, backend):
+        """65 537 groups keep int64 labels on every tier."""
+        m = (1 << 16) + 1
+        rng = np.random.default_rng(1)
+        records = rng.integers(0, 3, size=(5_000, 2))
+        labels = rng.integers(0, m, size=5_000)
+        labels[:2] = (0, m - 1)
+        axes = [((g % 2, np.array([0, 1, 2]) * (g % 5)),)
+                for g in range(m)]
+        reference = numpy_impl.group_cells(records, labels, axes)
+        with kernels.use_backend(backend):
+            result = kernels.group_cells(records, labels, axes)
+        for got, want in zip(result, reference):
+            bit_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [19, -1, -256, -65536])
+    def test_label_outside_the_groups_raises(self, backend, bad):
+        """Checked before the labels narrow: -256 and -65536 would wrap
+        to group 0 as uint8 and uint16."""
+        records, labels, axes = group_case(3, 500, 19, False)
+        labels[123] = bad
+        with kernels.use_backend(backend):
+            with pytest.raises(ProtocolError, match="outside"):
+                kernels.group_cells(records, labels, axes)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_labels_raise(self, backend, dtype):
+        records, labels, axes = group_case(3, 500, 2, False)
+        with kernels.use_backend(backend):
+            with pytest.raises(ProtocolError, match=np.dtype(dtype).name):
+                kernels.group_cells(records, labels.astype(dtype), axes)
+
+    def test_non_integer_records_raise(self, backend):
+        records, labels, axes = group_case(3, 500, 19, False)
+        with kernels.use_backend(backend):
+            with pytest.raises(ProtocolError, match="float64"):
+                kernels.group_cells(records + 0.5, labels, axes)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_code_outside_a_read_domain_raises(self, backend, side):
+        """Only codes a row's group reads are checked: the last column's
+        codes are outside every domain and never raise."""
+        records, labels, axes = group_case(5, 2_000, 19, False)
+        column, table = axes[labels[7]][0]
+        records[7, column] = -1 if side == "below" else len(table)
+        with kernels.use_backend(backend):
+            with pytest.raises(GridError, match=f"column {column}"):
+                kernels.group_cells(records, labels, axes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,10 @@ import pytest
 from repro import Felip, FelipConfig
 from repro.core import StreamingCollector, partition_users, plan_grids
 from repro.core.client import collect_reports, collect_reports_budget_split
-from repro.core.parallel import (
-    chunk_bounds,
-    group_orders,
-    resolve_workers,
-    run_sharded,
-)
+from repro.core.parallel import chunk_bounds, resolve_workers, run_sharded
 from repro.data import normal_dataset
 from repro.errors import ConfigurationError, ProtocolError
-from repro.fo import registry
+from repro.fo import kernels, registry
 from repro.fo.grr import GRRReport
 from repro.queries import Query, between
 from repro.rng import ensure_rng
@@ -207,13 +202,20 @@ class TestExecutorPlumbing:
         with pytest.raises(ConfigurationError):
             resolve_workers(-2)
 
-    def test_group_orders_matches_flatnonzero(self):
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_group_cells_matches_flatnonzero(self, backend):
+        """Grouping keeps row order within each group: through an
+        identity table over a column of row numbers, group ``g``'s cells
+        are exactly ``np.flatnonzero(assignment == g)``."""
         rng = ensure_rng(5)
         assignment = rng.integers(0, 7, size=10_000)
-        order, offsets = group_orders(assignment, 7)
+        rows = np.arange(10_000).reshape(-1, 1)
+        axes = [((0, np.arange(10_000)),)] * 7
+        with kernels.use_backend(backend):
+            cells, offsets = kernels.group_cells(rows, assignment, axes)
         for g in range(7):
             np.testing.assert_array_equal(
-                order[offsets[g]:offsets[g + 1]],
+                cells[offsets[g]:offsets[g + 1]],
                 np.flatnonzero(assignment == g))
 
     def test_chunk_bounds_geometry(self):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.partition import group_sizes
 from repro.rng import (
     ensure_rng,
+    label_dtype,
     permuted_group_assignment,
     random_seed,
     spawn,
@@ -78,3 +80,21 @@ class TestPermutedGroupAssignment:
     def test_empty_population(self):
         labels = permuted_group_assignment(0, np.array([0, 0]), rng=1)
         assert len(labels) == 0
+
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 65_535, 65_536,
+                                   65_537])
+    def test_narrow_labels_are_the_int64_permutation(self, m):
+        """Labels take the narrowest dtype, and the shuffle does not
+        depend on the item size: the same labels as permuting int64."""
+        n = 3 * m + 11
+        sizes = group_sizes(n, m)
+        labels = permuted_group_assignment(n, sizes, rng=7)
+        expected = ensure_rng(7).permutation(np.repeat(np.arange(m), sizes))
+        assert labels.dtype == label_dtype(m)
+        np.testing.assert_array_equal(labels, expected)
+
+    def test_label_dtype_boundaries(self):
+        assert label_dtype(256) == np.uint8
+        assert label_dtype(257) == np.uint16
+        assert label_dtype(65_536) == np.uint16
+        assert label_dtype(65_537) == np.int64
