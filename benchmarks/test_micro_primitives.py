@@ -192,6 +192,37 @@ def test_kernel_group_cells_batch_fit(benchmark, backend,
             rounds=5, iterations=1, warmup_rounds=1)
 
 
+@pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
+def test_kernel_permute_batch_fit(benchmark, backend):
+    """batch-fit's partition shuffle: 4·10⁶ one-byte labels over 19
+    groups."""
+    from repro.core.partition import group_sizes
+    labels = np.repeat(np.arange(19, dtype=np.uint8),
+                       group_sizes(4_000_000, 19))
+    rng = np.random.default_rng(16)
+    with fo_kernels.use_backend(backend):
+        fo_kernels.warm(["permute"])
+        benchmark.pedantic(lambda: fo_kernels.permute(labels, rng),
+                           rounds=5, iterations=1, warmup_rounds=1)
+
+
+@pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
+def test_kernel_olh_perturb(benchmark, backend):
+    """One batch-fit OLH group's perturbation from its drawn randomness:
+    2.1·10⁵ users, d = 256, ε = 4 (g = 56)."""
+    n = 210_000
+    rng = np.random.default_rng(17)
+    oracle = OptimizedLocalHashing(4.0, 256)
+    seeds = random_seeds(n, rng)
+    values = rng.integers(0, 256, size=n)
+    keep_uniforms = rng.random(n)
+    others = rng.integers(0, oracle.g - 1, size=n)
+    with fo_kernels.use_backend(backend):
+        fo_kernels.warm(["olh_perturb"])
+        benchmark(lambda: fo_kernels.olh_perturb(
+            seeds, values, keep_uniforms, others, oracle.p, oracle.g))
+
+
 def test_oue_round_trip(benchmark, values):
     oracle = OptimizedUnaryEncoding(1.0, _DOMAIN)
     rng = np.random.default_rng(5)

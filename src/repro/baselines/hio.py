@@ -42,11 +42,7 @@ from repro.data.dataset import Dataset
 from repro.errors import NotFittedError, QueryError
 from repro.fo import kernels
 from repro.fo.base import validate_epsilon
-from repro.fo.hashing import (
-    chain_hash,
-    mix_seeds,
-    random_seeds,
-)
+from repro.fo.hashing import chain_hash, random_seeds
 from repro.fo.olh import optimal_hash_range
 from repro.queries.predicate import Predicate
 from repro.queries.query import Query
@@ -73,7 +69,7 @@ class _Group:
         so one group is typically queried many times; caching the mix
         keeps repeated queries from re-hashing the seeds.
         """
-        return mix_seeds(self.seeds)
+        return kernels.mix_seeds(self.seeds)
 
     @property
     def size(self) -> int:

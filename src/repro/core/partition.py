@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rng import RngLike, ensure_rng, permuted_group_assignment
+from repro.fo import kernels as fo_kernels
+from repro.rng import RngLike, ensure_rng, label_dtype
 
 
 def group_sizes(n: int, m: int) -> np.ndarray:
@@ -30,7 +31,17 @@ def group_sizes(n: int, m: int) -> np.ndarray:
 def partition_users(n: int, m: int, rng: RngLike = None) -> np.ndarray:
     """Random group label (``0..m-1``) for each of ``n`` users.
 
-    The labels have the narrowest unsigned dtype that holds ``m`` groups
-    (:func:`repro.rng.label_dtype`: one byte per user up to 256 groups).
+    Exactly ``group_sizes(n, m)[g]`` users get label ``g``, in a uniformly
+    random order: the labels ``0..m-1``, repeated to their sizes, go
+    through one shuffle (:func:`repro.fo.kernels.permute`, which draws
+    exactly as ``rng.permutation`` does). The labels have the narrowest
+    unsigned dtype that holds ``m`` groups
+    (:func:`repro.rng.label_dtype`: one byte per user up to 256 groups);
+    the shuffle's draws do not depend on the item size, so this is the
+    same permutation as of int64 labels, at a fraction of the memory.
+    Raises :class:`~repro.errors.ConfigurationError` for ``n < 0`` or
+    ``m < 1``.
     """
-    return permuted_group_assignment(n, group_sizes(n, m), ensure_rng(rng))
+    sizes = group_sizes(n, m)
+    labels = np.repeat(np.arange(m, dtype=label_dtype(m)), sizes)
+    return fo_kernels.permute(labels, ensure_rng(rng))

@@ -118,10 +118,10 @@ class Aggregator:
         with self.timings.time("plan"):
             self.plans = plan_grids(self.schema, self.config, dataset.n)
         with self.timings.time("warm"):
-            # Warm the grouping pass and exactly the kernels the planned
-            # protocols dispatch to, so compile/load cost shows up here —
-            # never inside collect.
-            fo_kernels.warm(("group_cells",
+            # Warm the partition shuffle, the grouping pass and exactly
+            # the kernels the planned protocols dispatch to, so
+            # compile/load cost shows up here — never inside collect.
+            fo_kernels.warm(("group_cells", "permute",
                              *kernels_for(p.protocol for p in self.plans)))
         with self.timings.time("collect"):
             if self.config.partition_mode == "budget":

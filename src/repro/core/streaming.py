@@ -165,8 +165,8 @@ class StreamingCollector:
         estimates low.) Each shard is folded and checked in its task, and
         the batch's shard states are merged into the grid states before
         this returns. Codes are checked as :class:`~repro.data.Dataset`
-        checks them: integer-valued floats convert, any other
-        non-integer batch raises :class:`ProtocolError`. A batch that
+        checks them: finite floats exactly equal to an integer convert,
+        any other float batch raises :class:`ProtocolError`. A batch that
         raises (a code outside its domain, a shard failed for good, or a
         ``strict`` rejection) leaves the collector's state, admission
         accounting and generator as they were, so later batches perturb

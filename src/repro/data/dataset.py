@@ -31,10 +31,14 @@ class Dataset:
             )
         if not np.issubdtype(records.dtype, np.integer):
             if np.issubdtype(records.dtype, np.floating):
-                rounded = np.rint(records)
-                if not np.allclose(records, rounded):
-                    raise DataError("float records are not integer-valued")
-                records = rounded.astype(np.int64)
+                # Exact: a tolerance would round 250.002 to 250. The
+                # bound refuses NaN and ±inf (inf equals its own rint)
+                # and whatever else int64 cannot hold.
+                if not (np.all(np.abs(records) < 2.0 ** 63)
+                        and np.array_equal(records, np.rint(records))):
+                    raise DataError(
+                        "float records must be finite integer values")
+                records = records.astype(np.int64)
             else:
                 raise DataError(f"unsupported record dtype {records.dtype}")
         records = records.astype(np.int64, copy=False)

@@ -120,7 +120,8 @@ def mix_seeds(seeds: np.ndarray) -> np.ndarray:
     ``splitmix64(seeds)``; that mix depends only on the seeds, so a report
     queried repeatedly (OLH estimation, HIO's memoized per-interval queries)
     should compute it once and hand the result to
-    :func:`tiled_support_counts`.
+    :func:`tiled_support_counts`. This is the numpy tier of
+    :func:`repro.fo.kernels.mix_seeds`, which the library calls.
     """
     return splitmix64(np.asarray(seeds, dtype=np.uint64))
 

@@ -1,9 +1,11 @@
 """Compiled-kernel dispatch with a guaranteed numpy fallback.
 
-The hot loops of every frequency oracle — perturb-apply, unary-encoding
-accumulation, support-counting sweeps, SW bucketing, merge folds — and
-the collection's grouping pass (:func:`group_cells`: records to every
-user's grid cell, grouped by label) are defined once in
+The hot loops of every frequency oracle — perturb-apply (OLH's in one
+pass from cells to buckets, :func:`olh_perturb`), seed mixing,
+unary-encoding accumulation, support-counting sweeps, SW bucketing,
+merge folds — and the collection's partition shuffle (:func:`permute`)
+and grouping pass (:func:`group_cells`: records to every user's grid
+cell, grouped by label) are defined once in
 :mod:`repro.fo.kernels.numpy_impl` and optionally *replaced* by a
 compiled implementation at call time:
 
@@ -14,11 +16,13 @@ cc        :mod:`c_impl` — C source compiled at first use with the
           host toolchain (``cc``/``gcc``/``clang``), cached as a
           shared library, loaded via ctypes; its support sweep runs
           on AVX-512 when the CPU has it (:func:`backend_report`),
-          and its grouping pass is one sequential pass over the
-          records
+          its grouping pass is one sequential pass over the
+          records, and its shuffle is numpy's Fisher–Yates loop
+          drawing from the generator's own ``bitgen_t``
 numpy     :mod:`numpy_impl` — always present, always last; groups
           with a stable argsort of the labels, a gather and a table
-          lookup per grid axis
+          lookup per grid axis, and shuffles with
+          ``Generator.permutation``
 ========  =====================================================
 
 Selection is *per kernel*, lazy, and failure-proof: backends are tried
@@ -41,7 +45,12 @@ type on the same invalid input: kernels are pure transforms of
 ``np.random.Generator`` and the draw order; :func:`group_cells` takes
 no draws at all), integer kernels share exact modular arithmetic, and
 float kernels replicate numpy's sequential accumulation order without
-FMA or reassociation. Property
+FMA or reassociation. :func:`permute` is the one kernel that draws: it
+is ``rng.permutation``, and its compiled tier stays exact because it
+makes numpy's own draws — the masked-rejection Fisher–Yates of
+``Generator.shuffle``, through the generator's own ``bitgen_t``
+functions while holding its lock — so the labels *and* the generator's
+state afterwards equal numpy's, for every numpy BitGenerator. Property
 tests in ``tests/test_kernels.py`` enforce this per kernel and
 end-to-end. Consequently pipeline output remains a pure function of
 ``(seed, chunk_size)`` regardless of backend — switching backends is
@@ -231,6 +240,13 @@ def _sample_calls() -> Dict[str, Callable[[], None]]:
         grr_apply(np.array([0, 1], i64), np.array([0.1, 0.9]),
                   np.array([0, 0], i64), 0.5)
 
+    def _olh():
+        olh_perturb(np.array([1, 2], np.uint64), np.array([0, 1], i64),
+                    np.array([0.1, 0.9]), np.array([0, 1], i64), 0.5, 3)
+
+    def _mix():
+        mix_seeds(np.array([1, 2], np.uint64))
+
     def _ue():
         ue_accumulate(np.array([[0.1, 0.6, 0.3], [0.8, 0.2, 0.4]], f64),
                       np.array([0, 2], i64), np.array([0.1, 0.9]),
@@ -268,8 +284,14 @@ def _sample_calls() -> Dict[str, Callable[[], None]]:
         group_cells(np.zeros((2, 1), i64), np.array([1, 0], np.uint8),
                     [((0, np.zeros(1, i64)),), ()])
 
+    def _permute():
+        # A generator of its own: warming draws from no caller's stream.
+        permute(np.array([0, 1, 1], np.uint8), np.random.default_rng(0))
+
     return {
         "grr_apply": _grr,
+        "olh_perturb": _olh,
+        "mix_seeds": _mix,
         "ue_accumulate": _ue,
         "he_sum_accumulate": _he_sum,
         "he_threshold_accumulate": _he_thr,
@@ -279,6 +301,7 @@ def _sample_calls() -> Dict[str, Callable[[], None]]:
         "sw_transform": _sw,
         "fold_arrays": _fold,
         "group_cells": _group,
+        "permute": _permute,
     }
 
 
@@ -331,6 +354,34 @@ def grr_apply(values, keep_uniforms, others, p):
     if not len(values) == len(keep_uniforms) == len(others):
         raise ProtocolError("grr_apply: input lengths disagree")
     return _resolve("grr_apply")[1](values, keep_uniforms, others, float(p))
+
+
+def olh_perturb(seeds, values, keep_uniforms, others, p, g):
+    """OLH's buckets given drawn randomness, in one pass from cells:
+    ``values[i]`` hashed under ``seeds[i]`` into ``[0, g)``
+    (``splitmix64(splitmix64(seed) ^ value) % g``), then the GRR step
+    over ``[0, g)`` as :func:`grr_apply` takes it. Returns uint64."""
+    g = int(g)
+    if not 1 <= g < 2**64:
+        raise ProtocolError("olh_perturb: g must be in [1, 2**64)")
+    seeds = _c(seeds, np.uint64)
+    values = _c(values, np.int64)
+    keep_uniforms = _c(keep_uniforms, np.float64)
+    others = _c(others, np.int64)
+    if not len(seeds) == len(values) == len(keep_uniforms) == len(others):
+        raise ProtocolError("olh_perturb: input lengths disagree")
+    return _resolve("olh_perturb")[1](seeds, values, keep_uniforms, others,
+                                      float(p), g)
+
+
+def mix_seeds(seeds):
+    """The hash chain's starting state ``splitmix64(seed)`` of each seed
+    (:func:`repro.fo.hashing.mix_seeds`): what :func:`support_counts`
+    takes as ``mixed_seeds``."""
+    seeds = _c(seeds, np.uint64)
+    if seeds.ndim != 1:
+        raise ProtocolError("mix_seeds: seeds must be 1-D")
+    return _resolve("mix_seeds")[1](seeds)
 
 
 def ue_accumulate(uniforms, values, true_uniforms, p, q):
@@ -506,11 +557,28 @@ def group_cells(records, labels, axes):
                                       tuple(checked))
 
 
+def permute(labels, rng):
+    """A uniformly random permutation of the 1-D integer ``labels``,
+    drawn from the :class:`numpy.random.Generator` ``rng``: equal to
+    ``rng.permutation(labels)`` in values and dtype, and ``rng`` is left
+    in the state that call leaves it in. The only kernel that draws."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ProtocolError(
+            f"permute: labels must be a 1-D integer array, got "
+            f"{labels.dtype} of shape {labels.shape}")
+    if not isinstance(rng, np.random.Generator):
+        raise ProtocolError(f"permute: rng must be a numpy Generator, "
+                            f"got {type(rng).__name__}")
+    return _resolve("permute")[1](labels, rng)
+
+
 __all__ = [
     "KERNEL_NAMES", "BACKEND_PREFERENCE",
     "available_backends", "active_backends", "backend_report",
     "use_backend", "warm", "reset_for_tests",
-    "grr_apply", "ue_accumulate", "he_sum_accumulate",
-    "he_threshold_accumulate", "support_counts", "hr_apply",
-    "hr_supports", "sw_transform", "fold_arrays", "group_cells",
+    "grr_apply", "olh_perturb", "mix_seeds", "ue_accumulate",
+    "he_sum_accumulate", "he_threshold_accumulate", "support_counts",
+    "hr_apply", "hr_supports", "sw_transform", "fold_arrays",
+    "group_cells", "permute",
 ]

@@ -11,6 +11,10 @@ Bit-identity with :mod:`repro.fo.kernels.numpy_impl` is a hard contract:
 
 * Integer kernels compute the same integers: the splitmix64 chain is the
   same three multiply-xor-shift rounds numpy evaluates.
+* The shuffle (:func:`permute`) is numpy's own Fisher–Yates: the same
+  masked-rejection draws (``random_interval``), made through the
+  generator's own ``bitgen_t`` functions while holding its lock, and
+  the same swaps.
 * The support sweep has two entry points in the one library, and the CPU
   probe picks one per load (:func:`support_path`). The scalar loop takes
   ``s % g`` as numpy does. The AVX-512 loop (x86-64 builds, run only when
@@ -64,6 +68,25 @@ void repro_grr_apply(const int64_t *values, const double *keep_u,
         int64_t other = others[i] + (others[i] >= values[i]);
         out[i] = (keep_u[i] < p) ? values[i] : other;
     }
+}
+
+/* OLH's perturbation in one pass from cells to buckets: the user's
+   value hashed under the user's seed, splitmix64(splitmix64(seed) ^
+   value) % g, then the GRR keep/other selection over [0, g). */
+void repro_olh_perturb(const uint64_t *seeds, const int64_t *values,
+                       const double *keep_u, const int64_t *others,
+                       double p, uint64_t g, int64_t n, uint64_t *out) {
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t h = repro_sm64(repro_sm64(seeds[i]) ^ (uint64_t)values[i])
+                     % g;
+        uint64_t other = (uint64_t)others[i];
+        other += other >= h;
+        out[i] = (keep_u[i] < p) ? h : other;
+    }
+}
+
+void repro_mix_seeds(const uint64_t *seeds, int64_t n, uint64_t *out) {
+    for (int64_t i = 0; i < n; i++) out[i] = repro_sm64(seeds[i]);
 }
 
 void repro_ue_accumulate(const double *uniforms, const int64_t *values,
@@ -236,6 +259,57 @@ REPRO_GROUP_CELLS(repro_group_cells_u8, uint8_t)
 REPRO_GROUP_CELLS(repro_group_cells_u16, uint16_t)
 REPRO_GROUP_CELLS(repro_group_cells_i64, int64_t)
 
+/* numpy's bitgen_t (numpy/random/bitgen.h): a BitGenerator's state and
+   the functions that draw from it. */
+typedef struct repro_bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} repro_bitgen_t;
+
+/* numpy's random_interval: a uniform draw from [0, max] by masked
+   rejection, on 32-bit draws while max fits in 32 bits. */
+static inline uint64_t repro_interval(repro_bitgen_t *bg, uint64_t max) {
+    uint64_t mask = max, value;
+    if (max == 0) return 0;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffULL) {
+        while ((value = (bg->next_uint32(bg->state) & mask)) > max)
+            ;
+    } else {
+        while ((value = (bg->next_uint64(bg->state) & mask)) > max)
+            ;
+    }
+    return value;
+}
+
+/* numpy's Fisher–Yates (Generator.shuffle's _shuffle_raw): for i = n-1
+   down to 1, swap item i with the item at a draw from [0, i]. The draws
+   go through the generator's own functions, so the items and the
+   generator's state afterwards are numpy's. The caller holds the
+   generator's lock. */
+#define REPRO_PERMUTE(NAME, ITEM_T)                                        \
+void NAME(repro_bitgen_t *bg, int64_t n, ITEM_T *items) {                  \
+    for (int64_t i = n - 1; i >= 1; i--) {                                 \
+        int64_t j = (int64_t)repro_interval(bg, (uint64_t)i);              \
+        ITEM_T item = items[j];                                            \
+        items[j] = items[i];                                               \
+        items[i] = item;                                                   \
+    }                                                                      \
+}
+
+REPRO_PERMUTE(repro_permute_u8, uint8_t)
+REPRO_PERMUTE(repro_permute_u16, uint16_t)
+REPRO_PERMUTE(repro_permute_u32, uint32_t)
+REPRO_PERMUTE(repro_permute_u64, uint64_t)
+
 int repro_has_avx512(void) {
 #if defined(__x86_64__)
     __builtin_cpu_init();
@@ -379,6 +453,10 @@ _SOURCE_TAG = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
 _GROUP_CELLS = {1: "repro_group_cells_u8", 2: "repro_group_cells_u16",
                 8: "repro_group_cells_i64"}
 
+#: the shuffle's entry point per item width in bytes
+_PERMUTE = {1: "repro_permute_u8", 2: "repro_permute_u16",
+            4: "repro_permute_u32", 8: "repro_permute_u64"}
+
 #: the support sweep's entry point per path; the loaded library serves
 #: ``"avx512"`` when the CPU has AVX-512F and AVX-512DQ, else ``"scalar"``
 _SWEEPS = {"scalar": "repro_support_counts",
@@ -452,6 +530,10 @@ def _bind(lib: ctypes.CDLL) -> None:
     signatures = {
         "repro_grr_apply": (c_void_p, c_void_p, c_void_p, c_double,
                             c_int64, c_void_p),
+        "repro_olh_perturb": (c_void_p, c_void_p, c_void_p, c_void_p,
+                              c_double, ctypes.c_uint64, c_int64,
+                              c_void_p),
+        "repro_mix_seeds": (c_void_p, c_int64, c_void_p),
         "repro_ue_accumulate": (c_void_p, c_void_p, c_void_p, c_double,
                                 c_double, c_int64, c_int64, c_void_p),
         "repro_he_sum_accumulate": (c_void_p, c_void_p, c_int64, c_int64,
@@ -471,6 +553,8 @@ def _bind(lib: ctypes.CDLL) -> None:
     }
     if hasattr(lib, _SWEEPS["avx512"]):  # x86-64 builds only
         signatures[_SWEEPS["avx512"]] = sweep
+    for name in _PERMUTE.values():
+        signatures[name] = (c_void_p, c_int64, c_void_p)
     for name, argtypes in signatures.items():
         fn = getattr(lib, name)
         fn.argtypes = list(argtypes)
@@ -547,6 +631,20 @@ def grr_apply(values, keep_uniforms, others, p):
     out = np.empty(len(values), dtype=np.int64)
     _load().repro_grr_apply(_ptr(values), _ptr(keep_uniforms), _ptr(others),
                             float(p), len(values), _ptr(out))
+    return out
+
+
+def olh_perturb(seeds, values, keep_uniforms, others, p, g):
+    out = np.empty(len(seeds), dtype=np.uint64)
+    _load().repro_olh_perturb(_ptr(seeds), _ptr(values), _ptr(keep_uniforms),
+                              _ptr(others), float(p), g, len(seeds),
+                              _ptr(out))
+    return out
+
+
+def mix_seeds(seeds):
+    out = np.empty(len(seeds), dtype=np.uint64)
+    _load().repro_mix_seeds(_ptr(seeds), len(seeds), _ptr(out))
     return out
 
 
@@ -656,6 +754,17 @@ def group_cells(records, labels, axes):
     return cells, offsets
 
 
+def permute(labels, rng):
+    # The C loop draws through the generator's own bitgen_t under the
+    # lock numpy's own shuffle takes; ctypes releases the GIL meanwhile.
+    out = labels.copy()
+    shuffle = getattr(_load(), _PERMUTE[out.dtype.itemsize])
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        shuffle(bit_generator.ctypes.bit_generator, len(out), _ptr(out))
+    return out
+
+
 def kernels() -> Dict[str, Callable]:
     """Load (compiling if needed) and return every kernel this backend
     implements. Raises when no compiler/library is usable; the dispatch
@@ -663,6 +772,8 @@ def kernels() -> Dict[str, Callable]:
     _load()
     return {
         "grr_apply": grr_apply,
+        "olh_perturb": olh_perturb,
+        "mix_seeds": mix_seeds,
         "ue_accumulate": ue_accumulate,
         "he_sum_accumulate": he_sum_accumulate,
         "he_threshold_accumulate": he_threshold_accumulate,
@@ -672,4 +783,5 @@ def kernels() -> Dict[str, Callable]:
         "sw_transform": sw_transform,
         "fold_arrays": fold_arrays,
         "group_cells": group_cells,
+        "permute": permute,
     }

@@ -14,6 +14,10 @@ the orchestration layer and never touch an RNG themselves (the
 draw/transform split that keeps output a pure function of
 ``(seed, chunk_size)`` across backends). :func:`group_cells`, which
 groups the population's cells by label, takes no draws at all.
+:func:`permute` is the one exception: it *is* ``rng.permutation``, and
+its compiled tier replays numpy's own Fisher–Yates draws on the
+generator's own bit stream, so it stays exact — the same labels, and the
+generator left in the same state, on every tier.
 
 Inputs arrive pre-normalized by the dispatch wrappers (correct dtypes,
 C-contiguous); implementations may rely on that.
@@ -24,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GridError
-from repro.fo.hashing import tiled_support_counts
+from repro.fo.hashing import chain_hash, mix_seeds, tiled_support_counts
 
 #: domain values per vectorized tile of :func:`hr_supports` (bounds peak
 #: memory at ``n * _HR_TILE`` int64 entries regardless of domain size)
@@ -38,10 +42,24 @@ def grr_apply(values: np.ndarray, keep_uniforms: np.ndarray,
     ``out[i] = values[i]`` when ``keep_uniforms[i] < p``, else the drawn
     "other" value shifted past the true one (a uniform draw over the
     ``d − 1`` values ``!= values[i]``). Shared by GRR (domain values) and
-    OLH (hashed buckets over ``[0, g)``).
+    :func:`olh_perturb` (hashed buckets over ``[0, g)``).
     """
     others = others + (others >= values)
     return np.where(keep_uniforms < p, values, others)
+
+
+def olh_perturb(seeds: np.ndarray, values: np.ndarray,
+                keep_uniforms: np.ndarray, others: np.ndarray, p: float,
+                g: int) -> np.ndarray:
+    """OLH's perturbation given the drawn randomness: uint64 buckets.
+
+    Each value is hashed into ``[0, g)`` under its user's seed
+    (:func:`~repro.fo.hashing.chain_hash`: ``splitmix64(splitmix64(seed)
+    ^ value) % g``), then :func:`grr_apply` keeps the hashed bucket or
+    reports the drawn other bucket of ``[0, g)``.
+    """
+    hashed = chain_hash(seeds, [values], g)
+    return grr_apply(hashed, keep_uniforms, others.astype(np.uint64), p)
 
 
 def ue_accumulate(uniforms: np.ndarray, values: np.ndarray,
@@ -193,9 +211,18 @@ def group_cells(records: np.ndarray, labels: np.ndarray,
     return cells, offsets
 
 
+def permute(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random permutation of ``labels``, drawn from ``rng``:
+    ``rng.permutation(labels)``, the shuffle's reference. The only kernel
+    that draws."""
+    return rng.permutation(labels)
+
+
 #: every kernel this backend implements (the full set, by construction)
 KERNELS = {
     "grr_apply": grr_apply,
+    "olh_perturb": olh_perturb,
+    "mix_seeds": mix_seeds,
     "ue_accumulate": ue_accumulate,
     "he_sum_accumulate": he_sum_accumulate,
     "he_threshold_accumulate": he_threshold_accumulate,
@@ -205,4 +232,5 @@ KERNELS = {
     "sw_transform": sw_transform,
     "fold_arrays": fold_arrays,
     "group_cells": group_cells,
+    "permute": permute,
 }

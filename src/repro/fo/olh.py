@@ -18,12 +18,7 @@ import numpy as np
 from repro.errors import ProtocolError
 from repro.fo import kernels
 from repro.fo.base import FrequencyOracle, row_array
-from repro.fo.hashing import (
-    DEFAULT_TILE_BYTES,
-    chain_hash,
-    mix_seeds,
-    random_seeds,
-)
+from repro.fo.hashing import DEFAULT_TILE_BYTES, random_seeds
 from repro.fo.variance import olh_variance
 from repro.rng import RngLike, ensure_rng
 
@@ -80,13 +75,15 @@ class OLHReport:
 
     @cached_property
     def mixed_seeds(self) -> np.ndarray:
-        """Pre-mixed splitmix64 state, computed once per report batch.
+        """Pre-mixed splitmix64 state (:func:`repro.fo.kernels.mix_seeds`).
 
-        Every support-counting pass starts from this state; caching it on
-        the report means repeated estimates of the same report skip the
-        re-mix.
+        Every support-counting pass starts from this state. It is
+        computed when the report is first folded, not by ``perturb``, and
+        lives only as long as the report: a collector folds each report
+        once and drops it, while repeated estimates of a kept report
+        skip the re-mix.
         """
-        return mix_seeds(self.seeds)
+        return kernels.mix_seeds(self.seeds)
 
     def __len__(self) -> int:
         return len(self.seeds)
@@ -114,15 +111,15 @@ class OptimizedLocalHashing(FrequencyOracle):
         values = self._check_values(values)
         rng = ensure_rng(rng)
         n = len(values)
+        # The draws stay on the Generator, in this order; the hash and
+        # the keep/other selection over [0, g) run in one kernel pass.
         seeds = random_seeds(n, rng)
-        hashed = chain_hash(seeds, [values], self.g).astype(np.int64)
-        # Draws stay on the Generator (original order); the keep/other
-        # selection over [0, g) runs in the shared GRR kernel.
         keep_uniforms = rng.random(n)
         others = rng.integers(0, self.g - 1, size=n)
         return OLHReport(seeds=seeds,
-                         buckets=kernels.grr_apply(hashed, keep_uniforms,
-                                                   others, self.p),
+                         buckets=kernels.olh_perturb(seeds, values,
+                                                     keep_uniforms, others,
+                                                     self.p, self.g),
                          hash_range=self.g, domain_size=self.domain_size)
 
     def _check_report(self, report: OLHReport) -> None:
@@ -147,7 +144,8 @@ class OptimizedLocalHashing(FrequencyOracle):
         if len(reports) == 1:
             mixed, buckets = reports[0].mixed_seeds, reports[0].buckets
         else:
-            mixed = mix_seeds(np.concatenate([r.seeds for r in reports]))
+            mixed = kernels.mix_seeds(
+                np.concatenate([r.seeds for r in reports]))
             buckets = np.concatenate([r.buckets for r in reports])
         counts = kernels.support_counts(
             mixed, buckets, self.g,

@@ -479,7 +479,7 @@ register(ProtocolSpec(
     analytic_variance=_olh_class_analytic,
     cell_variance=_olh_class_cell_variance,
     adaptive_candidate=True,
-    kernels=("grr_apply", "support_counts"),
+    kernels=("olh_perturb", "mix_seeds", "support_counts"),
 ))
 
 register(ProtocolSpec(

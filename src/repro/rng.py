@@ -47,23 +47,3 @@ def label_dtype(num_groups: int) -> np.dtype:
         return np.dtype(np.uint16)
     return np.dtype(np.int64)
 
-
-def permuted_group_assignment(
-    n: int, group_sizes: "np.ndarray", rng: RngLike = None
-) -> np.ndarray:
-    """Assign ``n`` users to ``len(group_sizes)`` groups of the given sizes.
-
-    Returns an array of length ``n`` with a uniformly random assignment
-    where exactly ``group_sizes[g]`` users land in group ``g``. The labels
-    have the narrowest dtype that holds them (:func:`label_dtype`): the
-    shuffle's draws do not depend on the item size, so this is the same
-    permutation as of int64 labels, at a fraction of the memory.
-    """
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    if sizes.sum() != n:
-        raise ValueError(f"group sizes sum to {sizes.sum()}, expected {n}")
-    if (sizes < 0).any():
-        raise ValueError("group sizes must be non-negative")
-    labels = np.repeat(np.arange(len(sizes), dtype=label_dtype(len(sizes))),
-                       sizes)
-    return ensure_rng(rng).permutation(labels)

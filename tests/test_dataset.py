@@ -1,5 +1,7 @@
 """Tests for repro.data.dataset."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,23 @@ class TestConstruction:
     def test_fractional_floats_rejected(self, tiny_schema):
         with pytest.raises(DataError):
             Dataset(tiny_schema, np.array([[1.5, 2.0]]))
+
+    @pytest.mark.parametrize("code", [250.002, np.nan, np.inf, -np.inf])
+    def test_near_integer_and_non_finite_floats_rejected(self, code):
+        """The float test is exact: no tolerance rounds 250.002 to 250,
+        and NaN and ±inf are refused before any cast can warn."""
+        schema = Schema([numerical("x", 256), categorical("c", 3)])
+        records = np.array([[250.0, 1.0], [code, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="finite integer"):
+                Dataset(schema, records)
+
+    def test_large_integer_valued_floats_accepted(self):
+        schema = Schema([numerical("x", 256), categorical("c", 3)])
+        ds = Dataset(schema, np.array([[250.0, 1.0], [255.0, -0.0]]))
+        np.testing.assert_array_equal(ds.records, [[250, 1], [255, 0]])
+        assert ds.records.dtype == np.int64
 
     def test_out_of_domain_codes_rejected(self, tiny_schema):
         with pytest.raises(DataError):

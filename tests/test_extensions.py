@@ -5,6 +5,8 @@ pluggable protocol, public-prior response matrices, streaming collection,
 and mean estimation.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,31 @@ class TestStreaming:
         with pytest.raises(ProtocolError, match="integer"):
             collector.observe(dataset.records[:2_000] + 0.7)
         assert collector.is_fresh()
+
+    @pytest.mark.parametrize("code", [250.002, np.nan, np.inf, -np.inf])
+    def test_near_integer_and_non_finite_codes_rejected(self, code):
+        """A batch is checked exactly: one near-integer or non-finite code
+        refuses it whole, with no cast warning, and the collector's
+        count, states and generator stay as they were."""
+        data = uniform_dataset(3_000, num_numerical=2, num_categorical=0,
+                               numerical_domain=256, rng=6)
+        collector = StreamingCollector(data.schema, FelipConfig(),
+                                       expected_users=data.n, rng=5)
+        collector.observe(data.records[:2_000])
+        observed = collector.observed
+        states = {key: (state.n, state.vector.tobytes())
+                  for key, state in collector._states.items()}
+        generator = collector._rng.bit_generator.state
+        batch = data.records[2_000:].astype(np.float64)
+        batch[7, 0] = code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProtocolError, match="finite integer"):
+                collector.observe(batch)
+        assert collector.observed == observed
+        assert {key: (state.n, state.vector.tobytes())
+                for key, state in collector._states.items()} == states
+        assert collector._rng.bit_generator.state == generator
 
     def test_integer_valued_float_codes_convert(self, dataset):
         batch = dataset.records[:4_000]

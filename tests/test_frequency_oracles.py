@@ -179,6 +179,24 @@ class TestOLH:
         np.testing.assert_array_equal(oracle.fold(None, [report]).vector,
                                       looped)
 
+    def test_perturb_is_the_hash_chain_then_grr(self):
+        """The one-pass kernel keeps the protocol's draws and arithmetic:
+        seeds, keep uniforms and other buckets drawn in that order, each
+        value hashed by ``chain_hash``, then GRR over ``[0, g)``."""
+        from repro.fo.hashing import chain_hash
+        oracle = OptimizedLocalHashing(4.0, 256)
+        values = np.random.default_rng(12).integers(0, 256, size=3000)
+        report = oracle.perturb(values, np.random.default_rng(13))
+        rng = np.random.default_rng(13)
+        seeds = rng.integers(0, 2**64, size=3000, dtype=np.uint64)
+        keep = rng.random(3000) < oracle.p
+        others = rng.integers(0, oracle.g - 1, size=3000)
+        hashed = chain_hash(seeds, [values], oracle.g).astype(np.int64)
+        expected = np.where(keep, hashed, others + (others >= hashed))
+        np.testing.assert_array_equal(report.seeds, seeds)
+        np.testing.assert_array_equal(report.buckets, expected)
+        assert report.buckets.dtype == np.uint64
+
     def test_optimal_hash_range_huge_epsilon_raises_protocol_error(self):
         # math.exp overflows for eps >~ 710; the bare OverflowError is now
         # wrapped in a ProtocolError with an actionable message.

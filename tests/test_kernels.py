@@ -17,6 +17,7 @@ registry's kernel declarations.
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -91,6 +92,9 @@ def seeded_case(draw_seed, n, d):
 SUPPORT_HASH_RANGES = [1, 2, 4, 13, 16, 17, 56, 64, 101, 3 * 2**33,
                        2**63 + 1, 2**64 - 1]
 
+#: OLH hash ranges: powers of two (g=4 at ε=1) and not (g=56 at ε=4)
+OLH_HASH_RANGES = [2, 3, 4, 13, 16, 56, 64, 101, 2**40, 2**40 + 3]
+
 #: one support-sweep input: n crosses the 8-lane and user-tile edges,
 #: candidate counts are often not a multiple of the interleave width
 support_inputs = dict(
@@ -135,6 +139,32 @@ class TestKernelBitEquality:
         with kernels.use_backend(backend):
             bit_equal(kernels.grr_apply(values, keep_u, others, p),
                       reference)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400),
+           d=st.integers(2, 300),
+           g=st.one_of(st.sampled_from(OLH_HASH_RANGES),
+                       st.integers(2, 2**62)),
+           p=st.floats(0.01, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_olh_perturb(self, backend, seed, n, d, g, p):
+        rng, values, keep_u = seeded_case(seed, n, d)
+        seeds = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        others = rng.integers(0, g - 1, size=n)
+        reference = numpy_impl.olh_perturb(seeds, values, keep_u, others,
+                                           p, g)
+        with kernels.use_backend(backend):
+            bit_equal(kernels.olh_perturb(seeds, values, keep_u, others, p,
+                                          g),
+                      reference)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_mix_seeds(self, backend, seed, n):
+        seeds = np.random.default_rng(seed).integers(0, 2**64, size=n,
+                                                     dtype=np.uint64)
+        reference = numpy_impl.mix_seeds(seeds)
+        with kernels.use_backend(backend):
+            bit_equal(kernels.mix_seeds(seeds), reference)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 200),
            d=st.integers(2, 40), p=st.floats(0.01, 0.99),
@@ -453,6 +483,91 @@ class TestGroupCells:
 
 
 # ---------------------------------------------------------------------------
+# The partition shuffle: numpy's own draws, on every BitGenerator
+# ---------------------------------------------------------------------------
+
+#: every numpy BitGenerator: the shuffle draws through each one's own
+#: bitgen_t functions
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                  np.random.SFC64, np.random.MT19937)
+
+
+def same_state(a, b):
+    """Deep equality of two ``bit_generator.state`` dicts (Philox and
+    MT19937 keep arrays in theirs)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("backend", ("numpy",) + COMPILED)
+class TestPermute:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                             ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("n", [0, 1, 2, 100_003])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    @pytest.mark.parametrize("buffered", [False, True],
+                             ids=["fresh", "buffered"])
+    def test_is_generator_permutation(self, backend, bit_generator, n,
+                                      dtype, buffered):
+        """The labels, their dtype, the generator's state afterwards and
+        its next draws all equal ``Generator.permutation``'s, also from
+        a state holding half a 64-bit output as a buffered uint32."""
+        labels = (np.arange(n) % 19).astype(dtype)
+        ours, theirs = (np.random.Generator(bit_generator(11))
+                        for _ in range(2))
+        if buffered:
+            for rng in (ours, theirs):
+                rng.integers(0, 2**32, dtype=np.uint32)
+            # MT19937 draws 32 bits natively and buffers nothing.
+            assert ours.bit_generator.state.get("has_uint32", 1) == 1
+        expected = theirs.permutation(labels)
+        with kernels.use_backend(backend):
+            got = kernels.permute(labels, ours)
+        bit_equal(got, expected)
+        assert same_state(ours.bit_generator.state,
+                          theirs.bit_generator.state)
+        bit_equal(ours.integers(0, 2**63, size=8),
+                  theirs.integers(0, 2**63, size=8))
+        bit_equal(labels, (np.arange(n) % 19).astype(dtype))
+
+    def test_waits_for_the_generator_lock(self, backend):
+        """Like numpy's own shuffle, the kernel draws only while it holds
+        the generator's lock."""
+        rng = np.random.default_rng(5)
+        labels = np.arange(1_000, dtype=np.uint16)
+        expected = np.random.default_rng(5).permutation(labels)
+        done = {}
+
+        def shuffle():
+            done["labels"] = kernels.permute(labels, rng)
+
+        with kernels.use_backend(backend):
+            kernels.warm(["permute"])
+            worker = threading.Thread(target=shuffle)
+            with rng.bit_generator.lock:
+                worker.start()
+                worker.join(timeout=0.5)
+                assert worker.is_alive() and "labels" not in done
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        bit_equal(done["labels"], expected)
+
+    def test_rejects_bad_inputs(self, backend):
+        rng = np.random.default_rng(1)
+        with kernels.use_backend(backend):
+            with pytest.raises(ProtocolError, match="float64"):
+                kernels.permute(np.zeros(3), rng)
+            with pytest.raises(ProtocolError, match="1-D"):
+                kernels.permute(np.zeros((2, 2), np.int64), rng)
+            with pytest.raises(ProtocolError, match="Generator"):
+                kernels.permute(np.arange(3), 7)
+
+
+# ---------------------------------------------------------------------------
 # Full-pipeline bit-identity: {compiled, numpy} × {serial, sharded}
 # ---------------------------------------------------------------------------
 
@@ -573,6 +688,28 @@ class TestDispatch:
             for name in spec.kernels:
                 assert name in kernels.KERNEL_NAMES, (spec.name, name)
 
+    @pytest.mark.parametrize("name", [spec.name
+                                      for spec in registry.all_specs()
+                                      if spec.factory is not None])
+    def test_protocol_calls_exactly_its_declared_kernels(self, name,
+                                                         monkeypatch):
+        """``ProtocolSpec.kernels`` is what gets warmed before timed work,
+        so it must name exactly the kernels a perturb and a fold call:
+        a stale entry moves a kernel's first resolution into a timed
+        stage."""
+        spec = registry.get(name)
+        oracle = spec.factory(2.0, 16)
+        values = np.random.default_rng(3).integers(0, 16, size=500)
+        called = set()
+        for kernel in kernels.KERNEL_NAMES:
+            def recorder(*args, _kernel=kernel,
+                         _original=getattr(kernels, kernel), **kwargs):
+                called.add(_kernel)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(kernels, kernel, recorder)
+        oracle.fold(None, [oracle.perturb(values, rng=4)])
+        assert called == set(spec.kernels)
+
     def test_kernels_for_unions_and_orders(self):
         names = registry.kernels_for(["oue", "grr"])
         assert set(names) == {"grr_apply", "ue_accumulate", "fold_arrays"}
@@ -609,6 +746,20 @@ class TestValidation:
                 kernels.support_counts(np.zeros(2, np.uint64),
                                        np.zeros(2, np.uint64), hash_range,
                                        np.zeros(1, np.uint64))
+
+    def test_olh_perturb_rejects_bad_inputs(self):
+        seeds = np.zeros(3, np.uint64)
+        with pytest.raises(ProtocolError, match="lengths disagree"):
+            kernels.olh_perturb(seeds, np.arange(3), np.zeros(2),
+                                np.zeros(3, np.int64), 0.5, 4)
+        for g in (0, 2**64):
+            with pytest.raises(ProtocolError, match="g must be"):
+                kernels.olh_perturb(seeds, np.arange(3), np.zeros(3),
+                                    np.zeros(3, np.int64), 0.5, g)
+
+    def test_mix_seeds_rejects_2d(self):
+        with pytest.raises(ProtocolError, match="1-D"):
+            kernels.mix_seeds(np.zeros((2, 2), np.uint64))
 
     def test_fold_arrays_rejects_empty_and_mismatched(self):
         with pytest.raises(ProtocolError, match="at least one"):

@@ -41,14 +41,17 @@ def test_every_wrapped_name_resolves_and_uninstalls(monkeypatch):
 def test_traced_fit_records_the_grouping_kernel(monkeypatch):
     """perfbench wraps every kernel and counts ``len(args[0])`` elements,
     so a kernel called with keywords or an unsized first argument would
-    crash every traced run. A small instrumented fit, materialize and
-    answer batch run through, and the grouping pass is counted."""
+    crash every traced run. A small instrumented fit (every grid pinned
+    to OLH), materialize and answer batch run through, and the partition
+    shuffle, the grouping pass and OLH's perturb and seed-mix kernels
+    are counted."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import layers
     from tracer import Tracer
 
     from repro import Felip
     from repro.data import normal_dataset
+    from repro.fo import kernels
     from repro.queries import Query, between
 
     data = normal_dataset(3_000, num_numerical=3, num_categorical=1,
@@ -57,13 +60,21 @@ def test_traced_fit_records_the_grouping_kernel(monkeypatch):
                Query([between("num_0", 2, 9), between("num_1", 1, 12)]),
                Query([between("num_0", 2, 9), between("num_1", 1, 12),
                       between("num_2", 4, 15)])]
+    # Warmed first, as perfbench pins the tier before it instruments:
+    # the counts below are the fit's own calls.
+    kernels.warm()
     tracer = Tracer()
     try:
         layers.instrument(tracer)
-        model = Felip.ohg(data.schema, epsilon=2.0).fit(data, rng=2)
+        model = Felip.ohg(data.schema, epsilon=2.0,
+                          protocols=("olh",)).fit(data, rng=2)
         model.materialize()
         model.answer_workload(queries)
     finally:
         tracer.uninstall()
     assert tracer.counters["fo.kernels.group_cells.calls"] >= 1
     assert tracer.counters["fo.kernels.group_cells.elements"] >= data.n
+    assert tracer.counters["fo.kernels.permute.calls"] == 1
+    assert tracer.counters["fo.kernels.permute.elements"] == data.n
+    assert tracer.counters["fo.kernels.olh_perturb.calls"] >= 1
+    assert tracer.counters["fo.kernels.mix_seeds.calls"] >= 1

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.partition import group_sizes
-from repro.rng import (
-    ensure_rng,
-    label_dtype,
-    permuted_group_assignment,
-    random_seed,
-    spawn,
-)
+from repro.core.partition import group_sizes, partition_users
+from repro.errors import ConfigurationError
+from repro.rng import ensure_rng, label_dtype, random_seed, spawn
 
 
 class TestEnsureRng:
@@ -57,28 +52,31 @@ class TestRandomSeed:
 
 
 class TestPermutedGroupAssignment:
+    """The population's permuted group assignment, made by
+    :func:`repro.core.partition.partition_users` (group sizes from
+    ``group_sizes``, one shuffle in ``repro.fo.kernels.permute``)."""
+
     def test_exact_group_sizes(self):
-        sizes = np.array([3, 5, 2])
-        labels = permuted_group_assignment(10, sizes, rng=1)
-        assert (np.bincount(labels, minlength=3) == sizes).all()
+        labels = partition_users(10, 3, rng=1)
+        np.testing.assert_array_equal(np.bincount(labels, minlength=3),
+                                      group_sizes(10, 3))
 
-    def test_rejects_mismatched_total(self):
-        with pytest.raises(ValueError):
-            permuted_group_assignment(9, np.array([3, 5, 2]), rng=1)
+    def test_rejects_negative_population(self):
+        with pytest.raises(ConfigurationError):
+            partition_users(-1, 3, rng=1)
 
-    def test_rejects_negative_sizes(self):
-        with pytest.raises(ValueError):
-            permuted_group_assignment(2, np.array([3, -1]), rng=1)
+    def test_rejects_no_groups(self):
+        with pytest.raises(ConfigurationError):
+            partition_users(5, 0, rng=1)
 
     def test_assignment_is_permuted(self):
         # With a random permutation, the first group's members should not
         # simply be the first rows.
-        labels = permuted_group_assignment(1000, np.array([500, 500]),
-                                           rng=2)
+        labels = partition_users(1000, 2, rng=2)
         assert labels[:500].sum() > 0
 
     def test_empty_population(self):
-        labels = permuted_group_assignment(0, np.array([0, 0]), rng=1)
+        labels = partition_users(0, 2, rng=1)
         assert len(labels) == 0
 
     @pytest.mark.parametrize("m", [1, 255, 256, 257, 65_535, 65_536,
@@ -87,9 +85,9 @@ class TestPermutedGroupAssignment:
         """Labels take the narrowest dtype, and the shuffle does not
         depend on the item size: the same labels as permuting int64."""
         n = 3 * m + 11
-        sizes = group_sizes(n, m)
-        labels = permuted_group_assignment(n, sizes, rng=7)
-        expected = ensure_rng(7).permutation(np.repeat(np.arange(m), sizes))
+        labels = partition_users(n, m, rng=7)
+        expected = ensure_rng(7).permutation(
+            np.repeat(np.arange(m), group_sizes(n, m)))
         assert labels.dtype == label_dtype(m)
         np.testing.assert_array_equal(labels, expected)
 
