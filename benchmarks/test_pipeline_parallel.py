@@ -1,7 +1,8 @@
 """Collection-throughput benchmark of the sharded executor.
 
 Times the client-side collection phase (grouping + encode + perturb +
-the fold of every shard into its grid's state) at ``n = 10^6`` users at
+the fold of every shard into its grid's state + its admission check
+under the default ``strict`` policy) at ``n = 10^6`` users at
 1/2/4 workers, plus one ``n = 10^7`` row at ``workers=0`` (one thread per
 available CPU). ``make bench-pipeline`` records the results to
 ``BENCH_pipeline.json`` so PRs can diff collection throughput over time.
@@ -15,10 +16,12 @@ reference's, folded, is tier-1's job
 (``tests/test_parallel_pipeline.py``), for every protocol.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import FelipConfig, partition_users, plan_grids
-from repro.core.client import collect_reports
+from repro.core.client import ExecutionContext, collect_reports
 from repro.data import normal_dataset
 from repro.rng import ensure_rng
 
@@ -34,23 +37,26 @@ def collection():
     config = FelipConfig(epsilon=1.0)
     plans = plan_grids(dataset.schema, config, dataset.n)
     assignment = partition_users(dataset.n, len(plans), ensure_rng(2023))
-    return dataset.records, assignment, plans, config.epsilon
+    return dataset.records, assignment, plans, config
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_collect_sharded_1m(benchmark, collection, workers):
-    records, assignment, plans, epsilon = collection
+    records, assignment, plans, config = collection
+    context = ExecutionContext(replace(config, workers=workers))
     benchmark.pedantic(
-        lambda: collect_reports(records, assignment, plans, epsilon,
-                                rng=7, workers=workers),
+        lambda: collect_reports(context, records, assignment, plans,
+                                config.epsilon, rng=7),
         rounds=7, iterations=1, warmup_rounds=1)
 
 
 def test_collect_sharded_chunked_1m(benchmark, collection):
-    records, assignment, plans, epsilon = collection
+    records, assignment, plans, config = collection
+    context = ExecutionContext(replace(config, workers=4,
+                                       chunk_size=65_536))
     benchmark.pedantic(
-        lambda: collect_reports(records, assignment, plans, epsilon,
-                                rng=7, workers=4, chunk_size=65_536),
+        lambda: collect_reports(context, records, assignment, plans,
+                                config.epsilon, rng=7),
         rounds=7, iterations=1, warmup_rounds=1)
 
 
@@ -66,11 +72,12 @@ def test_collect_sharded_10m(benchmark):
     dataset = normal_dataset(N_USERS_XL, num_numerical=2, num_categorical=1,
                              numerical_domain=64, categorical_domain=8,
                              rng=2023)
-    config = FelipConfig(epsilon=1.0)
+    config = FelipConfig(epsilon=1.0, workers=0)
     plans = plan_grids(dataset.schema, config, dataset.n)
     assignment = partition_users(dataset.n, len(plans), ensure_rng(2023))
+    context = ExecutionContext(config)
     benchmark.pedantic(
-        lambda: collect_reports(dataset.records, assignment, plans,
-                                config.epsilon, rng=7, workers=0),
+        lambda: collect_reports(context, dataset.records, assignment, plans,
+                                config.epsilon, rng=7),
         rounds=3, iterations=1, warmup_rounds=1)
 

@@ -125,31 +125,30 @@ class HIO:
         self._groups = {}
         self._cache = {}
         combos = self.level_combos()
-        k = len(self.schema)
         n = dataset.n
         assignment = partition_users(n, len(combos), rng)
 
-        # Vectorized over the whole population: first the per-attribute
-        # interval index of every user at every hierarchy level, then each
-        # user's tuple at their own group's level combination, then one
-        # chained hash + GRR pass. Equivalent to per-group encoding, but
-        # O(k * levels * n) numpy work instead of a Python loop over the
-        # (potentially enormous) group set.
+        # Vectorized over the whole population: first, per attribute, the
+        # interval index of every user at their own group's level (each
+        # level computed only for the users whose group reads it, so every
+        # code is mapped, and domain-checked, once), then one chained
+        # hash + GRR pass. Equivalent to per-group encoding, but O(k * n)
+        # numpy work instead of a Python loop over the (potentially
+        # enormous) group set.
         combo_arr = np.asarray(combos, dtype=np.int64)
-        per_user_levels = combo_arr[assignment]
-        components = np.empty((n, k), dtype=np.uint64)
-        rows = np.arange(n)
-        for t in range(k):
-            hierarchy = self.hierarchies[t]
-            stacked = np.stack([
-                hierarchy.interval_of(level, dataset.records[:, t])
-                for level in range(hierarchy.num_levels)])
-            components[:, t] = stacked[per_user_levels[:, t], rows]
+        components = []
+        for t, hierarchy in enumerate(self.hierarchies):
+            levels = combo_arr[:, t][assignment]
+            codes = dataset.records[:, t]
+            column = np.empty(n, dtype=np.uint64)
+            for level in range(hierarchy.num_levels):
+                readers = np.flatnonzero(levels == level)
+                column[readers] = hierarchy.interval_of(level,
+                                                        codes[readers])
+            components.append(column)
 
         seeds = random_seeds(n, rng)
-        hashed = chain_hash(
-            seeds, [components[:, t] for t in range(k)],
-            self.g).astype(np.int64)
+        hashed = chain_hash(seeds, components, self.g).astype(np.int64)
         keep = rng.random(n) < self.p
         others = rng.integers(0, self.g - 1, size=n)
         others = others + (others >= hashed)
@@ -166,14 +165,6 @@ class HIO:
         return self
 
     # -- estimation -------------------------------------------------------------
-
-    def _estimate_interval(self, combo: Tuple[int, ...],
-                           intervals: Tuple[int, ...]) -> float:
-        """Estimated frequency of one k-dim interval (memoized, lazy)."""
-        key = (combo, intervals)
-        if key not in self._cache:
-            self._estimate_intervals_batch(combo, [intervals])
-        return self._cache[key]
 
     def _estimate_intervals_batch(self, combo: Tuple[int, ...],
                                   intervals_list) -> np.ndarray:

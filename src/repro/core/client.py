@@ -6,7 +6,11 @@ index with the grid's frequency oracle, spending the full budget ε. The
 batch simulation below is distributionally identical to ``n`` independent
 clients: every row uses independent randomness.
 
-:func:`collect_reports` maps the records to every user's cell of their
+Every collection runs in an :class:`ExecutionContext`, built from a
+:class:`~repro.core.config.FelipConfig`: it holds the run's settings
+(``workers``, ``chunk_size``, ``shard_retries``, the ingest policy and
+the test-only fault hook) and the accounting the run records into.
+:func:`collect_shards` maps the records to every user's cell of their
 group's grid, grouped by group, in one kernel pass
 (:func:`repro.fo.kernels.group_cells`, over value→cell tables built once
 per plan by :func:`cell_tables`), and splits each group's cells into
@@ -16,11 +20,13 @@ folds the report with the grid's oracle into a
 :class:`~repro.fo.base.FoldedState`, checks the report against the plan,
 and returns the state, so no per-user row outlives the task that drew
 it. The tasks run on :func:`repro.core.parallel.run_sharded` (a thread
-pool of ``workers``), and each group's states reduce in ``(group,
-chunk)`` order through :func:`repro.core.merge.merge_reports`.
+pool of ``workers``). :func:`collect_reports` reduces each group's
+states in ``(group, chunk)`` order through
+:func:`repro.core.merge.merge_reports`;
 :meth:`repro.core.streaming.StreamingCollector.observe` runs the same
-grouping and tasks. :func:`collect_reports_budget_split` has nothing to
-group: its tasks encode their own row slice of the records.
+:func:`collect_shards` and merges the states into its running ones.
+:func:`collect_reports_budget_split` has nothing to group: its tasks
+encode their own row slice of the records.
 
 Determinism contract: with ``chunk_size=None`` each group perturbs in one
 shard on one child generator spawned per group, consumed exactly like
@@ -33,22 +39,22 @@ valid) random stream.
 
 Fault tolerance extends the contract rather than weakening it: every
 randomized shard task snapshots its generator's state at construction and
-restores it on entry, so a retried attempt (``retries`` > 0 after a
+restores it on entry, so a retried attempt (``shard_retries`` > 0 after a
 transient failure, or an injected chaos fault) replays exactly the RNG
 stream the failed attempt consumed — a collection that loses any shard
 once and retries it is bit-identical to the fault-free run.
 
-Ingestion hardening: when an ``ingest`` policy is passed, every shard's
-report is checked (``repro.robustness``) against the planning oracle's
-parameters inside its task, after the fold — so an attempt that raised
-and was retried has not been counted — and a shard that disagrees with
-its plan either fails loudly (``strict``) or is dropped/quarantined. The
-task only holds its verdict; the verdicts are recorded in
-``ingest_stats`` in ``(group, chunk)`` order once every shard has run,
-so the accounting (quarantine audit entries included) is the same for
-any ``workers``, and a collection that fails part way records nothing.
-Structure needs no check here: every report was built by its validating
-constructor.
+Ingestion hardening: every shard's report is checked
+(``repro.robustness``) against the planning oracle's parameters under
+the context's ingest policy inside its task, after the fold — so an
+attempt that raised and was retried has not been counted — and a shard
+that disagrees with its plan either fails loudly (``strict``) or is
+dropped/quarantined. The task only holds its verdict; the verdicts are
+recorded in the context's ``ingest_stats`` in ``(group, chunk)`` order
+once every shard has run, so the accounting (quarantine audit entries
+included) is the same for any ``workers``, and a collection that fails
+part way records nothing. Structure needs no check here: every report
+was built by its validating constructor.
 """
 
 from __future__ import annotations
@@ -58,13 +64,14 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import FelipConfig
 from repro.core.merge import merge_reports
 from repro.core.parallel import ExecutionStats, chunk_bounds, run_sharded
 from repro.core.planner import PlannedGrid
 from repro.errors import ProtocolError
 from repro.fo import kernels as fo_kernels
 from repro.fo.adaptive import make_oracle
-from repro.fo.base import FoldedState
+from repro.fo.base import FoldedState, FrequencyOracle
 from repro.fo.registry import get as protocol_spec
 from repro.grids.grid import Grid2D
 from repro.robustness.policy import (
@@ -74,6 +81,52 @@ from repro.robustness.policy import (
     sanitize_report,
 )
 from repro.rng import RngLike, ensure_rng, spawn
+
+
+class ExecutionContext:
+    """The settings a model's sharded runs take, and their accounting.
+
+    Built from ``config``: :meth:`run_shards` runs tasks on
+    ``config.workers`` threads with ``config.shard_retries`` retries,
+    collection splits groups into ``config.chunk_size`` shards, and every
+    shard's report is admitted under ``ingest_policy`` (mode
+    ``config.ingest_policy``). Runs record into ``ingest_stats`` and
+    ``exec_stats``. :class:`~repro.core.Aggregator` and
+    :class:`~repro.core.StreamingCollector` are contexts; a fit collects
+    on a :meth:`fresh_context` and takes its accounting (:meth:`adopt`)
+    only once collection has succeeded.
+    """
+
+    def __init__(self, config: FelipConfig):
+        self.config = config
+        #: ingestion admission control (mode from ``config.ingest_policy``)
+        self.ingest_policy = IngestPolicy(mode=config.ingest_policy)
+        #: admission accounting across every sanitized report
+        self.ingest_stats = IngestStats()
+        #: fault-tolerance accounting of the sharded executor
+        self.exec_stats = ExecutionStats()
+        #: chaos-test hook threaded into ``run_sharded`` (None in prod)
+        self.fault_injector = None
+
+    def run_shards(self, tasks: Sequence[Callable[[], Any]]) -> List[Any]:
+        """Run shard tasks under these settings; results in task order."""
+        return run_sharded(tasks, self.config.workers,
+                           retries=self.config.shard_retries,
+                           fault_injector=self.fault_injector,
+                           stats=self.exec_stats)
+
+    def fresh_context(self) -> "ExecutionContext":
+        """A context with these settings, policy and hook, and no
+        accounting."""
+        context = ExecutionContext(self.config)
+        context.ingest_policy = self.ingest_policy
+        context.fault_injector = self.fault_injector
+        return context
+
+    def adopt(self, context: "ExecutionContext") -> None:
+        """Take ``context``'s accounting as this one's own."""
+        self.ingest_stats = context.ingest_stats
+        self.exec_stats = context.exec_stats
 
 
 @dataclass
@@ -129,7 +182,7 @@ class _Verdict:
 
     :func:`sanitize_report` records into it from the shard's task (it
     offers :class:`IngestStats`'s two recording methods);
-    :meth:`_TaskBuilder.admitted` replays it into the shared stats.
+    :meth:`_TaskBuilder.run` replays it into the shared stats.
     """
 
     def __init__(self):
@@ -150,26 +203,21 @@ class _Verdict:
 class _TaskBuilder:
     """One collection run's shard closures, with their bookkeeping.
 
-    ``tasks[i]`` is the zero-argument closure :func:`run_sharded` runs
-    and ``task_group[i]`` the group its result reduces into. Every
-    shard's report passes admission control under ``ingest`` inside its
-    task, which returns its result with its :class:`_Verdict`;
-    :meth:`admitted` records the verdicts in ``ingest_stats``
-    (attributed to ``source``) in task order. ``ingest=None`` admits
-    every report.
+    ``tasks[i]`` is the zero-argument closure the context runs and
+    ``task_group[i]`` the group its result reduces into. Every shard's
+    report passes admission control under the context's ingest policy
+    inside its task, which returns its result with its
+    :class:`_Verdict`; :meth:`run` records the verdicts in the context's
+    ``ingest_stats`` (attributed to ``source``) in task order.
     """
 
-    def __init__(self, ingest: Optional[IngestPolicy],
-                 ingest_stats: Optional[IngestStats] = None,
-                 source: str = ""):
-        self.ingest = ingest
-        self.ingest_stats = ingest_stats
+    def __init__(self, context: ExecutionContext, source: str = ""):
+        self.context = context
         self.source = source
         self.tasks: List[Callable[[], Any]] = []
         self.task_group: List[int] = []
 
-    def add_perturb(self, g: int, oracle, rows: np.ndarray,
-                    chunk_size: Optional[int], rng,
+    def add_perturb(self, g: int, oracle, rows: np.ndarray, rng,
                     encode: Optional[Callable[[np.ndarray], np.ndarray]]
                     = None) -> None:
         """One perturb-fold-check task per chunk of group ``g``'s rows.
@@ -180,7 +228,7 @@ class _TaskBuilder:
         child each.
         """
         admit = self._admission(ReportSpec.from_oracle(oracle))
-        bounds = chunk_bounds(len(rows), chunk_size)
+        bounds = chunk_bounds(len(rows), self.context.config.chunk_size)
         shard_rngs = [rng] if len(bounds) == 1 else spawn(rng, len(bounds))
         for (start, stop), shard_rng in zip(bounds, shard_rngs):
             self.tasks.append(_shard_task(oracle, rows[start:stop], encode,
@@ -197,12 +245,10 @@ class _TaskBuilder:
         self.task_group.append(g)
 
     def _admission(self, expected: Optional[ReportSpec]
-                   ) -> Optional[Callable[[Any], _Verdict]]:
-        """The in-task check of a shard's report (``None``: admit all);
-        ``strict`` raises on a rejection."""
-        if self.ingest is None:
-            return None
-        ingest, source = self.ingest, self.source
+                   ) -> Callable[[Any], _Verdict]:
+        """The in-task check of a shard's report; ``strict`` raises on a
+        rejection."""
+        ingest, source = self.context.ingest_policy, self.source
 
         def admit(report) -> _Verdict:
             verdict = _Verdict()
@@ -212,37 +258,70 @@ class _TaskBuilder:
             return verdict
         return admit
 
-    def admitted(self, results: Sequence[Tuple[Any, Optional[_Verdict]]],
-                 num_groups: int) -> List[List[Any]]:
-        """Each group's admitted results, in ``(group, chunk)`` order.
+    def run(self, num_groups: int) -> List[List[Any]]:
+        """Run every task; each group's admitted results, in ``(group,
+        chunk)`` order.
 
-        Records the run's verdicts in ``ingest_stats`` in the same order,
-        so call it once :func:`run_sharded` has returned every result.
+        Records the run's verdicts in the context's ``ingest_stats`` in
+        the same order once every shard has run, so a run that raises
+        records none.
         """
+        results = self.context.run_shards(self.tasks)
         parts: List[List[Any]] = [[] for _ in range(num_groups)]
         for g, (result, verdict) in zip(self.task_group, results):
-            if verdict is not None:
-                if self.ingest_stats is not None:
-                    verdict.replay(self.ingest_stats)
-                if not verdict.admitted:
-                    continue
-            parts[g].append(result)
+            verdict.replay(self.context.ingest_stats)
+            if verdict.admitted:
+                parts[g].append(result)
         return parts
 
 
-def collect_reports(records: np.ndarray, assignment: np.ndarray,
+def collect_shards(context: ExecutionContext, records: np.ndarray,
+                   assignment: np.ndarray,
+                   planned_grids: Sequence[PlannedGrid],
+                   tables: Sequence[CellAxes],
+                   oracle_of: Callable[[PlannedGrid], FrequencyOracle],
+                   epsilon: float, rng: np.random.Generator,
+                   source: str = "") -> Tuple[List[List[Any]], np.ndarray]:
+    """The grouped shard path of :func:`collect_reports` and ``observe``.
+
+    Groups the records' cells by ``assignment`` in one
+    :func:`~repro.fo.kernels.group_cells` pass over ``tables``, spawns
+    one generator per group from ``rng``, and runs every group that
+    needs a report on ``context``: shards perturbing on
+    ``oracle_of(planned)``, or one interactive fit with ``epsilon``,
+    their verdicts attributed to ``source``. Returns each group's
+    admitted results in ``(group, chunk)`` order, and every group's size.
+    """
+    cells, offsets = fo_kernels.group_cells(records, assignment, tables)
+    group_rngs = spawn(rng, len(planned_grids))
+    builder = _TaskBuilder(context, source)
+    for g, planned in enumerate(planned_grids):
+        group = cells[offsets[g]:offsets[g + 1]]
+        if len(group) == 0 or planned.num_cells < 2:
+            continue
+        if protocol_spec(planned.protocol).interactive_fit is not None:
+            # Interactive backends consume their whole group (raw codes,
+            # through the identity table); one shard.
+            builder.add_interactive(g, planned, group, epsilon,
+                                    group_rngs[g])
+            continue
+        # Chunked, so parallelism is not capped at the group count.
+        builder.add_perturb(g, oracle_of(planned), group, group_rngs[g])
+    return builder.run(len(planned_grids)), np.diff(offsets)
+
+
+def collect_reports(context: ExecutionContext, records: np.ndarray,
+                    assignment: np.ndarray,
                     planned_grids: Sequence[PlannedGrid], epsilon: float,
-                    rng: RngLike = None, *, workers: int = 1,
-                    chunk_size: int = None,
-                    ingest: Optional[IngestPolicy] = None,
-                    ingest_stats: Optional[IngestStats] = None,
-                    retries: int = 0, fault_injector=None,
-                    exec_stats: Optional[ExecutionStats] = None
-                    ) -> List[GroupReport]:
+                    rng: RngLike = None) -> List[GroupReport]:
     """Run the client-side protocol for every group (sharded executor).
 
     Parameters
     ----------
+    context:
+        The run's settings and accounting (:class:`ExecutionContext`);
+        ``workers`` and retries never change the output, ``chunk_size``
+        picks the random stream (the module determinism contract).
     records:
         The full ``(n, k)`` code matrix.
     assignment:
@@ -257,72 +336,38 @@ def collect_reports(records: np.ndarray, assignment: np.ndarray,
         Seed or generator; children are spawned per group (and per chunk
         when ``chunk_size`` splits a group) so reports are independent
         across shards.
-    workers:
-        Pool width for shard execution (0 = one per CPU). Never affects
-        the output — see the module determinism contract.
-    chunk_size:
-        Rows per shard within a group; ``None`` keeps whole groups (the
-        geometry under which each group's state is the fold of the
-        serial reference's report).
-    ingest, ingest_stats:
-        Ingestion policy and its accounting: every shard's report is
-        sanitized against the group's oracle parameters in its task.
-    retries, fault_injector, exec_stats:
-        Fault-tolerance knobs forwarded to
-        :func:`repro.core.parallel.run_sharded`; retried shards replay
-        the same RNG stream.
     """
-    cells, offsets = fo_kernels.group_cells(records, assignment,
-                                            cell_tables(planned_grids))
-    group_rngs = spawn(ensure_rng(rng), len(planned_grids))
-
-    builder = _TaskBuilder(ingest, ingest_stats)
-    for g, planned in enumerate(planned_grids):
-        group = cells[offsets[g]:offsets[g + 1]]
-        if len(group) == 0 or planned.num_cells < 2:
-            continue
-        if protocol_spec(planned.protocol).interactive_fit is not None:
-            # Interactive backends consume their whole group (raw codes,
-            # through the identity table); one shard.
-            builder.add_interactive(g, planned, group, epsilon,
-                                    group_rngs[g])
-            continue
-        builder.add_perturb(
-            g, make_oracle(planned.protocol, epsilon, planned.num_cells),
-            group, chunk_size, group_rngs[g])
-    return _execute(builder, planned_grids, np.diff(offsets).tolist(),
-                    workers, retries, fault_injector, exec_stats)
+    parts, sizes = collect_shards(
+        context, records, assignment, planned_grids,
+        cell_tables(planned_grids),
+        lambda planned: make_oracle(planned.protocol, epsilon,
+                                    planned.num_cells),
+        epsilon, ensure_rng(rng))
+    return _group_reports(planned_grids, parts, sizes.tolist())
 
 
-def _execute(builder: _TaskBuilder, planned_grids: Sequence[PlannedGrid],
-             group_sizes: Sequence[int], workers: int, retries: int,
-             fault_injector, exec_stats: Optional[ExecutionStats]
-             ) -> List[GroupReport]:
-    """Run a built task set; merge each group's shard states."""
-    results = run_sharded(builder.tasks, workers, retries=retries,
-                          fault_injector=fault_injector, stats=exec_stats)
-    return [GroupReport(planned=planned, report=merge_reports(parts),
-                        group_size=size)
-            for planned, parts, size in zip(
-                planned_grids, builder.admitted(results,
-                                                len(planned_grids)),
-                group_sizes)]
+def _group_reports(planned_grids: Sequence[PlannedGrid],
+                   parts: Sequence[List[Any]], group_sizes: Sequence[int]
+                   ) -> List[GroupReport]:
+    """Merge each group's shard states into its report."""
+    return [GroupReport(planned, merge_reports(states), size)
+            for planned, states, size in zip(planned_grids, parts,
+                                              group_sizes)]
 
 
 def _shard_task(oracle, rows: np.ndarray,
                 encode: Optional[Callable[[np.ndarray], np.ndarray]],
-                rng, admit: Optional[Callable[[Any], _Verdict]]
-                ) -> Callable[[], Tuple[FoldedState, Optional[_Verdict]]]:
+                rng, admit: Callable[[Any], _Verdict]
+                ) -> Callable[[], Tuple[FoldedState, _Verdict]]:
     """Perturb-fold-check closure for one (group, chunk) shard.
 
     ``rows`` are the shard's cells, or the records ``encode`` maps to
-    cells. Returns the shard's folded state with its report's verdict
-    (``None`` when ``admit`` is). The check runs after the fold, so only
-    an attempt that completes holds a verdict. The generator state is
-    snapshotted at construction and restored on every entry, so a
-    retried attempt after a transient failure replays exactly the
-    stream the failed attempt consumed (the fault-tolerance half of the
-    determinism contract).
+    cells. Returns the shard's folded state with its report's verdict.
+    The check runs after the fold, so only an attempt that completes
+    holds a verdict. The generator state is snapshotted at construction
+    and restored on every entry, so a retried attempt after a transient
+    failure replays exactly the stream the failed attempt consumed (the
+    fault-tolerance half of the determinism contract).
     """
     state = rng.bit_generator.state
 
@@ -331,14 +376,13 @@ def _shard_task(oracle, rows: np.ndarray,
         cells = rows if encode is None else encode(rows)
         report = oracle.perturb(cells, rng)
         folded = oracle.fold(None, [report])
-        return folded, None if admit is None else admit(report)
+        return folded, admit(report)
     return run
 
 
 def _interactive_task(fit, planned: PlannedGrid, column: np.ndarray,
-                      epsilon: float, rng,
-                      admit: Optional[Callable[[Any], _Verdict]]
-                      ) -> Callable[[], Tuple[Any, Optional[_Verdict]]]:
+                      epsilon: float, rng, admit: Callable[[Any], _Verdict]
+                      ) -> Callable[[], Tuple[Any, _Verdict]]:
     """Shard closure for an interactive (whole-group) backend's fit.
 
     Same state-snapshot and check-after contract as :func:`_shard_task`:
@@ -349,27 +393,23 @@ def _interactive_task(fit, planned: PlannedGrid, column: np.ndarray,
     def run():
         rng.bit_generator.state = state
         model = fit(planned, column, epsilon, rng)
-        return model, None if admit is None else admit(model)
+        return model, admit(model)
     return run
 
 
-def collect_reports_budget_split(records: np.ndarray,
+def collect_reports_budget_split(context: ExecutionContext,
+                                 records: np.ndarray,
                                  planned_grids: Sequence[PlannedGrid],
-                                 epsilon: float,
-                                 rng: RngLike = None, *, workers: int = 1,
-                                 chunk_size: int = None,
-                                 ingest: Optional[IngestPolicy] = None,
-                                 ingest_stats: Optional[IngestStats] = None,
-                                 retries: int = 0, fault_injector=None,
-                                 exec_stats: Optional[ExecutionStats] = None
+                                 epsilon: float, rng: RngLike = None
                                  ) -> List[GroupReport]:
     """The Theorem 5.1 strawman: every user reports every grid with ε/m.
 
     Sequential composition makes the total privacy loss ε, identical to
     :func:`collect_reports`; the paper proves (and the ablation benchmark
     shows) this variant always has higher variance. Shares the sharded
-    executor and its determinism contract (shards here are (grid, chunk)
-    slices of the whole population, each encoded in its task).
+    executor, its ``context`` and its determinism contract (shards here
+    are (grid, chunk) slices of the whole population, each encoded in
+    its task).
     """
     if not planned_grids:
         raise ProtocolError("no grids planned")
@@ -387,13 +427,12 @@ def collect_reports_budget_split(records: np.ndarray,
     epsilon_each = epsilon / len(planned_grids)
     grid_rngs = spawn(ensure_rng(rng), len(planned_grids))
 
-    builder = _TaskBuilder(ingest, ingest_stats)
+    builder = _TaskBuilder(context)
     for g, planned in enumerate(planned_grids):
         if len(records) == 0 or planned.num_cells < 2:
             continue
         builder.add_perturb(
             g, make_oracle(planned.protocol, epsilon_each, planned.num_cells),
-            records, chunk_size, grid_rngs[g], encode=planned.grid.encode)
-    return _execute(builder, planned_grids,
-                    [len(records)] * len(planned_grids), workers, retries,
-                    fault_injector, exec_stats)
+            records, grid_rngs[g], encode=planned.grid.encode)
+    return _group_reports(planned_grids, builder.run(len(planned_grids)),
+                          [len(records)] * len(planned_grids))

@@ -12,6 +12,11 @@ Collection folds each shard where it is perturbed
 :class:`~repro.fo.base.FoldedState` per grid, and its estimate stage only
 unbiases it — batch, budget-split and streaming collection alike.
 
+An aggregator is the :class:`~repro.core.client.ExecutionContext` of
+its sharded runs (collection and :meth:`Aggregator.materialize`). A fit
+collects on a fresh context and adopts it only on success: a fit that
+raises changes nothing, and a refit's accounting replaces the last.
+
 Because the reports come from clients the aggregator does not control,
 ingestion is hardened (``repro.robustness``): every report is sanitized
 under ``config.ingest_policy`` before its state is merged, configured
@@ -29,12 +34,16 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.client import (
+    ExecutionContext,
     GroupReport,
     collect_reports,
     collect_reports_budget_split,
 )
 from repro.core.config import FelipConfig
-from repro.core.parallel import ExecutionStats, StageTimings, run_sharded
+from repro.core.parallel import StageTimings
+# run_sharded is not called here; the repository benchmark wraps this
+# module's name to count sharded runs, so it stays importable.
+from repro.core.parallel import run_sharded  # noqa: F401
 from repro.core.partition import partition_users
 from repro.core.planner import PlannedGrid, plan_grids
 from repro.data.dataset import Dataset
@@ -69,16 +78,15 @@ from repro.queries.predicate import Predicate
 from repro.queries.query import Query
 from repro.rng import RngLike, ensure_rng
 from repro.robustness.detect import DetectorFlag, run_detectors
-from repro.robustness.policy import IngestPolicy, IngestStats
 from repro.schema import Schema
 
 
-class Aggregator:
+class Aggregator(ExecutionContext):
     """The server side of a FELIP collection."""
 
     def __init__(self, schema: Schema, config: FelipConfig):
+        super().__init__(config)
         self.schema = schema
-        self.config = config
         self.n: Optional[int] = None
         self.plans: List[PlannedGrid] = []
         self._estimates: Dict[Tuple[int, ...], GridEstimate] = {}
@@ -93,14 +101,6 @@ class Aggregator:
         #: cumulative wall-clock seconds per pipeline stage
         #: (plan / collect / estimate / postprocess)
         self.timings = StageTimings()
-        #: ingestion admission control (mode from ``config.ingest_policy``)
-        self.ingest_policy = IngestPolicy(mode=config.ingest_policy)
-        #: admission accounting across every sanitized report
-        self.ingest_stats = IngestStats()
-        #: fault-tolerance accounting of the sharded executor
-        self.exec_stats = ExecutionStats()
-        #: chaos-test hook threaded into ``run_sharded`` (None in prod)
-        self.fault_injector = None
         self._detector_flags: List[DetectorFlag] = []
         self._group_sizes: List[int] = []
         #: workload answered since the last fit (config.record_workload)
@@ -109,49 +109,41 @@ class Aggregator:
     # -- collection -----------------------------------------------------------
 
     def fit(self, dataset: Dataset, rng: RngLike = None) -> "Aggregator":
-        """Run the full collection pipeline on ``dataset``."""
+        """Run the full collection pipeline on ``dataset``.
+
+        All or nothing: ``n``, the plans, the report ε, the recorded
+        workload and the accounting change only once collection has
+        succeeded, so a fit that raises leaves the model as it was.
+        """
         if dataset.schema != self.schema:
             raise QueryError("dataset schema does not match aggregator's")
         rng = ensure_rng(rng)
-        self.n = dataset.n
-        self._recorded = WorkloadAccumulator(self.schema)
         with self.timings.time("plan"):
-            self.plans = plan_grids(self.schema, self.config, dataset.n)
+            plans = plan_grids(self.schema, self.config, dataset.n)
         with self.timings.time("warm"):
             # Warm the partition shuffle, the grouping pass and exactly
             # the kernels the planned protocols dispatch to, so
             # compile/load cost shows up here — never inside collect.
             fo_kernels.warm(("group_cells", "permute",
-                             *kernels_for(p.protocol for p in self.plans)))
+                             *kernels_for(p.protocol for p in plans)))
+        run = self.fresh_context()
         with self.timings.time("collect"):
             if self.config.partition_mode == "budget":
                 # Theorem 5.1 strawman: everyone reports every grid with
                 # eps/m.
-                self._report_epsilon = (self.config.epsilon
-                                        / max(len(self.plans), 1))
+                report_epsilon = self.config.epsilon / max(len(plans), 1)
                 reports = collect_reports_budget_split(
-                    dataset.records, self.plans, self.config.epsilon, rng,
-                    workers=self.config.workers,
-                    chunk_size=self.config.chunk_size,
-                    ingest=self.ingest_policy,
-                    ingest_stats=self.ingest_stats,
-                    retries=self.config.shard_retries,
-                    fault_injector=self.fault_injector,
-                    exec_stats=self.exec_stats)
+                    run, dataset.records, plans, self.config.epsilon, rng)
             else:
-                self._report_epsilon = self.config.epsilon
-                assignment = partition_users(dataset.n, len(self.plans),
-                                             rng)
+                report_epsilon = self.config.epsilon
+                assignment = partition_users(dataset.n, len(plans), rng)
                 reports = collect_reports(
-                    dataset.records, assignment, self.plans,
-                    self.config.epsilon, rng,
-                    workers=self.config.workers,
-                    chunk_size=self.config.chunk_size,
-                    ingest=self.ingest_policy,
-                    ingest_stats=self.ingest_stats,
-                    retries=self.config.shard_retries,
-                    fault_injector=self.fault_injector,
-                    exec_stats=self.exec_stats)
+                    run, dataset.records, assignment, plans,
+                    self.config.epsilon, rng)
+        self.adopt(run)
+        self.n, self.plans = dataset.n, plans
+        self._report_epsilon = report_epsilon
+        self._recorded = WorkloadAccumulator(self.schema)
         self._finalize(reports)
         return self
 
@@ -335,8 +327,8 @@ class Aggregator:
         """Eagerly build response matrices + summed-area tables.
 
         Fits every requested pair's matrix through the sharded executor —
-        same workers / retry / fault-injection machinery as collection —
-        with each task also building the matrix's
+        on the same context (workers, retries, fault hook, ``exec_stats``)
+        as collection — with each task also building the matrix's
         :class:`~repro.estimation.SummedAreaTable`, so SAT construction
         overlaps the other shards' matrix fits instead of running
         serially after the pool drains. Materialized pairs answer any
@@ -359,10 +351,7 @@ class Aggregator:
             missing = [p for p in norm if p not in self._matrices]
             if missing:
                 tasks = [self._materialize_task(i, j) for i, j in missing]
-                results = run_sharded(tasks, self.config.workers,
-                                      retries=self.config.shard_retries,
-                                      fault_injector=self.fault_injector,
-                                      stats=self.exec_stats)
+                results = self.run_shards(tasks)
                 for pair, (matrix, diag, sat) in zip(missing, results):
                     self._matrices[pair] = matrix
                     self._matrix_diags[pair] = diag

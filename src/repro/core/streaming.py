@@ -14,11 +14,11 @@ matter to its estimate only through a fixed-length sufficient statistic
 a GRR histogram, HR's signed projections, or the sums a unary/histogram/
 square-wave report already carries). The collector therefore keeps one
 folded state per grid plus the wire reports admitted since the last
-fold. :meth:`StreamingCollector.observe` groups a batch's cells with the
-batch collector's kernel pass (over tables built once at construction)
-and perturbs them on the same shard tasks (:mod:`repro.core.client`):
-each shard is folded where it is perturbed, and the shard states merge
-into the grid's state through :func:`repro.core.merge.merge_reports`.
+fold. :meth:`StreamingCollector.observe` runs the batch collector's
+shard path, :func:`repro.core.client.collect_shards` (over oracles and
+cell tables built once at construction): each shard is folded where it
+is perturbed, and the grid's state and the batch's shard states merge
+in one :func:`repro.core.merge.merge_reports` call.
 :meth:`StreamingCollector.compact` folds each grid's pending wire
 reports with one kernel call over their concatenation and drops them,
 so the retained state is O(Σ cells) plus at most one compaction interval
@@ -35,10 +35,11 @@ clients over time — so every report is admitted through the configured
 :class:`repro.robustness.IngestPolicy` before it is accumulated, whether
 it was perturbed locally (:meth:`StreamingCollector.observe`, checked in
 its shard task) or received from the wire
-(:meth:`StreamingCollector.ingest_report`). Per-batch perturbation runs
-on the sharded executor and inherits its retry-with-backoff fault
-tolerance; accounting flows into the finalized aggregator's
-``robustness_report()``.
+(:meth:`StreamingCollector.ingest_report`). A collector is an
+:class:`~repro.core.client.ExecutionContext`: per-batch perturbation
+runs on the sharded executor under its config and inherits its
+retry-with-backoff fault tolerance, and the whole stream's accounting
+flows into the finalized aggregator's ``robustness_report()``.
 """
 
 from __future__ import annotations
@@ -47,22 +48,26 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.client import GroupReport, _TaskBuilder, cell_tables
+from repro.core.client import (
+    ExecutionContext,
+    GroupReport,
+    cell_tables,
+    collect_shards,
+)
 from repro.core.config import FelipConfig
 from repro.core.merge import merge_reports
-from repro.core.parallel import ExecutionStats, run_sharded
+# run_sharded is not called here; the repository benchmark wraps this
+# module's name to count sharded runs, so it stays importable.
+from repro.core.parallel import run_sharded  # noqa: F401
 from repro.core.planner import PlannedGrid, plan_grids
 from repro.core.server import Aggregator
 from repro.data.dataset import Dataset
 from repro.errors import ConfigurationError, DataError, ProtocolError
-from repro.fo import kernels as fo_kernels
 from repro.fo.adaptive import make_oracle
 from repro.fo.base import FoldedState
 from repro.fo.registry import get as protocol_spec
-from repro.rng import RngLike, ensure_rng, spawn
+from repro.rng import RngLike, ensure_rng
 from repro.robustness.policy import (
-    IngestPolicy,
-    IngestStats,
     ReportSpec,
     report_user_count,
     sanitize_report,
@@ -72,7 +77,7 @@ from repro.schema import Schema
 __all__ = ["StreamingCollector"]
 
 
-class StreamingCollector:
+class StreamingCollector(ExecutionContext):
     """Accumulates ε-LDP reports batch by batch.
 
     Parameters
@@ -106,8 +111,8 @@ class StreamingCollector:
         if config.partition_mode != "users":
             raise ConfigurationError(
                 "streaming collection requires partition_mode='users'")
+        super().__init__(config)
         self.schema = schema
-        self.config = config
         self.plans: List[PlannedGrid] = plan_grids(schema, config,
                                                    expected_users)
         unstreamable = [p for p in self.plans
@@ -140,16 +145,11 @@ class StreamingCollector:
         #: a sanitizer, so finalize()'s accounting invariant counts them
         #: separately from ``ingest_stats.accepted_users``.
         self.trusted_users = 0
-        #: ingestion admission control shared by observe()/ingest_report()
-        self.ingest_policy = IngestPolicy(mode=config.ingest_policy)
-        self.ingest_stats = IngestStats()
-        self.exec_stats = ExecutionStats()
-        #: chaos-test hook for per-batch perturbation (None in prod)
-        self.fault_injector = None
         self._specs = {key: ReportSpec.from_oracle(oracle)
                        for key, oracle in self._oracles.items()}
         self._group_of = {p.key: g for g, p in enumerate(self.plans)}
         self._tables = cell_tables(self.plans)
+        self._single_cell = np.array([p.num_cells < 2 for p in self.plans])
 
     def observe(self, records: np.ndarray, rng: RngLike = None) -> int:
         """Ingest one batch of arriving users (``(b, k)`` code matrix).
@@ -182,40 +182,23 @@ class StreamingCollector:
             rng = self._rng if rng is None else ensure_rng(rng)
             assignment = rng.integers(0, len(self.plans),
                                       size=len(records))
-            group_rngs = spawn(rng, len(self.plans))
-            cells, offsets = fo_kernels.group_cells(records, assignment,
-                                                    self._tables)
-            builder = _TaskBuilder(self.ingest_policy, self.ingest_stats,
-                                   source="local")
-            trusted = np.zeros(len(self.plans), dtype=np.int64)
-            for g, plan in enumerate(self.plans):
-                group = cells[offsets[g]:offsets[g + 1]]
-                if len(group) == 0:
-                    continue
-                if plan.num_cells < 2:
-                    # A single-cell grid's members need no report.
-                    trusted[g] = len(group)
-                    continue
-                # Chunked exactly like the batch collector, so
-                # parallelism is not capped at the group count.
-                builder.add_perturb(g, self._oracles[plan.key], group,
-                                    self.config.chunk_size, group_rngs[g])
-            results = run_sharded(builder.tasks, self.config.workers,
-                                  retries=self.config.shard_retries,
-                                  fault_injector=self.fault_injector,
-                                  stats=self.exec_stats)
+            parts, sizes = collect_shards(
+                self, records, assignment, self.plans, self._tables,
+                lambda plan: self._oracles[plan.key], self.config.epsilon,
+                rng, source="local")
         except BaseException:
             self._rng.bit_generator.state = rewind
             raise
         # Every shard has run: only now is any of the batch accounted.
+        # A single-cell grid's members need no report.
+        trusted = np.where(self._single_cell, sizes, 0)
         accepted = int(trusted.sum())
         self._group_sizes += trusted
         self.trusted_users += accepted
         # Fold the pending wire reports first: a grid's state stays one
         # left fold of its reports in arrival order.
         self.compact()
-        for g, states in enumerate(builder.admitted(results,
-                                                    len(self.plans))):
+        for g, states in enumerate(parts):
             key = self.plans[g].key
             users = sum(state.n for state in states)
             if users:
@@ -334,10 +317,7 @@ class StreamingCollector:
         aggregator = Aggregator(self.schema, self.config)
         aggregator.n = self.observed
         aggregator.plans = self.plans
-        # Share the stream's admission/fault accounting so the model's
-        # robustness_report() covers the whole collection, not just the
-        # finalize-time estimation pass.
-        aggregator.ingest_stats = self.ingest_stats
-        aggregator.exec_stats = self.exec_stats
+        # The model's robustness_report() covers the whole stream.
+        aggregator.adopt(self)
         aggregator._finalize(reports)
         return aggregator

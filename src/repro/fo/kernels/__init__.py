@@ -31,12 +31,9 @@ import, compile, or load is recorded in :func:`backend_report` and
 skipped — the numpy implementation can never fail to be selected, so the
 library never *requires* a compiler.
 
-Environment switches (read at each resolution, so subprocess tests and
-monkeypatching both work):
-
-* ``REPRO_NO_JIT=1`` (also ``true``/``yes``/``on``) — numpy only.
-* ``REPRO_JIT=<backend>`` — try exactly that backend (then numpy).
-  Unknown names are recorded as errors and degrade to numpy.
+Environment switch (read at each resolution, so subprocess tests and
+monkeypatching both work): ``REPRO_NO_JIT=1`` (also ``true``/``yes``/
+``on``) — numpy only.
 
 **Bit-identity contract.** Every compiled kernel returns bit-identical
 output to its numpy reference on every input, and raises the same error
@@ -99,14 +96,6 @@ def _candidates() -> Tuple[str, ...]:
     if _override is not None:
         return ("numpy",) if _override == "numpy" else (_override, "numpy")
     if _no_jit():
-        return ("numpy",)
-    forced = os.environ.get("REPRO_JIT", "").strip().lower()
-    if forced:
-        if forced in BACKEND_PREFERENCE:
-            return ("numpy",) if forced == "numpy" else (forced, "numpy")
-        _errors.setdefault(
-            forced, f"unknown backend {forced!r} in REPRO_JIT "
-                    f"(known: {', '.join(BACKEND_PREFERENCE)})")
         return ("numpy",)
     return BACKEND_PREFERENCE
 

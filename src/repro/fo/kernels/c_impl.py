@@ -488,16 +488,6 @@ def _compiler() -> Optional[str]:
     return None
 
 
-def available() -> bool:
-    """Cheap availability probe: a cached build or a usable compiler."""
-    return os.path.exists(_lib_path()) or _compiler() is not None
-
-
-def load_error() -> Optional[str]:
-    """Why the backend is unusable (``None`` while healthy/unloaded)."""
-    return _load_error
-
-
 def _compile() -> str:
     compiler = _compiler()
     if compiler is None:

@@ -89,19 +89,6 @@ class SizingParams:
         return protocol_spec(protocol).cell_variance(self, num_cells)
 
 
-def variance_class(protocol: str) -> str:
-    """Map a protocol to its variance class for the sizing solvers.
-
-    ``"grr"`` marks specs whose per-cell variance grows with the cell
-    count (the solvers then bisect the GRR-style stationarity condition);
-    everything else sizes like OLH — size-independent noise with a closed
-    form (the unary/histogram encodings, square wave, AHEAD, and HR all
-    register that way).
-    """
-    spec = protocol_spec(protocol)
-    return "grr" if spec.variance_grows_with_cells else "olh"
-
-
 def _check_selectivity(r: float, name: str = "selectivity") -> float:
     r = float(r)
     if not 0.0 < r <= 1.0:

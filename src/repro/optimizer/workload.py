@@ -215,16 +215,6 @@ class WorkloadSpec:
             name_a, name_b = name_b, name_a
         return float(self.pair_weights.get((name_a, name_b), 0.0))
 
-    def grid_weight(self, names: Sequence[str]) -> float:
-        """Workload weight of a planned grid (1-D or pair)."""
-        names = list(names)
-        if len(names) == 1:
-            return self.attribute_weight(names[0])
-        if len(names) == 2:
-            return self.pair_weight(names[0], names[1])
-        raise ConfigurationError(
-            f"grids constrain 1 or 2 attributes, got {len(names)}")
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly rendering (plan artifacts, benchmarks)."""
         return {

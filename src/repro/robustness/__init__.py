@@ -32,7 +32,6 @@ from repro.robustness.attacks import (
 from repro.robustness.detect import (
     DETECTOR_NAMES,
     DetectorFlag,
-    RobustnessFlags,
     group_imbalance,
     l1_feasibility,
     range_feasibility,
@@ -71,7 +70,6 @@ __all__ = [
     "RandomReportAttack",
     "RandomValueAttack",
     "ReportSpec",
-    "RobustnessFlags",
     "TransientShardFault",
     "backoff_delay",
     "forge_report",

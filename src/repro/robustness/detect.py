@@ -28,7 +28,7 @@ any cell's post-processed share).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -151,21 +151,3 @@ def run_detectors(names: Sequence[str],
             flags.append(check(freqs, cell_variances.get(key, 0.0),
                                grid=key, sigmas=sigmas))
     return flags
-
-
-@dataclass
-class RobustnessFlags:
-    """Accumulated detector verdicts for one collection run."""
-
-    flags: List[DetectorFlag] = field(default_factory=list)
-
-    @property
-    def triggered(self) -> List[DetectorFlag]:
-        return [f for f in self.flags if f.triggered]
-
-    @property
-    def flagged(self) -> bool:
-        return any(f.triggered for f in self.flags)
-
-    def as_dicts(self) -> List[Dict[str, object]]:
-        return [f.as_dict() for f in self.flags]

@@ -18,16 +18,19 @@ import numpy as np
 import pytest
 
 from repro import Felip, FelipConfig
-from repro.core import StreamingCollector, plan_grids
-from repro.core.client import collect_reports
+from repro.core import Aggregator, StreamingCollector, plan_grids
+from repro.core.client import ExecutionContext, collect_reports
 from repro.core.parallel import ExecutionStats, StageTimings, run_sharded
-from repro.data import normal_dataset
-from repro.errors import ConfigurationError, GridError, ProtocolError
+from repro.data import Dataset, normal_dataset
+from repro.errors import (
+    ConfigurationError,
+    GridError,
+    NotFittedError,
+    ProtocolError,
+)
 from repro.queries import Query, between
 from repro.robustness import (
     FaultInjector,
-    IngestPolicy,
-    IngestStats,
     PoisonedShardError,
     TransientShardFault,
 )
@@ -50,37 +53,36 @@ def dataset():
 
 class TestRetryBitIdentity:
     def _collect(self, dataset, injector=None, retries=0, workers=4,
-                 chunk_size=1_000, stats=None, ingest=False):
-        """The collected groups — with ``ingest``, paired with the
-        ``drop``-policy admission accounting."""
-        config = FelipConfig(epsilon=1.0)
+                 chunk_size=1_000):
+        """The collected groups, with the context they ran on (its
+        ``drop``-policy admission and executor accounting)."""
+        config = FelipConfig(epsilon=1.0, ingest_policy="drop",
+                             workers=workers, chunk_size=chunk_size,
+                             shard_retries=retries)
         plans, assignment = planned_collection(dataset, config, seed=13)
-        ingest_stats = IngestStats()
-        reports = collect_reports(
-            dataset.records, assignment, plans, config.epsilon, rng=17,
-            workers=workers, chunk_size=chunk_size,
-            ingest=IngestPolicy(mode="drop") if ingest else None,
-            ingest_stats=ingest_stats,
-            retries=retries, fault_injector=injector, exec_stats=stats)
-        return (reports, ingest_stats) if ingest else reports
+        context = ExecutionContext(config)
+        context.fault_injector = injector
+        reports = collect_reports(context, dataset.records, assignment,
+                                  plans, config.epsilon, rng=17)
+        return reports, context
 
     @pytest.mark.parametrize("doomed_shard", [0, 3, 7])
     def test_single_shard_killed_once_is_bit_identical(self, dataset,
                                                        doomed_shard):
         """Losing any single shard once → retried output ≡ fault-free."""
-        baseline = self._collect(dataset)
+        baseline, _ = self._collect(dataset)
         injector = FaultInjector(fail=[(doomed_shard, 0)])
-        stats = ExecutionStats()
-        faulted = self._collect(dataset, injector, retries=1, stats=stats)
+        faulted, context = self._collect(dataset, injector, retries=1)
+        stats = context.exec_stats
         assert injector.total_injected == 1
         assert stats.retries == 1
         assert stats.retried_shards == {doomed_shard: 1}
         assert_same_reports(faulted, baseline)
 
     def test_every_shard_killed_once_is_bit_identical(self, dataset):
-        baseline = self._collect(dataset)
+        baseline, _ = self._collect(dataset)
         injector = FaultInjector(fail_all_first_attempts=True)
-        faulted = self._collect(dataset, injector, retries=1)
+        faulted, _ = self._collect(dataset, injector, retries=1)
         assert injector.total_injected > 1
         assert_same_reports(faulted, baseline)
 
@@ -130,28 +132,34 @@ class TestRetryBitIdentity:
                                                       monkeypatch):
         """A transient fault inside a shard's fold, after its perturb,
         leaves no trace: the retried attempt replays the perturbation
-        and the report is checked (and counted) once."""
+        and the report is checked (and counted) once. Failures are keyed
+        by the report's bytes, so three shards fail, each only on its
+        first attempt (its retry replays the same report), however the
+        threads interleave."""
         from repro.fo.base import FrequencyOracle
-        clean = self._collect(dataset, ingest=True)
+        clean, clean_context = self._collect(dataset)
         real_fold = FrequencyOracle.fold
         lock = threading.Lock()
-        faults = []
+        failed = set()
 
         def flaky_fold(oracle, state, reports):
+            key = b"".join(value.tobytes() for report in reports
+                           for value in vars(report).values()
+                           if isinstance(value, np.ndarray))
             with lock:
-                fail = len(faults) < 3
-                faults.append(fail)
+                fail = key not in failed and len(failed) < 3
+                if fail:
+                    failed.add(key)
             if fail:
                 raise TransientShardFault("fold lost")
             return real_fold(oracle, state, reports)
 
         monkeypatch.setattr(FrequencyOracle, "fold", flaky_fold)
-        stats = ExecutionStats()
-        faulted = self._collect(dataset, retries=1, stats=stats,
-                                ingest=True)
-        assert stats.retries == 3
-        assert_same_reports(faulted[0], clean[0])
-        assert faulted[1].as_dict() == clean[1].as_dict()
+        faulted, context = self._collect(dataset, retries=1)
+        assert context.exec_stats.retries == 3
+        assert_same_reports(faulted, clean)
+        assert context.ingest_stats.as_dict() == \
+            clean_context.ingest_stats.as_dict()
 
     def test_streaming_with_faults_matches_fault_free(self, dataset):
         q = Query([between("num_0", 5, 20)])
@@ -199,14 +207,15 @@ class TestFailFast:
 
     def test_poisoned_shard_is_never_retried(self, dataset):
         """PoisonedShardError is a ReproError: deterministic, no retry."""
-        config = FelipConfig(epsilon=1.0)
+        config = FelipConfig(epsilon=1.0, workers=4, chunk_size=1_000,
+                             shard_retries=5)
         plans, assignment = planned_collection(dataset, config, seed=13)
         injector = FaultInjector(poison=[1])
+        context = ExecutionContext(config)
+        context.fault_injector = injector
         with pytest.raises(PoisonedShardError):
-            collect_reports(
-                dataset.records, assignment, plans, config.epsilon, rng=17,
-                workers=4, chunk_size=1_000, retries=5,
-                fault_injector=injector)
+            collect_reports(context, dataset.records, assignment, plans,
+                            config.epsilon, rng=17)
         assert injector.injected == {(1, 0): 1}
 
 
@@ -346,6 +355,70 @@ class TestFailedRunsRecordNothing:
         refit.fit(dataset, rng=29)
         assert refit.aggregator.robustness_report()["ingest"] == \
             clean.aggregator.robustness_report()["ingest"]
+
+    def test_failed_first_fit_leaves_the_model_unfitted(self, dataset):
+        """A fit that raises commits nothing: the aggregator still
+        refuses queries as unfitted instead of looking fitted with no
+        grids."""
+        aggregator = Aggregator(dataset.schema, FelipConfig(epsilon=1.0))
+        aggregator.fault_injector = FaultInjector(poison=[0])
+        with pytest.raises(PoisonedShardError):
+            aggregator.fit(dataset, rng=29)
+        with pytest.raises(NotFittedError):
+            aggregator.answer(Query([between("num_0", 5, 20),
+                                     between("num_1", 5, 20)]))
+        with pytest.raises(NotFittedError):
+            aggregator.fit_diagnostics()
+        assert aggregator.n is None and aggregator.plans == []
+
+    def test_failed_refit_keeps_the_previous_fit(self, dataset):
+        """A refit that raises leaves the fitted model whole: its ``n``,
+        plans, answers and accounting are the previous fit's, and every
+        plan still matches its estimate."""
+        config = FelipConfig(epsilon=1.0)
+        aggregator = Aggregator(dataset.schema, config).fit(dataset,
+                                                            rng=29)
+        queries = [Query([between("num_0", 5, 20)]),
+                   Query([between("num_0", 5, 20), between("num_1", 2, 9)])]
+        answers = aggregator.answer_workload(queries)
+        report = aggregator.robustness_report()
+        sizes = [plan.num_cells for plan in aggregator.plans]
+        small = Dataset(dataset.schema, dataset.records[:2_000])
+        assert [plan.num_cells for plan
+                in plan_grids(dataset.schema, config, small.n)] != sizes
+        aggregator.fault_injector = FaultInjector(poison=[0])
+        with pytest.raises(PoisonedShardError):
+            aggregator.fit(small, rng=31)
+        assert aggregator.n == dataset.n
+        assert [plan.num_cells for plan in aggregator.plans] == sizes
+        for plan in aggregator.plans:
+            assert len(aggregator.estimate_for(plan.key).frequencies) \
+                == plan.num_cells
+        assert aggregator.answer_workload(queries).tobytes() == \
+            answers.tobytes()
+        assert aggregator.robustness_report() == report
+
+
+class TestRefitAccounting:
+    def test_refit_reports_only_the_latest_fit(self, dataset):
+        """``robustness_report()`` covers the latest collection: a refit's
+        accounting replaces the previous fit's (a faulted one here)
+        instead of adding to it."""
+        config = FelipConfig(epsilon=1.0, ingest_policy="drop",
+                             chunk_size=1_000, shard_retries=1)
+        refit = Aggregator(dataset.schema, config)
+        refit.fault_injector = FaultInjector(fail_all_first_attempts=True)
+        refit.fit(dataset, rng=29)
+        assert refit.robustness_report()["execution"]["retries"] > 0
+        refit.fault_injector = None
+        refit.fit(dataset, rng=31)
+        fresh = Aggregator(dataset.schema, config).fit(dataset, rng=31)
+        assert refit.robustness_report()["ingest"] == \
+            fresh.robustness_report()["ingest"]
+        assert refit.robustness_report()["ingest"]["accepted_users"] == \
+            dataset.n
+        assert refit.robustness_report()["execution"] == \
+            fresh.robustness_report()["execution"]
 
 
 class TestRetryPolicy:

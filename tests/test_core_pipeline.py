@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Felip, FelipConfig
-from repro.core.client import collect_reports
+from repro.core.client import ExecutionContext, collect_reports
 from repro.core.planner import plan_grids
 from repro.core.server import Aggregator
 from repro.data import Dataset, uniform_dataset
@@ -26,7 +26,8 @@ class TestCollectReports:
         config = FelipConfig(epsilon=1.0)
         plans = plan_grids(small_dataset.schema, config, small_dataset.n)
         assignment = np.arange(small_dataset.n) % len(plans)
-        reports = collect_reports(small_dataset.records, assignment,
+        reports = collect_reports(ExecutionContext(config),
+                                  small_dataset.records, assignment,
                                   plans, 1.0, rng=1)
         assert len(reports) == len(plans)
         for group in reports:
@@ -38,7 +39,8 @@ class TestCollectReports:
         config = FelipConfig(epsilon=1.0)
         plans = plan_grids(small_dataset.schema, config, small_dataset.n)
         assignment = np.zeros(small_dataset.n, dtype=np.int64)
-        reports = collect_reports(small_dataset.records, assignment,
+        reports = collect_reports(ExecutionContext(config),
+                                  small_dataset.records, assignment,
                                   plans, 1.0, rng=1)
         assert reports[0].report is not None
         assert all(r.report is None for r in reports[1:])
@@ -47,7 +49,8 @@ class TestCollectReports:
         config = FelipConfig(epsilon=1.0)
         plans = plan_grids(small_dataset.schema, config, small_dataset.n)
         with pytest.raises(ProtocolError):
-            collect_reports(small_dataset.records,
+            collect_reports(ExecutionContext(config),
+                            small_dataset.records,
                             np.zeros(10, dtype=np.int64), plans, 1.0)
 
     def test_out_of_range_group_rejected(self, small_dataset):
@@ -55,7 +58,8 @@ class TestCollectReports:
         plans = plan_grids(small_dataset.schema, config, small_dataset.n)
         bad = np.full(small_dataset.n, len(plans), dtype=np.int64)
         with pytest.raises(ProtocolError):
-            collect_reports(small_dataset.records, bad, plans, 1.0)
+            collect_reports(ExecutionContext(config),
+                            small_dataset.records, bad, plans, 1.0)
 
     @pytest.mark.parametrize("label", [-256, -65536])
     def test_negative_label_does_not_wrap_into_range(self, small_dataset,
@@ -67,7 +71,8 @@ class TestCollectReports:
         bad = np.arange(small_dataset.n) % len(plans)
         bad[5] = label
         with pytest.raises(ProtocolError, match="outside"):
-            collect_reports(small_dataset.records, bad, plans, 1.0)
+            collect_reports(ExecutionContext(config),
+                            small_dataset.records, bad, plans, 1.0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
     def test_non_integer_assignment_rejected(self, small_dataset, dtype):
@@ -77,7 +82,8 @@ class TestCollectReports:
         plans = plan_grids(small_dataset.schema, config, small_dataset.n)
         assignment = (np.arange(small_dataset.n) % 2).astype(dtype)
         with pytest.raises(ProtocolError, match=np.dtype(dtype).name):
-            collect_reports(small_dataset.records, assignment, plans, 1.0)
+            collect_reports(ExecutionContext(config),
+                            small_dataset.records, assignment, plans, 1.0)
 
 
 class TestAggregator:

@@ -7,13 +7,14 @@ picks it up purely through the registry.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import Felip, FelipConfig
 from repro.core import StreamingCollector, partition_users, plan_grids
-from repro.core.client import collect_reports
+from repro.core.client import ExecutionContext, collect_reports
 from repro.core.merge import merge_reports
 from repro.data import normal_dataset
 from repro.errors import IngestError, ProtocolError
@@ -175,8 +176,8 @@ class TestPipelineIntegration:
             config.epsilon)
         for workers in (1, 4):
             sharded = collect_reports(
-                dataset.records, assignment, plans, config.epsilon, rng=23,
-                workers=workers, chunk_size=None)
+                ExecutionContext(replace(config, workers=workers)),
+                dataset.records, assignment, plans, config.epsilon, rng=23)
             for a, e in zip(sharded, serial):
                 if e.report is None:
                     assert a.report is None

@@ -8,8 +8,8 @@ per-kernel properties; the pipeline classes check the same contract
 end-to-end for all eight protocols across {compiled, numpy-fallback} ×
 {serial, sharded}.
 
-Also covered: dispatch rules (preference order, ``REPRO_NO_JIT``,
-unknown ``REPRO_JIT``), the guaranteed fallback, warm idempotence and
+Also covered: dispatch rules (preference order, ``REPRO_NO_JIT``), the
+guaranteed fallback, warm idempotence and
 the warm-keeps-timings-stable regression, validation errors, and the
 registry's kernel declarations.
 """
@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import partition_users, plan_grids
-from repro.core.client import collect_reports
+from repro.core.client import ExecutionContext, collect_reports
 from repro.errors import GridError, ProtocolError
 from repro.fo import kernels
 from repro.fo import registry
@@ -598,9 +599,11 @@ class TestPipelineBitIdentity:
                 config.epsilon, rng=17)
 
         def sharded(chunk_size):
+            context = ExecutionContext(replace(config, workers=4,
+                                               chunk_size=chunk_size))
             return collect_reports(
-                pipeline_dataset.records, assignment, plans,
-                config.epsilon, rng=17, workers=4, chunk_size=chunk_size)
+                context, pipeline_dataset.records, assignment, plans,
+                config.epsilon, rng=17)
 
         with kernels.use_backend("numpy"):
             reference_serial = serial()
@@ -645,16 +648,6 @@ class TestDispatch:
         monkeypatch.setenv("REPRO_NO_JIT", "1")
         kernels.reset_for_tests()
         assert set(kernels.active_backends().values()) == {"numpy"}
-
-    def test_unknown_forced_backend_degrades_to_numpy(self, monkeypatch):
-        # NO_JIT outranks REPRO_JIT, so clear it in case the suite itself
-        # is running under `make test-nojit` — the forced-name path must
-        # still degrade (and record its error) in that configuration.
-        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
-        monkeypatch.setenv("REPRO_JIT", "fortran")
-        kernels.reset_for_tests()
-        assert set(kernels.active_backends().values()) == {"numpy"}
-        assert "fortran" in kernels.backend_report()["errors"]
 
     def test_no_jit_subprocess_runs_pure_numpy(self):
         """The documented deployment switch: a fresh interpreter with

@@ -18,7 +18,11 @@ import pytest
 
 from repro import Felip, FelipConfig
 from repro.core import StreamingCollector, partition_users, plan_grids
-from repro.core.client import collect_reports, collect_reports_budget_split
+from repro.core.client import (
+    ExecutionContext,
+    collect_reports,
+    collect_reports_budget_split,
+)
 from repro.core.parallel import chunk_bounds, resolve_workers, run_sharded
 from repro.data import normal_dataset
 from repro.errors import ConfigurationError, ProtocolError
@@ -26,7 +30,7 @@ from repro.fo import kernels, registry
 from repro.fo.grr import GRRReport
 from repro.queries import Query, between
 from repro.rng import ensure_rng
-from repro.robustness import IngestPolicy, IngestStats
+from repro.robustness import IngestPolicy
 from repro.robustness.ingest import Reject
 
 from tests.collect_reference import collect_reports_serial, folded
@@ -69,6 +73,11 @@ def assert_same_reports(actual, expected):
                 assert av == ev, name
 
 
+def context_for(config, **settings):
+    """An execution context for ``config`` with ``settings`` replaced."""
+    return ExecutionContext(replace(config, **settings))
+
+
 def planned_collection(dataset, config, seed=11):
     plans = plan_grids(dataset.schema, config, dataset.n)
     assignment = partition_users(dataset.n, len(plans), ensure_rng(seed))
@@ -89,8 +98,8 @@ class TestSerialEquivalence:
         serial = collect_reports_serial(
             dataset.records, assignment, plans, config.epsilon, rng=23)
         sharded = collect_reports(
-            dataset.records, assignment, plans, config.epsilon, rng=23,
-            workers=workers, chunk_size=None)
+            context_for(config, workers=workers, chunk_size=None),
+            dataset.records, assignment, plans, config.epsilon, rng=23)
         assert_same_reports(sharded, folded(serial, config.epsilon))
 
     def test_chunked_output_invariant_to_workers(self, dataset):
@@ -98,9 +107,10 @@ class TestSerialEquivalence:
         count."""
         config = FelipConfig(epsilon=1.0)
         plans, assignment = planned_collection(dataset, config)
-        runs = [collect_reports(dataset.records, assignment, plans,
-                                config.epsilon, rng=29, workers=w,
-                                chunk_size=1_000)
+        runs = [collect_reports(context_for(config, workers=w,
+                                            chunk_size=1_000),
+                                dataset.records, assignment, plans,
+                                config.epsilon, rng=29)
                 for w in (1, 2, 4)]
         for run in runs[1:]:
             assert_same_reports(run, runs[0])
@@ -109,8 +119,8 @@ class TestSerialEquivalence:
         config = FelipConfig(epsilon=1.0, partition_mode="budget")
         plans = plan_grids(dataset.schema, config, dataset.n)
         runs = [collect_reports_budget_split(
-                    dataset.records, plans, config.epsilon, rng=31,
-                    workers=w, chunk_size=2_500)
+                    context_for(config, workers=w, chunk_size=2_500),
+                    dataset.records, plans, config.epsilon, rng=31)
                 for w in (1, 4)]
         assert_same_reports(runs[1], runs[0])
 
@@ -252,12 +262,13 @@ class TestExecutorPlumbing:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 16):
-                stats = IngestStats()
+                context = context_for(config, workers=workers,
+                                      chunk_size=250)
+                context.ingest_policy = policy
                 groups = collect_reports(
-                    dataset.records, assignment, plans, config.epsilon,
-                    rng=3, workers=workers, chunk_size=250, ingest=policy,
-                    ingest_stats=stats)
-                runs.append((groups, stats.state_dict()))
+                    context, dataset.records, assignment, plans,
+                    config.epsilon, rng=3)
+                runs.append((groups, context.ingest_stats.state_dict()))
         finally:
             sys.setswitchinterval(interval)
         (inline, inline_stats), (pooled, pooled_stats) = runs
@@ -319,7 +330,8 @@ class TestSatelliteRegressions:
         config = FelipConfig(epsilon=1.0, one_d_protocol="ahead")
         plans = plan_grids(dataset.schema, config, dataset.n)
         with pytest.raises(ProtocolError, match="AHEAD"):
-            collect_reports_budget_split(dataset.records, plans,
+            collect_reports_budget_split(ExecutionContext(config),
+                                         dataset.records, plans,
                                          config.epsilon, rng=3)
 
     def test_streaming_builds_oracles_once(self, dataset, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.streaming as streaming_module
+import repro.core.client as client_module
 from repro.core import FelipConfig, StreamingCollector
 from repro.data import normal_dataset
 from repro.errors import IngestError
@@ -138,14 +138,16 @@ class TestSourceAttribution:
 
 class TestChunkedSharding:
     def _shard_counts(self, dataset, monkeypatch, chunk_size):
+        """Tasks in observe()'s one sharded run (through the batch
+        collector's executor), and the number of groups."""
         counts = []
-        real = streaming_module.run_sharded
+        real = client_module.run_sharded
 
         def spy(tasks, *args, **kwargs):
             counts.append(len(tasks))
             return real(tasks, *args, **kwargs)
 
-        monkeypatch.setattr(streaming_module, "run_sharded", spy)
+        monkeypatch.setattr(client_module, "run_sharded", spy)
         collector = make_collector(dataset, workers=2,
                                    chunk_size=chunk_size)
         collector.observe(dataset.records[:3_000])
