@@ -206,6 +206,51 @@ def test_kernel_permute_batch_fit(benchmark, backend):
                            rounds=5, iterations=1, warmup_rounds=1)
 
 
+@pytest.fixture(scope="module")
+def batch_fit_sweep():
+    """The first Algorithm 3 sweep of batch-fit's pair (0, 1): the grids
+    planned at n = 4·10⁶, ε = 4 (a 14 x 14 grid and two 150-cell 1-D
+    grids over 256 x 256 values, cut into 152 x 152 atoms), with
+    Dirichlet cell masses. Returns ``ipf_sweep``'s arguments."""
+    from repro.core import FelipConfig, plan_grids
+    from repro.estimation import fit_response_matrix
+    from repro.grids import GridEstimate
+    schema = normal_dataset(10, num_numerical=4, num_categorical=2,
+                            numerical_domain=256, categorical_domain=16,
+                            rng=18).schema
+    plans = {p.key: p for p in plan_grids(schema, FelipConfig(epsilon=4.0),
+                                          4_000_000)}
+    rng = np.random.default_rng(18)
+    related = [GridEstimate(grid=plans[key].grid, frequencies=rng.dirichlet(
+        np.ones(plans[key].num_cells))) for key in ((0, 1), (0,), (1,))]
+    calls = []
+    sweep = fo_kernels.ipf_sweep
+
+    def first_call(*args):
+        if not calls:
+            calls.append([None if a is None else np.copy(a) for a in args])
+        return sweep(*args)
+
+    fo_kernels.ipf_sweep = first_call
+    try:
+        fit_response_matrix(related, 0, 1, 256, 256, tolerance=np.inf)
+    finally:
+        fo_kernels.ipf_sweep = sweep
+    assert calls[0][0].shape == (152, 152)
+    return calls[0]
+
+
+@pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
+def test_kernel_ipf_sweep_batch_fit(benchmark, backend, batch_fit_sweep):
+    """One Algorithm 3 sweep over batch-fit's 152 x 152 atoms (three
+    grids), in place on a copy of the first sweep's start."""
+    mass, *rest = batch_fit_sweep
+    mass = mass.copy()
+    with fo_kernels.use_backend(backend):
+        fo_kernels.warm(["ipf_sweep"])
+        benchmark(lambda: fo_kernels.ipf_sweep(mass, *rest))
+
+
 @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
 def test_kernel_olh_perturb(benchmark, backend):
     """One batch-fit OLH group's perturbation from its drawn randomness:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.config import FelipConfig
 from repro.errors import ConfigurationError
@@ -106,11 +106,30 @@ def plan_grids(schema: Schema, config: FelipConfig, n: int) -> \
     if config.shared_granularity:
         shared = _shared_granularities(schema, config, params)
 
+    # Grids over attributes of equal domain, kind, selectivity and
+    # moments pose the same sizing problem: solve each once per plan.
+    solved: Dict[tuple, GridPlanning] = {}
+
+    def size(attr, other=None) -> GridPlanning:
+        problem = tuple(
+            (a.domain_size, a.is_numerical, config.selectivity_for(a.name),
+             config.selectivity_moments_for(a.name))
+            for a in (attr, other) if a is not None)
+        if problem not in solved:
+            (domain_x, numerical_x, r_x, moments_x), *rest = problem
+            domain_y, numerical_y, r_y, moments_y = (
+                rest[0] if rest else (None, False, 1.0, None))
+            solved[problem] = plan_grid(
+                domain_x, numerical_x, r_x, params, domain_y=domain_y,
+                numerical_y=numerical_y, r_y=r_y,
+                protocols=config.protocols, moments_x=moments_x,
+                moments_y=moments_y)
+        return solved[problem]
+
     planned: List[PlannedGrid] = []
 
     for t in one_d_attrs:
         attr = schema[t]
-        r = config.selectivity_for(attr.name)
         if config.one_d_protocol is not None:
             # 1-D backend extensions (sw, ahead, ...) run over the full
             # value domain: either reconstructed at full resolution
@@ -127,10 +146,7 @@ def plan_grids(schema: Schema, config: FelipConfig, n: int) -> \
                 lx=cells, ly=None, protocol="olh",
                 predicted_error=float("nan"))
         else:
-            planning = plan_grid(attr.domain_size, attr.is_numerical, r,
-                                 params, protocols=config.protocols,
-                                 moments_x=config.selectivity_moments_for(
-                                     attr.name))
+            planning = size(attr)
         grid = Grid1D(t, attr, _binning(attr.domain_size, planning.lx))
         planned.append(PlannedGrid(
             grid=grid, protocol=planning.protocol,
@@ -140,8 +156,6 @@ def plan_grids(schema: Schema, config: FelipConfig, n: int) -> \
 
     for i, j in pairs:
         attr_i, attr_j = schema[i], schema[j]
-        r_i = config.selectivity_for(attr_i.name)
-        r_j = config.selectivity_for(attr_j.name)
         if shared is not None:
             lx = (min(shared[1], attr_i.domain_size)
                   if attr_i.is_numerical else attr_i.domain_size)
@@ -150,13 +164,7 @@ def plan_grids(schema: Schema, config: FelipConfig, n: int) -> \
             planning = GridPlanning(lx=lx, ly=ly, protocol="olh",
                                     predicted_error=float("nan"))
         else:
-            planning = plan_grid(
-                attr_i.domain_size, attr_i.is_numerical, r_i, params,
-                domain_y=attr_j.domain_size,
-                numerical_y=attr_j.is_numerical, r_y=r_j,
-                protocols=config.protocols,
-                moments_x=config.selectivity_moments_for(attr_i.name),
-                moments_y=config.selectivity_moments_for(attr_j.name))
+            planning = size(attr_i, attr_j)
         grid = Grid2D(i, j, attr_i, attr_j,
                       _binning(attr_i.domain_size, planning.lx),
                       _binning(attr_j.domain_size, planning.ly))

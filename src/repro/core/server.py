@@ -121,11 +121,13 @@ class Aggregator(ExecutionContext):
         with self.timings.time("plan"):
             plans = plan_grids(self.schema, self.config, dataset.n)
         with self.timings.time("warm"):
-            # Warm the partition shuffle, the grouping pass and exactly
-            # the kernels the planned protocols dispatch to, so
-            # compile/load cost shows up here — never inside collect.
+            # Warm the partition shuffle, the grouping pass, exactly
+            # the kernels the planned protocols dispatch to and the
+            # Algorithm 3 sweep, so compile/load cost shows up here —
+            # never inside collect or materialize.
             fo_kernels.warm(("group_cells", "permute",
-                             *kernels_for(p.protocol for p in plans)))
+                             *kernels_for(p.protocol for p in plans),
+                             "ipf_sweep"))
         run = self.fresh_context()
         with self.timings.time("collect"):
             if self.config.partition_mode == "budget":

@@ -317,7 +317,10 @@ class StreamingCollector(ExecutionContext):
         aggregator = Aggregator(self.schema, self.config)
         aggregator.n = self.observed
         aggregator.plans = self.plans
-        # The model's robustness_report() covers the whole stream.
-        aggregator.adopt(self)
+        # The model's robustness_report() covers the stream so far, in
+        # copies of its own: later batches stay on the collector, and the
+        # model's materialize retries stay on the model.
+        aggregator.ingest_stats.load_state(self.ingest_stats.state_dict())
+        aggregator.exec_stats.load_state(self.exec_stats.state_dict())
         aggregator._finalize(reports)
         return aggregator

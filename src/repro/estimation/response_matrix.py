@@ -30,9 +30,18 @@ The cells of one related grid *partition* the ``d_i x d_j`` matrix into
 disjoint axis-aligned rectangles (a 2-D grid tiles both axes; a 1-D grid
 tiles one axis and spans the other). Because the rectangles never overlap,
 applying the grid's constraints one by one touches disjoint blocks — so the
-whole grid can be applied as ONE fused update: per-cell block sums via
-``np.add.reduceat`` along each axis, a per-cell scale factor, and a single
-multiply by the scales expanded back with ``np.repeat``.
+whole grid can be applied as ONE fused update: per-cell block sums, a
+per-cell scale factor, and one multiply by the scales.
+
+A whole sweep — every related grid's update in turn, then each atom's
+|change| and their sum — is one call of the kernel
+:func:`repro.fo.kernels.ipf_sweep`. Its numpy tier (the reference, and
+the ``REPRO_NO_JIT=1`` path) takes the block sums with ``np.add.reduceat``
+along each axis and expands the scales with ``np.repeat``; its C tier
+runs the same arithmetic in one pass per grid, in numpy's summation
+order, so both tiers give the same bits. The stop rule, the residual
+(from the last sweep's block sums) and the prior-reshape correction below
+stay here.
 
 The sweep runs on *atoms*, not values. The union of every related grid's
 row edges, and that of their column edges, cut the matrix into atoms:
@@ -70,6 +79,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConvergenceWarning, EstimationError
+from repro.fo import kernels as fo_kernels
+from repro.fo.kernels.numpy_impl import block_sums
 from repro.grids.grid import Grid1D, Grid2D, GridEstimate
 
 #: κ: Algorithms 3 and 4 stop once a sweep moves their iterate by less
@@ -131,76 +142,15 @@ def _warn_non_convergence(what: str, diag: IPFDiagnostics) -> None:
             ConvergenceWarning, stacklevel=3)
 
 
-class _GridPartition:
-    """One related grid's constraints as a partition of the pair's atoms.
-
-    Precomputed once per fit from the grid's cell edges as atom indices:
-    the ``reduceat`` offsets that produce the per-cell block sums, the
-    atoms per cell along each axis (the ``np.repeat`` counts that expand a
-    per-cell array over the atoms) and the target cell masses.
-    """
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray,
-                 targets: np.ndarray):
-        #: reduceat offsets along each axis (edges without the terminator)
-        self.row_offsets = rows[:-1]
-        self.col_offsets = cols[:-1]
-        #: atoms per cell: cell c spans row_atoms[c] rows of atoms
-        self.row_atoms = rows[1:] - rows[:-1]
-        self.col_atoms = cols[1:] - cols[:-1]
-        self.targets = np.asarray(targets, dtype=np.float64)
-
-    def block_sums(self, mass: np.ndarray) -> np.ndarray:
-        """Per-cell block sums of ``mass`` — one reduceat per axis."""
-        sums = np.add.reduceat(mass, self.row_offsets, axis=0)
-        return np.add.reduceat(sums, self.col_offsets, axis=1)
-
-    def expand(self, cells: np.ndarray) -> np.ndarray:
-        """Repeat a per-cell array out over the atoms; an axis the grid
-        spans with one cell stays length 1 and broadcasts."""
-        if len(self.row_atoms) > 1:
-            cells = np.repeat(cells, self.row_atoms, axis=0)
-        if len(self.col_atoms) > 1:
-            cells = np.repeat(cells, self.col_atoms, axis=1)
-        return cells
-
-    def apply(self, mass: np.ndarray, areas: np.ndarray,
-              uniform: Optional[np.ndarray]) -> np.ndarray:
-        """One fused weighted-update of this grid's constraints, in place.
-
-        Scales every positive-mass cell to its target; a zero-mass cell
-        with a positive target is refilled, its target spread over its
-        atoms by area (each value gets target / cell area), and its atoms
-        are marked in ``uniform`` (None: every atom is uniform already).
-        Returns the block sums the update started from, for
-        :meth:`residual`.
-        """
-        sums = self.block_sums(mass)
-        pos = sums > 0.0
-        if pos.all():
-            mass *= self.expand(self.targets / sums)
-            return sums
-        mass *= self.expand(np.divide(self.targets, sums,
-                                      out=np.ones_like(sums), where=pos))
-        refill = (~pos) & (self.targets > 0.0)
-        if refill.any():
-            atoms = np.broadcast_to(self.expand(refill), mass.shape)
-            per_value = self.targets / self.block_sums(areas)
-            np.copyto(mass, self.expand(per_value) * areas, where=atoms)
-            if uniform is not None:
-                uniform |= atoms
-        return sums
-
-    def residual(self, sums: np.ndarray) -> float:
-        """The constraint set's share of a sweep's residual, given the
-        block sums :meth:`apply` started from: ``sum |target - total|``
-        over positive-mass cells plus the target mass poured into
-        repopulated zero-mass cells — identical to the sequential
-        reference because the cells are disjoint."""
-        pos = sums > 0.0
-        refill = (~pos) & (self.targets > 0.0)
-        return float(np.abs(self.targets - sums)[pos].sum()
-                     + self.targets[refill].sum())
+def _residual(targets: np.ndarray, sums: np.ndarray) -> float:
+    """One grid's share of a sweep's residual, given the block sums its
+    update started from: ``sum |target - total|`` over positive-mass
+    cells plus the target mass poured into refilled zero-mass cells —
+    identical to the sequential reference because the cells are
+    disjoint."""
+    pos = sums > 0.0
+    refill = (~pos) & (targets > 0.0)
+    return float(np.abs(targets - sums)[pos].sum() + targets[refill].sum())
 
 
 def _oriented_cells(estimate: GridEstimate, attr_i: int, attr_j: int,
@@ -293,13 +243,6 @@ def _refine(edge_sets: Sequence[np.ndarray], d: int
     return np.flatnonzero(is_edge), np.cumsum(is_edge) - 1
 
 
-def _block_sums(values: np.ndarray, atom_rows: np.ndarray,
-                atom_cols: np.ndarray) -> np.ndarray:
-    """Per-atom sums of a ``d_i x d_j`` matrix."""
-    sums = np.add.reduceat(values, atom_rows[:-1], axis=0)
-    return np.add.reduceat(sums, atom_cols[:-1], axis=1)
-
-
 def _to_values(atoms: np.ndarray, row_widths: np.ndarray,
                col_widths: np.ndarray) -> np.ndarray:
     """Repeat a per-atom array out to the ``d_i x d_j`` values."""
@@ -356,8 +299,19 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
              for estimate in related]
     atom_rows, row_index = _refine([rows for rows, _, _ in cells], di)
     atom_cols, col_index = _refine([cols for _, cols, _ in cells], dj)
-    partitions = [_GridPartition(row_index[rows], col_index[cols], targets)
-                  for rows, cols, targets in cells]
+    # The sweep kernel's grid layout: each grid's (row, column) cell
+    # counts, its atom edges and its row-major targets; ``bounds`` slices
+    # one grid's targets and block sums out for the residual.
+    shape = np.array([(len(rows) - 1, len(cols) - 1)
+                      for rows, cols, _ in cells], dtype=np.int64)
+    edges = np.concatenate([grid_edges for rows, cols, _ in cells
+                            for grid_edges in (row_index[rows],
+                                               col_index[cols])])
+    targets = np.concatenate([np.ravel(cell_targets)
+                              for _, _, cell_targets in cells]
+                             ).astype(np.float64)
+    sums = np.empty_like(targets)
+    bounds = np.cumsum([0, *(shape[:, 0] * shape[:, 1])])
     row_widths = atom_rows[1:] - atom_rows[:-1]
     col_widths = atom_cols[1:] - atom_cols[:-1]
     # values per atom
@@ -367,36 +321,32 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
         mass = areas / (di * dj)
     else:
         start = _prior_start(prior, di, dj)
-        start_mass = _block_sums(start, atom_rows, atom_cols)
+        start_mass = block_sums(start, atom_rows, atom_cols)
         mass = start_mass.copy()
         uniform = np.zeros(mass.shape, dtype=bool)
-    before = np.empty_like(mass)
+    moved = np.empty_like(mass)
     movement = residual = float("inf")
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
-        np.copyto(before, mass)
-        was_uniform = None if uniform is None else uniform.copy()
-        started_from = [partition.apply(mass, areas, uniform)
-                        for partition in partitions]
-        reshaped = None
+        if uniform is not None:
+            before, was_uniform = mass.copy(), uniform.copy()
+        movement = fo_kernels.ipf_sweep(mass, areas, uniform, edges, shape,
+                                        targets, sums, moved)
         if uniform is not None and (uniform != was_uniform).any():
             # Prior-shaped at the sweep's start, uniform at its end: these
             # atoms' values moved by more than their mass did.
             reshaped = uniform & ~was_uniform
-            value_moves = _block_sums(np.abs(
+            value_moves = block_sums(np.abs(
                 _to_values(mass / areas, row_widths, col_widths)
                 - start * _to_values(before / start_mass, row_widths,
                                      col_widths)), atom_rows, atom_cols)
-        # before := |mass - before|, in place: each atom's net movement.
-        moved = np.abs(np.subtract(mass, before, out=before), out=before)
-        if reshaped is not None:
             moved[reshaped] = value_moves[reshaped]
-        movement = float(moved.sum())
+            movement = float(moved.sum())
         if movement < tolerance:
             break
     if sweeps:
-        residual = sum(partition.residual(sums) for partition, sums
-                       in zip(partitions, started_from))
+        residual = sum(_residual(targets[lo:hi], sums[lo:hi])
+                       for lo, hi in zip(bounds[:-1], bounds[1:]))
     diag = IPFDiagnostics(sweeps=sweeps, converged=movement < tolerance,
                           final_change=movement, threshold=tolerance,
                           residual=residual)

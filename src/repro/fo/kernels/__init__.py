@@ -3,9 +3,10 @@
 The hot loops of every frequency oracle — perturb-apply (OLH's in one
 pass from cells to buckets, :func:`olh_perturb`), seed mixing,
 unary-encoding accumulation, support-counting sweeps, SW bucketing,
-merge folds — and the collection's partition shuffle (:func:`permute`)
+merge folds — the collection's partition shuffle (:func:`permute`)
 and grouping pass (:func:`group_cells`: records to every user's grid
-cell, grouped by label) are defined once in
+cell, grouped by label), and Algorithm 3's sweep (:func:`ipf_sweep`) are
+defined once in
 :mod:`repro.fo.kernels.numpy_impl` and optionally *replaced* by a
 compiled implementation at call time:
 
@@ -41,10 +42,15 @@ type on the same invalid input: kernels are pure transforms of
 *pre-drawn* random arrays (the orchestration layer owns the single
 ``np.random.Generator`` and the draw order; :func:`group_cells` takes
 no draws at all), integer kernels share exact modular arithmetic, and
-float kernels replicate numpy's sequential accumulation order without
-FMA or reassociation. :func:`permute` is the one kernel that draws: it
-is ``rng.permutation``, and its compiled tier stays exact because it
-makes numpy's own draws — the masked-rejection Fisher–Yates of
+float kernels replicate numpy's summation order without FMA or
+reassociation: sequential accumulation for the axis-0 reduces, and for
+:func:`ipf_sweep` numpy's pairwise sum (under 8 elements in order from
+-0.0, up to 128 in 8 interleaved accumulators, longer runs split at n/2
+rounded down to a multiple of 8), which every ``reduceat`` segment and
+``ndarray.sum`` of its numpy tier uses. :func:`permute` is the one
+kernel that draws: it is ``rng.permutation``, and its compiled tier
+stays exact because it makes numpy's own draws — the masked-rejection
+Fisher–Yates of
 ``Generator.shuffle``, through the generator's own ``bitgen_t``
 functions while holding its lock — so the labels *and* the generator's
 state afterwards equal numpy's, for every numpy BitGenerator. Property
@@ -54,8 +60,9 @@ end-to-end. Consequently pipeline output remains a pure function of
 never observable in results, only in wall time.
 
 Call :func:`warm` (done automatically by
-:func:`repro.fo.adaptive.make_oracle` and by ``Aggregator.fit``) to
-force compilation/loading before timed work.
+:func:`repro.fo.adaptive.make_oracle` and by ``Aggregator.fit``, which
+also warms :func:`ipf_sweep`) to force compilation/loading before timed
+work.
 """
 
 from __future__ import annotations
@@ -277,6 +284,11 @@ def _sample_calls() -> Dict[str, Callable[[], None]]:
         # A generator of its own: warming draws from no caller's stream.
         permute(np.array([0, 1, 1], np.uint8), np.random.default_rng(0))
 
+    def _ipf():
+        ipf_sweep(np.full((2, 2), 0.25), np.ones((2, 2)), None,
+                  np.array([0, 1, 2, 0, 2], i64), np.array([[2, 1]], i64),
+                  np.array([0.5, 0.5]), np.empty(2), np.empty((2, 2)))
+
     return {
         "grr_apply": _grr,
         "olh_perturb": _olh,
@@ -291,6 +303,7 @@ def _sample_calls() -> Dict[str, Callable[[], None]]:
         "fold_arrays": _fold,
         "group_cells": _group,
         "permute": _permute,
+        "ipf_sweep": _ipf,
     }
 
 
@@ -562,6 +575,64 @@ def permute(labels, rng):
     return _resolve("permute")[1](labels, rng)
 
 
+def _in_place(array, dtype, shape, kernel: str, name: str) -> None:
+    """An array a kernel writes in place must already be exactly
+    ``dtype`` and ``shape``, C-contiguous, aligned and writeable."""
+    if not (isinstance(array, np.ndarray) and array.dtype == dtype
+            and array.shape == shape and array.flags.carray):
+        raise ProtocolError(
+            f"{kernel}: {name} must be a writeable C-contiguous "
+            f"{np.dtype(dtype)} array of shape {shape}")
+
+
+def ipf_sweep(mass, areas, uniform, edges, cells, targets, sums, moved):
+    """One Algorithm 3 sweep over a pair's atom masses, in place; returns
+    its movement.
+
+    ``mass`` is the ``(rows, cols)`` float64 matrix of atom masses and
+    ``areas`` each atom's value count. ``cells`` is the ``(G, 2)`` shape
+    of every related grid, in cells; grid ``g``'s row, then column, atom
+    edges (``0 = e_0 < … < e_k = rows`` or ``cols``) come next in
+    ``edges`` and its row-major cell targets next in ``targets``; edges
+    that do not rise so raise, on every tier, before ``mass`` is
+    touched. Grid by grid, every cell with positive mass is scaled to its
+    target, and a zero-mass cell with a positive target is refilled: its
+    target spread over its atoms by area and its atoms marked in the bool
+    ``uniform`` (None: no marks are kept). ``sums`` gets each cell's
+    block sum from before its grid's update, ``moved`` each atom's
+    |change|, and the sweep returns ``moved.sum()``. ``mass``,
+    ``uniform``, ``sums`` and ``moved`` are written in place and must
+    not overlap the inputs.
+    """
+    if not isinstance(mass, np.ndarray) or mass.ndim != 2:
+        raise ProtocolError("ipf_sweep: mass must be a 2-D float64 array")
+    shape = mass.shape
+    _in_place(mass, np.float64, shape, "ipf_sweep", "mass")
+    _in_place(moved, np.float64, shape, "ipf_sweep", "moved")
+    if uniform is not None:
+        _in_place(uniform, np.bool_, shape, "ipf_sweep", "uniform")
+    areas = _c(areas, np.float64)
+    if areas.shape != shape:
+        raise ProtocolError(f"ipf_sweep: areas of shape {areas.shape} for "
+                            f"masses of shape {shape}")
+    cells = _c(cells, np.int64)
+    grids = cells.tolist()
+    if cells.ndim != 2 or cells.shape[1] != 2 or \
+            any(r < 1 or c < 1 for r, c in grids):
+        raise ProtocolError("ipf_sweep: cells must be a (grids, 2) array "
+                            "of positive cell counts")
+    edges = _c(edges, np.int64)
+    targets = _c(targets, np.float64)
+    if edges.shape != (sum(r + c + 2 for r, c in grids),) or \
+            targets.shape != (sum(r * c for r, c in grids),):
+        raise ProtocolError(
+            f"ipf_sweep: {edges.shape} edges and {targets.shape} targets "
+            f"for grids of {grids} cells")
+    _in_place(sums, np.float64, targets.shape, "ipf_sweep", "sums")
+    return _resolve("ipf_sweep")[1](mass, areas, uniform, edges, cells,
+                                    targets, sums, moved)
+
+
 __all__ = [
     "KERNEL_NAMES", "BACKEND_PREFERENCE",
     "available_backends", "active_backends", "backend_report",
@@ -569,5 +640,5 @@ __all__ = [
     "grr_apply", "olh_perturb", "mix_seeds", "ue_accumulate",
     "he_sum_accumulate", "he_threshold_accumulate", "support_counts",
     "hr_apply", "hr_supports", "sw_transform", "fold_arrays",
-    "group_cells", "permute",
+    "group_cells", "permute", "ipf_sweep",
 ]

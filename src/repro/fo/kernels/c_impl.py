@@ -29,6 +29,12 @@ Bit-identity with :mod:`repro.fo.kernels.numpy_impl` is a hard contract:
   the library is compiled with ``-ffp-contract=off`` and *without*
   ``-ffast-math``, so the compiler may neither fuse multiply-adds nor
   reassociate sums.
+* The Algorithm 3 sweep (:func:`ipf_sweep`) sums as numpy's
+  ``pairwise_sum_DOUBLE`` does, the inner loop of every float64
+  add-reduce: a ``reduceat`` segment is its first element plus the
+  pairwise sum of the rest (down the rows for every column at once, the
+  order numpy takes per column), and ``ndarray.sum`` is 0.0 plus the
+  pairwise sum of every element.
 
 Every function here assumes the dispatch layer already normalized its
 inputs (dtype, C-contiguity, matching lengths); see
@@ -53,6 +59,8 @@ from repro.fo.kernels import numpy_impl
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 static inline uint64_t repro_sm64(uint64_t x) {
     x += 0x9E3779B97F4A7C15ULL;
@@ -310,6 +318,203 @@ REPRO_PERMUTE(repro_permute_u16, uint16_t)
 REPRO_PERMUTE(repro_permute_u32, uint32_t)
 REPRO_PERMUTE(repro_permute_u64, uint64_t)
 
+/* numpy's pairwise sum (pairwise_sum_DOUBLE, the inner loop of every
+   float64 add-reduce) of a[0..n): runs under 8 elements add in order
+   from -0.0; runs up to 128 add into 8 interleaved accumulators,
+   combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in order;
+   longer runs split at n/2 rounded down to a multiple of 8. */
+static double repro_pairwise(const double *a, int64_t n) {
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++) r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return repro_pairwise(a, half) + repro_pairwise(a + half, n - half);
+}
+
+/* repro_pairwise of |mass - moved| over [0, n), each leaf's |change|
+   written to moved just before the leaf is summed. */
+static double repro_pairwise_moved(const double *restrict mass,
+                                   double *restrict moved, int64_t n) {
+    if (n <= 128) {
+        for (int64_t i = 0; i < n; i++) moved[i] = fabs(mass[i] - moved[i]);
+        return repro_pairwise(moved, n);
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return repro_pairwise_moved(mass, moved, half)
+           + repro_pairwise_moved(mass + half, moved + half, n - half);
+}
+
+/* out[c] += a[c] over w columns. */
+static inline void repro_add_row(double *restrict out,
+                                 const double *restrict a, int64_t w) {
+    for (int64_t c = 0; c < w; c++) out[c] += a[c];
+}
+
+/* repro_pairwise down each of w columns at once: out[c] sums column c
+   of the n rows a, a + ld, ... . acc holds 8 * w accumulators; tmp
+   holds w doubles per level of splitting (repro_pairwise_levels). */
+static void repro_pairwise_rows(const double *a, int64_t n, int64_t ld,
+                                int64_t w, double *out, double *acc,
+                                double *tmp) {
+    if (n < 8) {
+        for (int64_t c = 0; c < w; c++) out[c] = -0.0;
+        for (int64_t i = 0; i < n; i++) repro_add_row(out, a + i * ld, w);
+        return;
+    }
+    if (n <= 128) {
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            for (int64_t c = 0; c < w; c++) acc[j * w + c] = a[j * ld + c];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                repro_add_row(acc + j * w, a + (i + j) * ld, w);
+        for (int64_t c = 0; c < w; c++)
+            out[c] = ((acc[c] + acc[w + c])
+                      + (acc[2 * w + c] + acc[3 * w + c]))
+                     + ((acc[4 * w + c] + acc[5 * w + c])
+                        + (acc[6 * w + c] + acc[7 * w + c]));
+        for (; i < n; i++) repro_add_row(out, a + i * ld, w);
+        return;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    repro_pairwise_rows(a, half, ld, w, out, acc, tmp);
+    repro_pairwise_rows(a + half * ld, n - half, ld, w, tmp, acc, tmp + w);
+    repro_add_row(out, tmp, w);
+}
+
+/* A bound on the levels of splitting repro_pairwise_rows reaches on n
+   rows: each split leaves either side at most n / 2 + 8 rows. */
+static int64_t repro_pairwise_levels(int64_t n) {
+    int64_t levels = 0;
+    for (; n > 128; n = n / 2 + 8) levels++;
+    return levels;
+}
+
+/* numpy's add.reduceat segment down axis 0 over w columns of the rows
+   r0 .. r1-1 of a: row r0 plus the pairwise sum of the rest (computed
+   into out), or row r0 itself when it is alone. */
+static const double *repro_segment_rows(const double *a, int64_t ld,
+                                        int64_t r0, int64_t r1, int64_t w,
+                                        double *out, double *acc,
+                                        double *tmp) {
+    const double *first = a + r0 * ld;
+    if (r1 - r0 == 1) return first;
+    repro_pairwise_rows(first + ld, r1 - r0 - 1, ld, w, out, acc, tmp);
+    for (int64_t c = 0; c < w; c++) out[c] = first[c] + out[c];
+    return out;
+}
+
+/* The same along a row: a[0] plus the pairwise sum of a[1..n). */
+static double repro_segment(const double *a, int64_t n) {
+    return n == 1 ? a[0] : a[0] + repro_pairwise(a + 1, n - 1);
+}
+
+/* The n values at mass times the per-column scale (cols wide rows). */
+static void repro_scale_rows(double *restrict mass,
+                             const double *restrict scale, int64_t rows,
+                             int64_t cols) {
+    for (int64_t r = 0; r < rows; r++, mass += cols)
+        for (int64_t c = 0; c < cols; c++) mass[c] *= scale[c];
+}
+
+static void repro_scale_all(double *restrict mass, double scale,
+                            int64_t n) {
+    for (int64_t k = 0; k < n; k++) mass[k] *= scale;
+}
+
+/* One Algorithm 3 sweep over the rows x cols atom masses, in place. Grid
+   g has cells[2g] x cells[2g+1] cells; its row then column atom edges
+   come next in edges, its targets and block sums next (row-major) in
+   targets and sums. Per row cell of each grid: the block sums in
+   numpy's reduceat order (down the rows, then along the columns), every
+   positive-mass cell scaled by target / sum (the others by 1.0), then
+   each zero-mass cell with a positive target refilled: target / (its
+   area sum) times each atom's area, its atoms marked in uniform (when
+   not NULL). The row cells of a grid are disjoint, so updating one
+   never changes another's sums. Last, moved gets |after - before| per
+   atom and the sweep returns 0.0 plus their pairwise sum, as
+   ndarray.sum adds them. Returns -2, touching nothing, when a grid's
+   edges do not rise strictly from 0 to rows (then cols), and -1 when
+   scratch cannot be allocated. */
+double repro_ipf_sweep(double *mass, const double *areas, uint8_t *uniform,
+                       int64_t rows, int64_t cols, const int64_t *edges,
+                       const int64_t *cells, int64_t grids,
+                       const double *targets, double *sums,
+                       double *moved) {
+    const int64_t *run = edges;
+    for (int64_t g = 0; g < grids; g++)
+        for (int axis = 0; axis < 2; axis++) {
+            int64_t count = cells[2 * g + axis];
+            if (run[0] != 0 || run[count] != (axis ? cols : rows))
+                return -2.0;
+            for (int64_t k = 0; k < count; k++)
+                if (run[k] >= run[k + 1]) return -2.0;
+            run += count + 1;
+        }
+    int64_t size = rows * cols;
+    double *colsum = malloc((size_t)(10 + repro_pairwise_levels(rows))
+                            * (size_t)cols * sizeof(double));
+    if (colsum == NULL) return -1.0;
+    double *scale = colsum + cols, *acc = scale + cols, *tmp = acc + 8 * cols;
+    memcpy(moved, mass, (size_t)size * sizeof(double));
+    for (int64_t g = 0; g < grids; g++) {
+        int64_t rc = cells[2 * g], cc = cells[2 * g + 1];
+        const int64_t *re = edges, *ce = edges + rc + 1;
+        edges += rc + cc + 2;
+        for (int64_t i = 0; i < rc; i++) {
+            int64_t r0 = re[i], r1 = re[i + 1], refills = 0;
+            const double *target = targets + i * cc;
+            double *sum = sums + i * cc;
+            const double *col = repro_segment_rows(mass, cols, r0, r1, cols,
+                                                   colsum, acc, tmp);
+            for (int64_t j = 0; j < cc; j++) {
+                double s = repro_segment(col + ce[j], ce[j + 1] - ce[j]);
+                double f = s > 0.0 ? target[j] / s : 1.0;
+                sum[j] = s;
+                refills += !(s > 0.0) && target[j] > 0.0;
+                if (cc == 1)
+                    repro_scale_all(mass + r0 * cols, f, (r1 - r0) * cols);
+                else
+                    for (int64_t c = ce[j]; c < ce[j + 1]; c++) scale[c] = f;
+            }
+            if (cc > 1)
+                repro_scale_rows(mass + r0 * cols, scale, r1 - r0, cols);
+            for (int64_t j = 0; refills && j < cc; j++) {
+                if (sum[j] > 0.0 || !(target[j] > 0.0)) continue;
+                int64_t c0 = ce[j], w = ce[j + 1] - ce[j];
+                double per_value = target[j] / repro_segment(
+                    repro_segment_rows(areas + c0, cols, r0, r1, w, colsum,
+                                       acc, tmp), w);
+                for (int64_t r = r0; r < r1; r++)
+                    for (int64_t c = c0; c < c0 + w; c++) {
+                        mass[r * cols + c] = per_value * areas[r * cols + c];
+                        if (uniform != NULL) uniform[r * cols + c] = 1;
+                    }
+            }
+        }
+        targets += rc * cc;
+        sums += rc * cc;
+    }
+    free(colsum);
+    return 0.0 + repro_pairwise_moved(mass, moved, size);
+}
+
 int repro_has_avx512(void) {
 #if defined(__x86_64__)
     __builtin_cpu_init();
@@ -549,6 +754,10 @@ def _bind(lib: ctypes.CDLL) -> None:
         fn = getattr(lib, name)
         fn.argtypes = list(argtypes)
         fn.restype = None
+    lib.repro_ipf_sweep.argtypes = [c_void_p, c_void_p, c_void_p, c_int64,
+                                    c_int64, c_void_p, c_void_p, c_int64,
+                                    c_void_p, c_void_p, c_void_p]
+    lib.repro_ipf_sweep.restype = c_double
     for name in _GROUP_CELLS.values():
         fn = getattr(lib, name)
         fn.argtypes = [c_void_p, c_int64, c_int64, c_void_p, c_int64,
@@ -755,6 +964,19 @@ def permute(labels, rng):
     return out
 
 
+def ipf_sweep(mass, areas, uniform, edges, cells, targets, sums, moved):
+    rows, cols = mass.shape
+    movement = _load().repro_ipf_sweep(
+        _ptr(mass), _ptr(areas), None if uniform is None else _ptr(uniform),
+        rows, cols, _ptr(edges), _ptr(cells), len(cells), _ptr(targets),
+        _ptr(sums), _ptr(moved))
+    if movement == -2.0:
+        raise numpy_impl.edges_error(mass.shape)
+    if movement == -1.0:
+        raise MemoryError("ipf_sweep: cannot allocate the sweep's scratch")
+    return movement
+
+
 def kernels() -> Dict[str, Callable]:
     """Load (compiling if needed) and return every kernel this backend
     implements. Raises when no compiler/library is usable; the dispatch
@@ -774,4 +996,5 @@ def kernels() -> Dict[str, Callable]:
         "fold_arrays": fold_arrays,
         "group_cells": group_cells,
         "permute": permute,
+        "ipf_sweep": ipf_sweep,
     }

@@ -4,8 +4,9 @@ This module is the **semantic definition** of every kernel in
 :mod:`repro.fo.kernels`: the compiled C backend must agree with these
 functions *bit for bit* on every input — integer kernels trivially,
 floating-point kernels because both sides perform the same elementary
-operations in the same order (sequential row accumulation, no FMA
-contraction, no reassociation). The dispatch layer guarantees one of
+operations in the same order (sequential row accumulation, numpy's
+pairwise sums inside :func:`ipf_sweep`'s ``reduceat`` and ``sum``, no
+FMA contraction, no reassociation). The dispatch layer guarantees one of
 these functions runs whenever no compiled backend is available, so the
 library never *requires* a compiler.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import GridError
+from repro.errors import GridError, ProtocolError
 from repro.fo.hashing import chain_hash, mix_seeds, tiled_support_counts
 
 #: domain values per vectorized tile of :func:`hr_supports` (bounds peak
@@ -218,6 +219,86 @@ def permute(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(labels)
 
 
+def block_sums(mass: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """Per-cell block sums of ``mass`` over the cells whose edges are
+    ``rows`` by ``cols`` (each from 0 to the axis length): one reduceat
+    per axis."""
+    sums = np.add.reduceat(mass, rows[:-1], axis=0)
+    return np.add.reduceat(sums, cols[:-1], axis=1)
+
+
+def _expand(cells: np.ndarray, rows: np.ndarray,
+            cols: np.ndarray) -> np.ndarray:
+    """Repeat a per-cell array out over the atoms; an axis one cell spans
+    stays length 1 and broadcasts."""
+    if len(rows) > 2:
+        cells = np.repeat(cells, np.diff(rows), axis=0)
+    if len(cols) > 2:
+        cells = np.repeat(cells, np.diff(cols), axis=1)
+    return cells
+
+
+def edges_error(shape) -> ProtocolError:
+    """The error :func:`ipf_sweep` raises, on every backend, for grid
+    edges that do not rise strictly from 0 to the rows, then the
+    columns, of the atom matrix."""
+    return ProtocolError(
+        f"ipf_sweep: every grid's edges must rise strictly from 0 to "
+        f"{shape[0]} (rows), then from 0 to {shape[1]} (columns)")
+
+
+def ipf_sweep(mass: np.ndarray, areas: np.ndarray, uniform, edges:
+              np.ndarray, cells: np.ndarray, targets: np.ndarray,
+              sums: np.ndarray, moved: np.ndarray) -> float:
+    """One Algorithm 3 sweep over a pair's atom masses, in place.
+
+    Grid by grid (grid ``g`` has ``cells[g]`` row by column cells, whose
+    atom edges and row-major targets come next in ``edges`` and
+    ``targets``), one fused update of the grid's disjoint cells: block
+    sums by ``reduceat`` (written to ``sums``), every positive-mass cell
+    scaled to its target, and each zero-mass cell with a positive target
+    refilled, its target spread over its atoms by ``areas`` and its atoms
+    marked in ``uniform`` (None: no marks kept). Then ``moved`` gets each
+    atom's |change| and the sweep returns ``moved.sum()``.
+    """
+    e = 0
+    for counts in cells:
+        for count, extent in zip(counts, mass.shape):
+            run = edges[e:e + count + 1]
+            if run[0] != 0 or run[-1] != extent or \
+                    (run[1:] <= run[:-1]).any():
+                raise edges_error(mass.shape)
+            e += count + 1
+    np.copyto(moved, mass)
+    e = t = 0
+    for row_cells, col_cells in cells:
+        rows = edges[e:e + row_cells + 1]
+        cols = edges[e + row_cells + 1:e + row_cells + col_cells + 2]
+        e += row_cells + col_cells + 2
+        size = row_cells * col_cells
+        target = targets[t:t + size].reshape(row_cells, col_cells)
+        block = block_sums(mass, rows, cols)
+        sums[t:t + size] = block.ravel()
+        t += size
+        pos = block > 0.0
+        if pos.all():
+            mass *= _expand(target / block, rows, cols)
+            continue
+        mass *= _expand(np.divide(target, block, out=np.ones_like(block),
+                                  where=pos), rows, cols)
+        refill = (~pos) & (target > 0.0)
+        if refill.any():
+            atoms = np.broadcast_to(_expand(refill, rows, cols), mass.shape)
+            per_value = target / block_sums(areas, rows, cols)
+            np.copyto(mass, _expand(per_value, rows, cols) * areas,
+                      where=atoms)
+            if uniform is not None:
+                uniform |= atoms
+    np.abs(np.subtract(mass, moved, out=moved), out=moved)
+    return float(moved.sum())
+
+
 #: every kernel this backend implements (the full set, by construction)
 KERNELS = {
     "grr_apply": grr_apply,
@@ -233,4 +314,5 @@ KERNELS = {
     "fold_arrays": fold_arrays,
     "group_cells": group_cells,
     "permute": permute,
+    "ipf_sweep": ipf_sweep,
 }

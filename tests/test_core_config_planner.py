@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import FelipConfig, partition_users, plan_grids
+from repro.core import planner
 from repro.core.partition import group_sizes
 from repro.errors import ConfigurationError
 from repro.grids import Grid1D, Grid2D
+from repro.grids.sizing import SizingParams, plan_grid
+from repro.optimizer import WorkloadSpec
 from repro.schema import Schema
 from repro.schema.attribute import categorical, numerical
 
@@ -159,3 +162,72 @@ class TestPlanGrids:
         b = plan_grids(schema, FelipConfig(), n=100_000)
         assert [p.key for p in a] == [p.key for p in b]
         assert [p.num_cells for p in a] == [p.num_cells for p in b]
+
+
+class TestPlanSolvesEachProblemOnce:
+    """``plan_grids`` sizes each distinct (domains, kinds, selectivities,
+    moments) problem once per plan; the plans equal what one
+    ``plan_grid`` call per grid gives."""
+
+    BENCH = Schema([*(numerical(f"num_{t}", 256) for t in range(4)),
+                    categorical("cat_0", 16), categorical("cat_1", 16)])
+    DISTINCT = Schema([numerical("a", 32), numerical("b", 50),
+                       categorical("c", 3), categorical("d", 5)])
+
+    @staticmethod
+    def _problem(config, attrs):
+        return tuple((a.domain_size, a.is_numerical,
+                      config.selectivity_for(a.name),
+                      config.selectivity_moments_for(a.name))
+                     for a in attrs)
+
+    @pytest.mark.parametrize("schema, config", [
+        (BENCH, FelipConfig(epsilon=4.0)),
+        (DISTINCT, FelipConfig(epsilon=1.0)),
+        (BENCH, FelipConfig(epsilon=2.0,
+                            selectivity_overrides={"num_1": 0.2})),
+        (BENCH, FelipConfig(epsilon=1.0, workload=WorkloadSpec.declare(
+            {"num_0": {0.05: 0.7, 0.6: 0.3}, "cat_1": 0.25}))),
+    ], ids=["bench", "distinct", "overrides", "workload"])
+    def test_one_solve_per_distinct_problem(self, schema, config,
+                                            monkeypatch):
+        n = 4_000_000
+        solves = []
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return plan_grid(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "plan_grid", spy)
+        plans = plan_grids(schema, config, n)
+        problems = {self._problem(config, [schema[t] for t in p.key])
+                    for p in plans}
+        assert len(solves) == len(problems)
+        params = SizingParams(epsilon=config.epsilon, n=n, m=len(plans),
+                              alpha1=config.alpha1, alpha2=config.alpha2)
+        for plan in plans:
+            (dx, nx, rx, mx), *rest = self._problem(
+                config, [schema[t] for t in plan.key])
+            dy, ny, ry, my = rest[0] if rest else (None, False, 1.0, None)
+            alone = plan_grid(dx, nx, rx, params, domain_y=dy,
+                              numerical_y=ny, r_y=ry,
+                              protocols=config.protocols, moments_x=mx,
+                              moments_y=my)
+            assert plan.protocol == alone.protocol
+            assert plan.predicted_error == alone.predicted_error
+            shape = (plan.grid.shape if isinstance(plan.grid, Grid2D)
+                     else (plan.grid.binning.num_cells,))
+            cells = [max(1, min(alone.lx, dx))] + (
+                [max(1, min(alone.ly, dy))] if rest else [])
+            assert shape == tuple(cells)
+            assert plan.cell_variance == params.cell_variance(
+                alone.protocol, plan.num_cells)
+
+    def test_bench_schema_repeats_fifteen_of_nineteen(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(planner, "plan_grid",
+                            lambda *a, **k: solves.append(a)
+                            or plan_grid(*a, **k))
+        assert len(plan_grids(self.BENCH, FelipConfig(epsilon=4.0),
+                              4_000_000)) == 19
+        assert len(solves) == 4

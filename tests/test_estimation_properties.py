@@ -22,6 +22,7 @@ from repro.estimation import (
     fit_lambda_query,
     fit_response_matrix,
 )
+from repro.fo import kernels
 from repro.grids import Binning, Grid2D, GridEstimate
 from repro.grids.grid import Grid1D
 from repro.schema.attribute import numerical
@@ -30,6 +31,10 @@ from tests.ipf_reference import (
     build_response_matrix_reference,
     estimate_lambda_query_reference,
 )
+
+
+#: every kernel tier that loads here: each example fits on a drawn one
+TIERS = st.sampled_from(kernels.available_backends())
 
 
 def _random_grid_estimate(di, dj, lx, ly, frequencies, transposed=False):
@@ -72,15 +77,16 @@ grid_shapes = st.tuples(st.integers(2, 16), st.integers(2, 16)).flatmap(
 
 
 class TestResponseMatrixProperties:
-    @given(grid_shapes, st.randoms(use_true_random=False))
+    @given(grid_shapes, st.randoms(use_true_random=False), TIERS)
     @settings(max_examples=30, deadline=None)
-    def test_matrix_reproduces_cell_masses(self, shape, random):
+    def test_matrix_reproduces_cell_masses(self, shape, random, tier):
         di, dj, lx, ly = shape
         rng = np.random.default_rng(random.randint(0, 2**31))
         freqs = rng.dirichlet(np.ones(lx * ly))
         est = _random_grid_estimate(di, dj, lx, ly, freqs)
-        m = build_response_matrix([est], 0, 1, di, dj, tolerance=1e-9,
-                                  max_iters=300)
+        with kernels.use_backend(tier):
+            m = build_response_matrix([est], 0, 1, di, dj, tolerance=1e-9,
+                                      max_iters=300)
         matrix = est.matrix()
         for cx in range(lx):
             x_lo, x_hi = est.grid.binning_x.bounds(cx)
@@ -89,14 +95,15 @@ class TestResponseMatrixProperties:
                 block = m[x_lo:x_hi + 1, y_lo:y_hi + 1].sum()
                 assert block == pytest.approx(matrix[cx, cy], abs=1e-4)
 
-    @given(grid_shapes, st.randoms(use_true_random=False))
+    @given(grid_shapes, st.randoms(use_true_random=False), TIERS)
     @settings(max_examples=30, deadline=None)
-    def test_matrix_non_negative_and_mass_one(self, shape, random):
+    def test_matrix_non_negative_and_mass_one(self, shape, random, tier):
         di, dj, lx, ly = shape
         rng = np.random.default_rng(random.randint(0, 2**31))
         freqs = rng.dirichlet(np.ones(lx * ly))
         est = _random_grid_estimate(di, dj, lx, ly, freqs)
-        m = build_response_matrix([est], 0, 1, di, dj, tolerance=1e-6)
+        with kernels.use_backend(tier):
+            m = build_response_matrix([est], 0, 1, di, dj, tolerance=1e-6)
         assert (m >= -1e-12).all()
         assert m.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -160,15 +167,16 @@ class TestVectorizedMatchesReference:
 
     @given(grid_shapes, st.sampled_from([(), (0,), (1,), (0, 1)]),
            st.booleans(), st.booleans(), st.booleans(),
-           st.randoms(use_true_random=False))
+           st.randoms(use_true_random=False), TIERS)
     @settings(max_examples=200, deadline=None)
     @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_response_matrix_matches_reference(self, shape, one_d_axes,
                                                transposed, with_zeros,
-                                               with_prior, random):
+                                               with_prior, random, tier):
         """1-D grids on neither, either or both axes, the 2-D grid in
         either orientation, targets with exact zeros (so some fits refill
-        zero-mass cells), with and without a prior, in a random order."""
+        zero-mass cells), with and without a prior, in a random order,
+        on a drawn kernel tier."""
         di, dj, lx, ly = shape
         rng = np.random.default_rng(random.randint(0, 2**31))
         related = [_random_grid_estimate(
@@ -180,9 +188,10 @@ class TestVectorizedMatchesReference:
         related = [related[k] for k in rng.permutation(len(related))]
         prior = (rng.dirichlet(np.ones(di * dj)).reshape(di, dj)
                  if with_prior else None)
-        vectorized, diag = fit_response_matrix(
-            related, 0, 1, di, dj, tolerance=1e-6, max_iters=60,
-            prior=prior)
+        with kernels.use_backend(tier):
+            vectorized, diag = fit_response_matrix(
+                related, 0, 1, di, dj, tolerance=1e-6, max_iters=60,
+                prior=prior)
         reference, sweeps = build_response_matrix_reference(
             related, 0, 1, di, dj, tolerance=1e-6, max_iters=60,
             prior=prior)
@@ -207,14 +216,17 @@ class TestVectorizedMatchesReference:
             grid=Grid2D(0, 1, x, y, Binning(2, 2), Binning(2, 1)),
             frequencies=np.array([0.4, 0.6]))
         related = [zeroing, refilling]
-        matrix, diag = fit_response_matrix(related, 0, 1, 2, 2,
-                                           tolerance=1e-3, prior=prior)
         reference, sweeps = build_response_matrix_reference(
             related, 0, 1, 2, 2, tolerance=1e-3, prior=prior)
-        assert diag.sweeps == sweeps == 2
-        np.testing.assert_allclose(matrix, reference, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(matrix[0], [0.2, 0.2], rtol=0,
-                                   atol=1e-12)
+        for tier in kernels.available_backends():
+            with kernels.use_backend(tier):
+                matrix, diag = fit_response_matrix(
+                    related, 0, 1, 2, 2, tolerance=1e-3, prior=prior)
+            assert diag.sweeps == sweeps == 2
+            np.testing.assert_allclose(matrix, reference, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(matrix[0], [0.2, 0.2], rtol=0,
+                                       atol=1e-12)
 
     @given(st.integers(2, 6), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
@@ -249,3 +261,4 @@ class TestVectorizedMatchesReference:
                 answers, dimension, tolerance=1e-6, max_iters=300)
             assert abs(estimates[q] - reference) < 1e-12
             assert sweeps[q] == ref_sweeps
+

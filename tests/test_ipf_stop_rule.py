@@ -30,6 +30,7 @@ from repro.estimation import (
     stop_tolerance,
 )
 from repro.estimation import response_matrix
+from repro.fo import kernels
 from repro.queries.query import true_answers
 from repro.queries.workload import WorkloadSpec, random_workload
 
@@ -118,3 +119,10 @@ def test_pair_mae_matches_long_run(seed, monkeypatch):
     assert all(diag["threshold"] == 0.0 for diag in limit.fit_diagnostics()[
         "response_matrices"].values())
     assert rule_mae <= limit_mae * (1.0 + MAE_BOUND)
+
+
+def test_pair_mae_matches_long_run_on_the_numpy_tier(monkeypatch):
+    """The MAE gate with ``ipf_sweep`` on its numpy tier (the test above
+    runs on the preferred, compiled tier when one loads)."""
+    with kernels.use_backend("numpy"):
+        test_pair_mae_matches_long_run(SEEDS[0], monkeypatch)

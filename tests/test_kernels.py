@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import partition_users, plan_grids
+from repro.core import Felip, partition_users, plan_grids
 from repro.core.client import ExecutionContext, collect_reports
 from repro.errors import GridError, ProtocolError
 from repro.fo import kernels
@@ -569,6 +569,193 @@ class TestPermute:
 
 
 # ---------------------------------------------------------------------------
+# ipf_sweep: one Algorithm 3 sweep, bit-identical to numpy's reduceat sweep
+# ---------------------------------------------------------------------------
+
+#: atom counts per cell that cross numpy's pairwise-sum thresholds: runs
+#: under 8 add in order, up to 128 use 8 accumulators, longer ones split
+SEGMENTS = (1, 2, 3, 7, 8, 9, 16, 17, 128, 129, 257)
+
+
+def _cuts(rng, count):
+    """Random cell edges over ``count`` atoms: one cell, or random cuts."""
+    if count == 1 or rng.random() < 0.3:
+        return np.array([0, count], np.int64)
+    inner = rng.choice(np.arange(1, count),
+                       size=int(rng.integers(1, min(count, 40))),
+                       replace=False)
+    return np.concatenate([[0], np.sort(inner), [count]]).astype(np.int64)
+
+
+@st.composite
+def sweep_cases(draw, max_atoms=300):
+    """An atom matrix, the grids that partition it and a start: grid 0's
+    cells have atom counts from ``SEGMENTS``, the other grids' cells are
+    one cell per axis (a 1-D grid's span) or random cuts. Targets may be
+    exactly zero, a cell of grid 0 may start with no mass (a refill when
+    its target is positive), zeros may be -0.0, and ``uniform`` marks
+    prior-shaped atoms unless it is None."""
+    def axis():
+        lengths = draw(st.lists(st.sampled_from(SEGMENTS), min_size=1,
+                                max_size=6))
+        while sum(lengths) > max_atoms:
+            lengths.pop()
+        return np.cumsum([0, *(lengths or [1])]).astype(np.int64)
+
+    rows, cols = axis(), axis()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (int(rows[-1]), int(cols[-1]))
+    grids = [(rows, cols)] + [(_cuts(rng, shape[0]), _cuts(rng, shape[1]))
+                              for _ in range(draw(st.integers(0, 2)))]
+    targets = []
+    for r, c in grids:
+        t = rng.dirichlet(np.ones((len(r) - 1) * (len(c) - 1)))
+        if draw(st.booleans()):
+            t[rng.random(len(t)) < 0.3] = 0.0
+        targets.append(t)
+    mass = rng.random(shape) * rng.choice([1e-9, 1.0, 1e6])
+    if draw(st.booleans()):  # a grid-0 cell with no mass
+        i = rng.integers(len(rows) - 1)
+        j = rng.integers(len(cols) - 1)
+        mass[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = 0.0
+    if draw(st.booleans()):
+        mass[mass == 0.0] = -0.0
+    areas = rng.integers(1, 6, size=shape).astype(np.float64)
+    uniform = rng.random(shape) < 0.5 if draw(st.booleans()) else None
+    cells = np.array([(len(r) - 1, len(c) - 1) for r, c in grids], np.int64)
+    edges = np.concatenate([e for pair in grids for e in pair])
+    return mass, areas, uniform, edges, cells, np.concatenate(targets)
+
+
+def run_sweep(backend, mass, areas, uniform, edges, cells, targets):
+    """One sweep on copies: (movement, mass, moved, sums, uniform)."""
+    mass = mass.copy()
+    uniform = None if uniform is None else uniform.copy()
+    sums = np.full(len(targets), np.nan)
+    moved = np.full(mass.shape, np.nan)
+    with kernels.use_backend(backend):
+        movement = kernels.ipf_sweep(mass, areas, uniform, edges, cells,
+                                     targets, sums, moved)
+    assert isinstance(movement, float)
+    return np.float64(movement), mass, moved, sums, uniform
+
+
+def assert_same_sweep(a, b):
+    for x, y in zip(a, b):
+        if x is None:
+            assert y is None
+        else:
+            bit_equal(x, y)
+
+
+class TestIpfSweep:
+    @needs_compiled
+    @pytest.mark.parametrize("backend", COMPILED)
+    @given(case=sweep_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_numpy(self, backend, case):
+        assert_same_sweep(run_sweep(backend, *case),
+                          run_sweep("numpy", *case))
+
+    @needs_compiled
+    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_sweeps_on_a_256_pair(self, backend, seed):
+        """Batch-fit's shape: a 2-D grid and both 1-D grids over a 256 x
+        256 atom matrix, swept to a fixed point on both tiers."""
+        rng = np.random.default_rng(seed)
+        grids = [(_cuts(rng, 256), _cuts(rng, 256)),
+                 (np.arange(257), np.array([0, 256])),
+                 (np.array([0, 256]), np.arange(257))]
+        edges = np.concatenate([e for pair in grids for e in pair])
+        edges = edges.astype(np.int64)
+        cells = np.array([(len(r) - 1, len(c) - 1) for r, c in grids])
+        targets = np.concatenate([
+            rng.dirichlet(np.ones((len(r) - 1) * (len(c) - 1)))
+            for r, c in grids])
+        areas = np.ones((256, 256))
+        states = {}
+        for tier in (backend, "numpy"):
+            mass = areas / areas.sum()
+            trail = []
+            for _ in range(30):
+                out = run_sweep(tier, mass, areas, None, edges, cells,
+                                targets)
+                mass = out[1]
+                trail.append(out)
+            states[tier] = trail
+        for a, b in zip(states[backend], states["numpy"]):
+            assert_same_sweep(a, b)
+
+    @pytest.mark.parametrize("backend", ("numpy",) + COMPILED)
+    def test_scales_and_refills(self, backend):
+        """A 2 x 2 grid over 3 x 3 atoms: positive cells scale to their
+        targets, the empty cell with a positive target is refilled by
+        area and marked uniform, the empty zero-target cell stays."""
+        mass = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+        areas = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 3.0], [2.0, 1.0, 1.0]])
+        uniform = np.zeros((3, 3), bool)
+        edges = np.array([0, 2, 3, 0, 2, 3], np.int64)
+        targets = np.array([0.5, 0.4, 0.1, 0.0])
+        before = mass.copy()
+        movement, mass, moved, sums, uniform = run_sweep(
+            backend, mass, areas, uniform, edges, np.array([[2, 2]]),
+            targets)
+        bit_equal(sums, np.array([4.0, 0.0, 4.0, 0.0]))
+        np.testing.assert_allclose(mass[:2, :2], before[:2, :2] / 8)
+        np.testing.assert_allclose(mass[:2, 2], [0.1, 0.3])
+        np.testing.assert_allclose(mass[2], [0.05, 0.05, 0.0])
+        assert uniform.tolist() == [[False, False, True],
+                                    [False, False, True],
+                                    [False, False, False]]
+        bit_equal(moved, np.abs(mass - before))
+        assert movement == moved.sum()
+
+    @pytest.mark.parametrize("backend", ("numpy",) + COMPILED)
+    def test_rejects_malformed_inputs(self, backend):
+        """Malformed shapes, dtypes or edges raise ProtocolError on every
+        tier; edges that do not rise are refused before mass is
+        touched."""
+        good = dict(mass=np.full((2, 3), 1 / 6), areas=np.ones((2, 3)),
+                    uniform=None,
+                    edges=np.array([0, 1, 2, 0, 3], np.int64),
+                    cells=np.array([[2, 1]], np.int64),
+                    targets=np.array([0.5, 0.5]), sums=np.empty(2),
+                    moved=np.empty((2, 3)))
+        bad = [
+            ("mass", np.full((2, 3), 1, np.int64)),
+            ("mass", np.full(6, 1 / 6)),
+            ("mass", np.full((3, 2), 1 / 6).T),
+            ("moved", np.empty((3, 2))),
+            ("moved", np.empty((2, 3), np.float32)),
+            ("uniform", np.zeros((2, 3), np.uint8)),
+            ("areas", np.ones((3, 2))),
+            ("cells", np.array([[2, 0]])),
+            ("cells", np.array([2, 1])),
+            ("edges", np.array([0, 1, 2, 0, 2, 3])),
+            ("edges", np.array([1, 1, 2, 0, 3])),
+            ("edges", np.array([0, 1, 3, 0, 3])),
+            ("edges", np.array([0, 2, 2, 0, 3])),
+            ("edges", np.array([0, 1, 2, 0, 2])),
+            ("targets", np.array([1.0])),
+            ("sums", np.empty(3)),
+            ("sums", np.empty(2, np.float32)),
+        ]
+        readonly = good["mass"].copy()
+        readonly.flags.writeable = False
+        bad.append(("mass", readonly))
+        with kernels.use_backend(backend):
+            for name, value in bad:
+                args = dict(good, **{name: value})
+                mass = args["mass"]
+                start = np.array(mass, copy=True)
+                with pytest.raises(ProtocolError):
+                    kernels.ipf_sweep(**args)
+                bit_equal(mass, start)
+            kernels.ipf_sweep(**good)
+
+
+# ---------------------------------------------------------------------------
 # Full-pipeline bit-identity: {compiled, numpy} × {serial, sharded}
 # ---------------------------------------------------------------------------
 
@@ -782,6 +969,14 @@ class TestWarm:
     def test_warm_rejects_unknown_kernel(self):
         with pytest.raises(ProtocolError, match="unknown kernel"):
             kernels.warm(["warp_drive"])
+
+    def test_fit_warms_the_sweep(self, pipeline_dataset):
+        """``Aggregator.fit`` warms ``ipf_sweep``: ``materialize`` never
+        pays a kernel load."""
+        model = Felip.ohg(pipeline_dataset.schema, epsilon=1.0)
+        assert "ipf_sweep" not in kernels._warmed
+        model.fit(pipeline_dataset, rng=3)
+        assert "ipf_sweep" in kernels._warmed
 
     def test_back_to_back_timed_runs_agree(self, pipeline_dataset):
         """Once make_oracle's warm has run, two identical timed

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import EstimationError
 from repro.estimation import build_response_matrix
+from repro.fo import kernels
 from repro.grids import Binning, Grid1D, Grid2D, GridEstimate
 from repro.schema.attribute import categorical, numerical
 
@@ -145,3 +146,21 @@ class TestValidation:
             with pytest.raises(EstimationError):
                 build_response_matrix([pair], 0, 1, 4, 4,
                                       tolerance=tolerance)
+
+
+@pytest.fixture
+def numpy_tier():
+    """Every kernel on its numpy reference tier for the test."""
+    with kernels.use_backend("numpy"):
+        yield
+
+
+@pytest.mark.usefixtures("numpy_tier")
+class TestIterativeFitNumpyTier(TestIterativeFit):
+    """:class:`TestIterativeFit` with ``ipf_sweep`` on its numpy tier (the
+    class itself runs on the preferred, compiled tier when one loads)."""
+
+
+@pytest.mark.usefixtures("numpy_tier")
+class TestValidationNumpyTier(TestValidation):
+    """:class:`TestValidation` on the numpy tier."""

@@ -20,6 +20,8 @@ from repro.core import FelipConfig, StreamingCollector
 from repro.data import normal_dataset
 from repro.errors import IngestError
 from repro.fo.grr import GRRReport
+from repro.robustness.faults import FaultInjector
+from repro.service.checkpoint import save_checkpoint
 from repro.queries import Query, between
 
 
@@ -105,6 +107,37 @@ class TestAdmissionAccounting:
         q = Query([between("num_0", 4, 20)])
         assert collector.finalize().answer(q) == \
             honest.finalize().answer(q)
+
+
+class TestFinalizedModelAccounting:
+    """A finalized model keeps a copy of the stream's accounting: the
+    collector's later batches and the model's own retries each stay on
+    their side."""
+
+    def test_later_batches_do_not_move_the_model(self):
+        data = normal_dataset(20_000, num_numerical=2, num_categorical=1,
+                              numerical_domain=32, categorical_domain=4,
+                              rng=5)
+        collector = make_collector(data)
+        collector.observe(data.records[:10_000])
+        model = collector.finalize()
+        collector.observe(data.records[10_000:])
+        assert collector.ingest_stats.accepted_users == 20_000
+        assert model.n == 10_000
+        assert model.robustness_report()["ingest"]["accepted_users"] == \
+            10_000
+
+    def test_model_retries_stay_off_the_collector(self, dataset):
+        collector = make_collector(dataset)
+        collector.observe(dataset.records[:3_000])
+        model = collector.finalize()
+        stats = collector.exec_stats.as_dict()
+        blob = save_checkpoint(collector)
+        model.fault_injector = FaultInjector(fail=[(0, 0)])
+        model.materialize()
+        assert model.exec_stats.retries == 1
+        assert collector.exec_stats.as_dict() == stats
+        assert save_checkpoint(collector) == blob
 
 
 class TestSourceAttribution:
